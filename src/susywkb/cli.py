@@ -120,7 +120,7 @@ def _cmd_list(args):
 def _solve_one(spec, n, method, tol, dump=None):
     if method == "closed_form":
         E = catalog.closed_form_energy(spec, n)
-        return swkb.QuantizationResult(n, E, "closed_form", 0.0, 0.0)
+        return swkb.QuantizationResult(n, E, "closed_form", 0.0)
     if method == "swkb":
         return swkb.solve_level(spec, n, tol=tol or swkb.TAU_LEVEL)
     if method == "contour":
@@ -135,7 +135,7 @@ def _solve_one(spec, n, method, tol, dump=None):
             path = dump if dump.endswith(".csv") else dump + ".csv"
             path = path.replace(".csv", f".n{n}.csv")
             numerov.dump_wavefunction(sol, path)
-        return swkb.QuantizationResult(n, E, "numerov", 0.0, 1e-6 * (1 + abs(E)))
+        return swkb.QuantizationResult(n, E, "numerov", 0.0)
     raise DomainError(f"unknown method {method!r}")
 
 

@@ -455,7 +455,7 @@ def quantize_by_contours(spec, n, probe_energy=None):
             "two-cut contour condition does not close — use defect_report "
             "to quantify the other-cut content")
     if n == 0:
-        return QuantizationResult(0, 0.0, "contour", 0.0, 0.0)
+        return QuantizationResult(0, 0.0, "contour", 0.0)
     hbar = spec.hbar
 
     def g(E):
@@ -490,7 +490,7 @@ def quantize_by_contours(spec, n, probe_energy=None):
         lo, hi = _bracket(spec, g, n)
     E = brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16)
     resid = abs(_condition_value(spec, E) / (2.0 * hbar) - n)
-    return QuantizationResult(n, float(E), "contour", resid, resid)
+    return QuantizationResult(n, float(E), "contour", resid)
 
 
 def defect_report(spec, E_exact, n):

@@ -5,6 +5,19 @@ node-count bisection on the left (regular) solution followed by root
 refinement of the matching Wronskian at the outermost classical turning
 point, then Richardson-extrapolated over two grid spacings.
 
+Sweeps
+------
+A sweep runs both Numerov recurrences on plain Python floats, read through
+memoryviews of the coefficient arrays and stored in compact double arrays.
+These are the same IEEE operations in the same order as numpy-scalar
+indexing, so the results are bit-identical, at a third of the cost and with
+no extra memory.  On each grid one memo of sweeps, keyed by energy, serves
+both node-count bisections and the Wronskian root search.  The h/2 grid
+starts its bisections from the h-grid transitions: it replays the bisection
+steps towards them without sweeping and resumes from the first bracket whose
+node counts confirm it (see _node_transition), so it sweeps about a third
+less and reaches the same eigenvalue as a bisection from scratch.
+
 Endpoint handling
 -----------------
 * singular finite ends: the local Laurent behaviour of omega gives
@@ -19,6 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +156,28 @@ def _end_ic(spec, ics, which, xg, E):
 # shooting
 # ---------------------------------------------------------------------------
 
+def _recur(p0, p1, c, t_back, t_next):
+    """Run the Numerov recurrence p2 = (c*p1 - t_back*p0) / t_next over the
+    zipped coefficient sequences on plain floats, from the start values
+    p0, p1.  Whenever |p2| passes OVERFLOW, everything computed so far is
+    rescaled by 1/OVERFLOW.  Returns the solution as a float64 array in sweep
+    order."""
+    big = OVERFLOW
+    out = array("d", (p0, p1))
+    p0, p1 = out                    # plain floats, even from numpy scalars
+    append = out.append
+    for ci, tb, tn in zip(c, t_back, t_next):
+        p2 = (ci * p1 - tb * p0) / tn
+        append(p2)
+        if abs(p2) > big:
+            done = np.frombuffer(out)
+            done *= 1.0 / big
+            del done                # release the buffer so out can grow
+            p1, p2 = out[-2:]
+        p0, p1 = p1, p2
+    return np.frombuffer(out)
+
+
 def _shoot(spec, Vg, xg, ics, E):
     """One bidirectional Numerov sweep.  Returns (node count of the left
     solution, normalized matching Wronskian, pieces for assembly)."""
@@ -149,19 +185,13 @@ def _shoot(spec, Vg, xg, ics, E):
     N = len(xg)
     h = xg[1] - xg[0]
     f = (Vg - E) / (hbar * hbar)
-    t = 1.0 - h * h * f / 12.0
-    pL = np.zeros(N)
-    pL[0], pL[1] = _end_ic(spec, ics, "left", xg, E)
-    for i in range(1, N - 1):
-        pL[i + 1] = ((12.0 - 10.0 * t[i]) * pL[i] - t[i - 1] * pL[i - 1]) / t[i + 1]
-        if abs(pL[i + 1]) > OVERFLOW:
-            pL[:i + 2] *= 1.0 / OVERFLOW
-    pR = np.zeros(N)
-    pR[-1], pR[-2] = _end_ic(spec, ics, "right", xg, E)
-    for i in range(N - 2, 0, -1):
-        pR[i - 1] = ((12.0 - 10.0 * t[i]) * pR[i] - t[i + 1] * pR[i + 1]) / t[i - 1]
-        if abs(pR[i - 1]) > OVERFLOW:
-            pR[i - 1:] *= 1.0 / OVERFLOW
+    t_arr = 1.0 - h * h * f / 12.0
+    t = memoryview(t_arr)           # iterating these yields plain floats
+    c = memoryview(12.0 - 10.0 * t_arr)
+    pL = _recur(*_end_ic(spec, ics, "left", xg, E),
+                c[1:N - 1], t[:N - 2], t[2:])
+    pR = _recur(*_end_ic(spec, ics, "right", xg, E),
+                c[N - 2:0:-1], t[N - 1:1:-1], t[N - 3::-1])[::-1]
     cls = np.where(f < 0.0)[0]
     m = int(cls[-1]) if len(cls) else N // 2
     m = min(max(m, 2), N - 3)
@@ -172,12 +202,40 @@ def _shoot(spec, Vg, xg, ics, E):
     return nodes, W, pL, pR, m
 
 
-def _node_transition(sh, k, E_lo, E_hi):
-    """Energy where the shot solution's node count steps from <= k to > k."""
-    lo, hi = E_lo, E_hi
-    for _ in range(120):
+def _node_transition(nodes, k, E_lo, E_hi, guess=None):
+    """Energy where the node count steps from <= k to > k, by bisection of
+    [E_lo, E_hi] down to a relative width of 1e-9.
+
+    A guess (the transition on a coarser grid) lets the bisection skip
+    ahead.  The steps it would take towards the guess are replayed without
+    sweeps until the bracket is about 1e-6*(1 + |guess|) wide; the
+    bisection resumes from that bracket, or from the one 64 or 64^2 ...
+    times wider, as soon as the node counts at its ends confirm that it
+    holds the transition, and from [E_lo, E_hi] when none does.  A confirmed
+    bracket is one the bisection from [E_lo, E_hi] passes through whenever
+    the node count rises monotonically with E, so the result is the same.
+    """
+    path = [(E_lo, E_hi)]
+    if guess is not None:
+        lo, hi = E_lo, E_hi
+        width = 1e-6 * (1.0 + abs(guess))
+        while hi - lo > width:
+            mid = 0.5 * (lo + hi)
+            if mid < guess:
+                lo = mid
+            else:
+                hi = mid
+            path.append((lo, hi))
+    depth = len(path) - 1
+    while depth > 0:
+        lo, hi = path[depth]
+        if nodes(lo) <= k < nodes(hi):
+            break
+        depth = max(depth - 6, 0)
+    lo, hi = path[depth]
+    for _ in range(120 - depth):
         mid = 0.5 * (lo + hi)
-        if sh(mid)[0] <= k:
+        if nodes(mid) <= k:
             lo = mid
         else:
             hi = mid
@@ -186,25 +244,36 @@ def _node_transition(sh, k, E_lo, E_hi):
     return lo, hi
 
 
-def _solve_on_grid(spec, xg, ics, n, E_lo, E_hi):
+def _solve_on_grid(spec, xg, ics, n, E_lo, E_hi, near=None):
+    """Level n on one grid.  Returns the eigenvalue and the node-count
+    transitions (t_n, t_{n-1}) that bracketed it; `near`, the transitions
+    from a coarser grid, warm-starts their search."""
     Vg = spec.v_minus(xg)
+    sweeps = {}     # energy -> (nodes, W), shared by every search below
 
     def sh(E):
-        return _shoot(spec, Vg, xg, ics, E)
+        if E not in sweeps:
+            sweeps[E] = _shoot(spec, Vg, xg, ics, E)[:2]
+        return sweeps[E]
+
+    def nodes(E):
+        return sh(E)[0]
 
     def Wf(E):
         return sh(E)[1]
 
+    near_n, near_prev = near or (None, None)
     # The node-count transition t_k satisfies E_k <= t_k < E_{k+1} (a node
     # can enter the truncated grid somewhat above the eigenvalue when it
     # drifts in through the decay tail), so the n-th eigenvalue is the
     # unique zero of the matching Wronskian in (t_{n-1}, t_n].
-    _, t_n = _node_transition(sh, n, E_lo, E_hi)
+    _, t_n = _node_transition(nodes, n, E_lo, E_hi, near_n)
     if n == 0:
+        t_prev = None
         a = E_lo
     else:
-        _, a = _node_transition(sh, n - 1, E_lo, E_hi)
-        a += 1e-9 * (1.0 + abs(a))
+        _, t_prev = _node_transition(nodes, n - 1, E_lo, E_hi, near_prev)
+        a = t_prev + 1e-9 * (1.0 + abs(t_prev))
     b = t_n + 1e-9 * (1.0 + abs(t_n))
     wa, wb = Wf(a), Wf(b)
     if wa * wb > 0.0:
@@ -220,7 +289,8 @@ def _solve_on_grid(spec, xg, ics, n, E_lo, E_hi):
             raise ConvergenceError(
                 f"could not bracket the matching condition for n={n}",
                 residuals=[wa, wb])
-    return brentq(Wf, a, b, xtol=1e-14, rtol=8.9e-16)
+    E = brentq(Wf, a, b, xtol=1e-14, rtol=8.9e-16)
+    return E, (t_n, t_prev)
 
 
 def _prepare(spec, n, E_hint=None):
@@ -267,9 +337,11 @@ def numerov_eigenvalue(spec, n, n_points=DEFAULT_POINTS, E_hint=None):
         raise DomainError(f"level n={n} is not bound for {spec.id}")
     E_lo, E_hi, x_min, x_max, ics = _prepare(spec, n, E_hint)
     results = []
+    near = None
     for N in (n_points, 2 * n_points - 1):
         xg = np.linspace(x_min, x_max, N)
-        results.append(_solve_on_grid(spec, xg, ics, n, E_lo, E_hi))
+        E, near = _solve_on_grid(spec, xg, ics, n, E_lo, E_hi, near)
+        results.append(E)
     return (16.0 * results[1] - results[0]) / 15.0
 
 
@@ -279,7 +351,7 @@ def grid_solution(spec, n, n_points=DEFAULT_POINTS, E_hint=None):
         raise DomainError(f"level n={n} is not bound for {spec.id}")
     E_lo, E_hi, x_min, x_max, ics = _prepare(spec, n, E_hint)
     xg = np.linspace(x_min, x_max, n_points)
-    E = _solve_on_grid(spec, xg, ics, n, E_lo, E_hi)
+    E, _ = _solve_on_grid(spec, xg, ics, n, E_lo, E_hi)
     Vg = spec.v_minus(xg)
     _, _, pL, pR, m = _shoot(spec, Vg, xg, ics, E)
     psi = np.empty_like(xg)

@@ -34,7 +34,6 @@ class QuantizationResult:
     energy: float
     method: str          # swkb_quadrature | contour | closed_form | numerov
     residual: float
-    error_estimate: float
 
 
 def _energy_numerator(spec, E):
@@ -109,7 +108,7 @@ def solve_level(spec, n, tol=TAU_LEVEL):
     if n < 0:
         raise DomainError("n must be non-negative")
     if n == 0:
-        return QuantizationResult(0, 0.0, "swkb_quadrature", 0.0, 0.0)
+        return QuantizationResult(0, 0.0, "swkb_quadrature", 0.0)
     hbar = spec.hbar
     target = n * hbar
 
@@ -123,7 +122,7 @@ def solve_level(spec, n, tol=TAU_LEVEL):
         raise ConvergenceError(
             f"level solve residual {resid} exceeds {tol}",
             residuals=[resid])
-    return QuantizationResult(n, float(E), "swkb_quadrature", resid, resid)
+    return QuantizationResult(n, float(E), "swkb_quadrature", resid)
 
 
 def _bracket(spec, g, n):
@@ -147,9 +146,15 @@ def _bracket(spec, g, n):
         else:
             raise UnboundEnergyError(
                 f"could not bracket level n={n} for {spec.id}")
-    # lower end: J -> 0 as E -> 0+, so g(lo) < 0 once lo is small enough
+    # lower end: J -> 0 as E -> 0+, so g(lo) < 0 once lo is small enough.
+    # Below a local maximum of omega^2 an energy can have more than one pair
+    # of turning points; step such a lo up instead, staying below hi.
     for _ in range(60):
-        if g(lo) < 0.0:
-            return lo, hi
+        try:
+            if g(lo) < 0.0:
+                return lo, hi
+        except UnboundEnergyError:
+            lo = min(4.0 * lo, 0.5 * (lo + hi))
+            continue
         lo *= 0.25
     raise ConvergenceError(f"could not establish lower bracket for n={n}")

@@ -1,17 +1,24 @@
 """Command-line interface: subcommands, formats, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import susywkb
 from susywkb.cli import main
+
+# the child process imports the same susywkb as this one, installed or not
+SRC = os.path.dirname(os.path.dirname(susywkb.__file__))
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "susywkb.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 

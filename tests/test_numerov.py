@@ -1,11 +1,13 @@
 """Numerov oracle: eigenvalues, node counts, quantum action, QHJ residual."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import susywkb as sw
-from susywkb import DomainError
-from susywkb.numerov import grid_solution
+from susywkb import DomainError, numerov
+from susywkb.numerov import OVERFLOW, grid_solution
 from susywkb.swkb import turning_points
 
 from conftest import numerov_of, spec_of
@@ -95,3 +97,92 @@ def test_dump_wavefunction(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,psi"
     assert len(lines) == len(sol.grid) + 1
+
+
+def _numpy_shoot(spec, Vg, xg, ics, E):
+    """The sweep as it was written on numpy scalars, kept as a reference for
+    the plain-float sweep; also returns the number of OVERFLOW rescales."""
+    rescales = 0
+    hbar = spec.hbar
+    N = len(xg)
+    h = xg[1] - xg[0]
+    f = (Vg - E) / (hbar * hbar)
+    t = 1.0 - h * h * f / 12.0
+    pL = np.zeros(N)
+    pL[0], pL[1] = numerov._end_ic(spec, ics, "left", xg, E)
+    for i in range(1, N - 1):
+        pL[i + 1] = ((12.0 - 10.0 * t[i]) * pL[i] - t[i - 1] * pL[i - 1]) / t[i + 1]
+        if abs(pL[i + 1]) > OVERFLOW:
+            pL[:i + 2] *= 1.0 / OVERFLOW
+            rescales += 1
+    pR = np.zeros(N)
+    pR[-1], pR[-2] = numerov._end_ic(spec, ics, "right", xg, E)
+    for i in range(N - 2, 0, -1):
+        pR[i - 1] = ((12.0 - 10.0 * t[i]) * pR[i] - t[i + 1] * pR[i + 1]) / t[i - 1]
+        if abs(pR[i - 1]) > OVERFLOW:
+            pR[i - 1:] *= 1.0 / OVERFLOW
+            rescales += 1
+    cls = np.where(f < 0.0)[0]
+    m = int(cls[-1]) if len(cls) else N // 2
+    m = min(max(m, 2), N - 3)
+    nodes = int(np.sum(np.sign(pL[1:-1]) * np.sign(pL[2:]) < 0.0))
+    dL = (pL[m + 1] - pL[m - 1]) / (2.0 * h)
+    dR = (pR[m + 1] - pR[m - 1]) / (2.0 * h)
+    W = (dL * pR[m] - dR * pL[m]) / (abs(pL[m] * pR[m]) + 1e-300)
+    return (nodes, W, pL, pR, m), rescales
+
+
+def _level_grid(pot_id, n_points):
+    spec = spec_of(pot_id)
+    E_lo, E_hi, x_min, x_max, ics = numerov._prepare(spec, 1, spec.spectrum(1))
+    return spec, np.linspace(x_min, x_max, n_points), ics, E_lo, E_hi
+
+
+# eckart has decaying ends, scarf1 Frobenius walls; the negative energies
+# make both sweeps overflow and rescale
+@pytest.mark.parametrize("pot_id, E", [("eckart", 189.0), ("eckart", -1e3),
+                                       ("scarf1", 3.0), ("scarf1", -3e4)])
+def test_shoot_equals_numpy_sweep(pot_id, E):
+    spec, xg, ics, _, _ = _level_grid(pot_id, 20001)
+    Vg = spec.v_minus(xg)
+    nodes, W, pL, pR, m = numerov._shoot(spec, Vg, xg, ics, E)
+    (nodes0, W0, pL0, pR0, m0), rescales = _numpy_shoot(spec, Vg, xg, ics, E)
+    if E < 0.0:
+        assert rescales >= 2
+    assert (nodes, W, m) == (nodes0, W0, m0)
+    assert np.array_equal(pL, pL0) and np.array_equal(pR, pR0)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Counts of _shoot calls, keyed by grid size."""
+    counts = Counter()
+    shoot = numerov._shoot
+
+    def counted(spec, Vg, xg, ics, E):
+        counts[len(xg)] += 1
+        return shoot(spec, Vg, xg, ics, E)
+
+    monkeypatch.setattr(numerov, "_shoot", counted)
+    return counts
+
+
+def test_sweep_budget_per_grid(sweeps):
+    # Bisecting from scratch took 86 sweeps on the h grid and 89 on h/2.
+    # The shared sweep memo saves a few on the h grid; the warm start from
+    # the h-grid transitions cuts h/2 to 55.  10% headroom on each.
+    sw.numerov_eigenvalue(spec_of("eckart"), 1, E_hint=189.0)
+    assert sweeps[20001] <= 91
+    assert sweeps[40001] <= 60
+
+
+@pytest.mark.parametrize("pot_id", ["eckart", "scarf1"])
+def test_warm_start_gives_the_cold_result(pot_id, sweeps):
+    spec, xg, ics, E_lo, E_hi = _level_grid(pot_id, 2001)
+    _, near = numerov._solve_on_grid(spec, xg, ics, 1, E_lo, E_hi)
+    fine = np.linspace(xg[0], xg[-1], 4001)
+    cold = numerov._solve_on_grid(spec, fine, ics, 1, E_lo, E_hi)
+    n_cold = sweeps.pop(4001)
+    warm = numerov._solve_on_grid(spec, fine, ics, 1, E_lo, E_hi, near)
+    assert warm == cold
+    assert sweeps[4001] < n_cold

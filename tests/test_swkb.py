@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import susywkb as sw
 from susywkb import UnboundEnergyError
@@ -94,3 +96,26 @@ def test_quadrature_self_consistency():
     a = swkb_integral(spec, E, tol=1e-11)
     b = swkb_integral(spec, E, tol=1e-9)
     assert a == pytest.approx(b, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_nonexact3_level_above_the_inner_wells(n):
+    # omega = c1 x + c3 x^3 vanishes at 0 and +-sqrt(-c1/c3), so omega^2 has
+    # three wells (six turning points) below its local maximum 7.7e-4; the
+    # bracket must step its lower end past that before J is defined.
+    spec = sw.get_spec("nonexact3")
+    lam, mu0 = spec.params["lam"], spec.params["mu0"]
+    c3 = 0.5 * (1.0 - lam * lam)
+    c1 = mu0 * lam * lam - c3
+    E = solve_level(spec, n).energy
+
+    def omega(x):
+        return c1 * x + c3 * x ** 3
+
+    # omega is odd and rises past its outer zero: x1 = -x2
+    x2 = brentq(lambda x: omega(x) - math.sqrt(E), math.sqrt(-c1 / c3), 10.0,
+                xtol=1e-15)
+    J, _ = quad(lambda x: math.sqrt(max(E - omega(x) ** 2, 0.0)), -x2, x2,
+                epsabs=1e-13, epsrel=1e-13, limit=400)
+    assert abs(J / math.pi / spec.hbar - n) <= 1e-10
+
