@@ -16,6 +16,7 @@ conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -132,14 +133,34 @@ def track_nodes(P, w0, zs):
     wind = np.zeros(len(zs) - 1)
     wind[safe] = np.sum(np.angle(num[safe] / den[safe]), axis=1)
     ok = safe & (np.abs(wind) <= _PHASE_STEP) & (p[1:] != 0.0)
+    # From w = +-s[k-1] the closer root to w is +-s[k] when s[k] is closer
+    # to s[k-1] than to -s[k-1], else -+s[k]; at a tie it is +s[k] from
+    # either sign, so a tie starts a new run like a fallback step does.
+    # np.hypot, not np.abs: numpy's vector complex abs rounds differently
+    # from the scalar abs of the rule below.
+    dsame, dflip = s[1:] - s[:-1], s[1:] + s[:-1]
+    to_same = np.hypot(dsame.real, dsame.imag)
+    to_flip = np.hypot(dflip.real, dflip.imag)
+    keep = np.where(to_same < to_flip, 1.0, -1.0)
+    heads = np.flatnonzero(~ok | (to_same == to_flip)) + 1
     ws = np.empty(len(zs), dtype=complex)
     ws[0] = w0
-    for k in range(1, len(zs)):
+    k = 1
+    while k < len(zs):
         prev = ws[k - 1]
-        if ok[k - 1]:
-            ws[k] = s[k] if abs(s[k] - prev) <= abs(-s[k] - prev) else -s[k]
-        else:
+        if not ok[k - 1]:
             ws[k] = continue_sqrt(P, prev, zs[k - 1], zs[k])
+            k += 1
+            continue
+        flip = not abs(s[k] - prev) <= abs(-s[k] - prev)
+        ws[k] = -s[k] if flip else s[k]
+        i = np.searchsorted(heads, k, side="right")
+        end = int(heads[i]) if i < len(heads) else len(zs)
+        sign = np.cumprod(keep[k:end - 1])
+        if flip:
+            sign = -sign
+        ws[k + 1:end] = np.where(sign > 0.0, s[k + 1:end], -s[k + 1:end])
+        k = end
     return ws
 
 
@@ -274,6 +295,19 @@ def _check_closed(ws):
 # cut integrals (vanishing-clearance limit of a counterclockwise stadium)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order):
+    """Read-only Gauss-Legendre nodes and weights of the cut integrals.
+
+    Their orders double from 64 up to max_order, so the cache holds a few
+    rules at most.
+    """
+    u, wt = np.polynomial.legendre.leggauss(order)
+    u.flags.writeable = False
+    wt.flags.writeable = False
+    return u, wt
+
+
 def cut_segment_integral(integrand: SqrtIntegrand, p1, p2, w_mid,
                          tol=QUAD_TOL, max_order=4096):
     """(1/pi) * integral of w/den * measure along the straight cut p1->p2.
@@ -298,7 +332,7 @@ def cut_segment_integral(integrand: SqrtIntegrand, p1, p2, w_mid,
     prev = None
     order = 64
     while order <= max_order:
-        u, wt = np.polynomial.legendre.leggauss(order)
+        u, wt = _gauss_legendre(order)
         th = u * np.pi / 2.0
         t = 0.5 * (1.0 + np.sin(th))
         zs = p1 + t * d
@@ -378,7 +412,7 @@ def arc_cut_integral(integrand: SqrtIntegrand, theta1, theta2, w_mid,
     prev = None
     order = 64
     while order <= max_order:
-        u, wt = np.polynomial.legendre.leggauss(order)
+        u, wt = _gauss_legendre(order)
         th = thm + thh * np.sin(u * np.pi / 2.0)
         ys = np.exp(1j * th)
         gs = _track_scalar_chain(g_of, g_mid, thm, th, wind_bound)
@@ -429,36 +463,43 @@ def _track_scalar_chain(g_of, g_mid, tmid, ts, wind_bound):
 # ---------------------------------------------------------------------------
 # path planning: keep clear of branch points, never cross a cut
 # ---------------------------------------------------------------------------
+#
+# The geometry below is batched: arguments broadcast against each other.  It
+# uses real arithmetic and np.hypot, because numpy's vector complex multiply
+# and abs round differently from their scalar forms, and every accept or
+# reject decision must match the scalar formulas bit for bit.
+
+_EDGE_BLOCK = 256     # segments per broadcast block in edge_clear
+
 
 def _point_segment(p, a, b):
-    """Distance from point p to segment a-b and the segment parameter of the
-    closest point."""
+    """Distance from points p to segments a-b, and the segment parameter of
+    each closest point."""
     d = b - a
-    L2 = (d * np.conj(d)).real
-    if L2 == 0.0:
-        return abs(p - a), 0.0
-    t = ((p - a) * np.conj(d)).real / L2
-    t = min(1.0, max(0.0, t))
-    return abs(a + t * d - p), t
-
-
-def _cross(o, p, q):
-    return ((p - o) * np.conj(q - o)).imag
-
-
-def _segments_intersect(a0, a1, b0, b1):
-    d1 = _cross(b0, b1, a0)
-    d2 = _cross(b0, b1, a1)
-    d3 = _cross(a0, a1, b0)
-    d4 = _cross(a0, a1, b1)
-    return (d1 * d2 < 0.0) and (d3 * d4 < 0.0)
+    e = p - a
+    L2 = d.real * d.real + d.imag * d.imag
+    dot = e.real * d.real + e.imag * d.imag
+    t = np.divide(dot, L2, out=np.zeros_like(dot), where=L2 != 0.0)
+    t = np.minimum(1.0, np.maximum(0.0, t))
+    f = a + t * d - p
+    return np.hypot(f.real, f.imag), t
 
 
 def _segment_segment_dist(a0, a1, b0, b1):
-    if _segments_intersect(a0, a1, b0, b1):
-        return 0.0
-    return min(_point_segment(a0, b0, b1)[0], _point_segment(a1, b0, b1)[0],
-               _point_segment(b0, a0, a1)[0], _point_segment(b1, a0, a1)[0])
+    """Distance between segments a0-a1 and b0-b1; zero where they cross."""
+
+    def cross(o, p, q):
+        u, v = p - o, q - o
+        return u.imag * v.real - u.real * v.imag
+
+    crossing = ((cross(b0, b1, a0) * cross(b0, b1, a1) < 0.0)
+                & (cross(a0, a1, b0) * cross(a0, a1, b1) < 0.0))
+    dist = np.minimum(
+        np.minimum(_point_segment(a0, b0, b1)[0],
+                   _point_segment(a1, b0, b1)[0]),
+        np.minimum(_point_segment(b0, a0, a1)[0],
+                   _point_segment(b1, a0, a1)[0]))
+    return np.where(crossing, 0.0, dist)
 
 
 def _unit(z, fallback=1.0 + 0j):
@@ -474,7 +515,9 @@ class PathPlanner:
     path may neither enter nor cross.  Routing uses a small visibility
     graph: candidate waypoints on rings around free capsule endpoints and
     around point obstacles, connected whenever the straight segment between
-    them clears everything, searched with Dijkstra.
+    them clears everything, searched with Dijkstra.  Clearance tests are
+    batched: one edge_clear call tests many segments against all capsules
+    and points, and _build tests every pair of waypoints in one call.
     """
 
     RING = 8          # waypoints per capsule-endpoint ring
@@ -483,45 +526,69 @@ class PathPlanner:
     POINT_FACTOR = 2.2
 
     def __init__(self, points=(), clearance=0.0, capsules=()):
-        self.points = [complex(p) for p in points]
+        self.points = np.array([complex(p) for p in points], dtype=complex)
         self.clearance = float(clearance)
         self.capsules = [(complex(a), complex(b), float(r))
                          for a, b, r in capsules]
+        self._cap_a = np.array([c[0] for c in self.capsules], dtype=complex)
+        self._cap_b = np.array([c[1] for c in self.capsules], dtype=complex)
+        self._cap_r = np.array([c[2] for c in self.capsules], dtype=float)
         self._nodes = None
         self._adj = None
 
     # -- primitives ---------------------------------------------------------
 
     def _inside_capsule(self, z):
-        for cap in self.capsules:
-            a, b, r = cap
-            if _point_segment(z, a, b)[0] < r:
-                return cap
-        return None
+        """Index of the first capsule that contains z and the segment
+        parameter of z's foot on it, or None."""
+        dist, t = _point_segment(z, self._cap_a, self._cap_b)
+        hit = np.flatnonzero(dist < self._cap_r)
+        if not hit.size:
+            return None
+        t = t[hit[0]]
+        # At a segment end t is a Python float, as a scalar min/max clamp
+        # gives, so the foot is a Python complex there and a numpy one
+        # inside.  The two types round the division in _unit differently,
+        # and the escape waypoints are pinned to that split bit for bit.
+        return int(hit[0]), float(t) if t in (0.0, 1.0) else t
 
-    def _free(self, z):
-        if self._inside_capsule(z) is not None:
-            return False
-        return all(abs(z - p) >= self.clearance for p in self.points)
+    def _free(self, zs):
+        """Whether each point of zs lies outside every capsule and keeps
+        the clearance from every point obstacle."""
+        zs = np.asarray(zs, dtype=complex)[..., None]
+        inside = np.any(_point_segment(zs, self._cap_a, self._cap_b)[0]
+                        < self._cap_r, axis=-1)
+        d = zs - self.points
+        return ~inside & np.all(np.hypot(d.real, d.imag) >= self.clearance,
+                                axis=-1)
 
-    def edge_clear(self, u, v):
-        for a, b, r in self.capsules:
-            if _segment_segment_dist(u, v, a, b) < r:
-                return False
-        for p in self.points:
-            if _point_segment(p, u, v)[0] < self.clearance:
-                return False
-        return True
+    def edge_clear(self, us, vs):
+        """Whether each segment us[i]-vs[i] keeps out of every capsule (no
+        point within r, no crossing) and passes every point obstacle at the
+        clearance or more.  us and vs broadcast to one dimension."""
+        us, vs = np.broadcast_arrays(np.atleast_1d(us).astype(complex),
+                                     np.atleast_1d(vs).astype(complex))
+        clear = np.empty(us.shape, dtype=bool)
+        # Blocks of edges bound the edges x obstacles temporaries.
+        for lo in range(0, len(us), _EDGE_BLOCK):
+            u = us[lo:lo + _EDGE_BLOCK, None]
+            v = vs[lo:lo + _EDGE_BLOCK, None]
+            hit = np.any(_segment_segment_dist(u, v, self._cap_a, self._cap_b)
+                         < self._cap_r, axis=1)
+            hit |= np.any(_point_segment(self.points, u, v)[0]
+                          < self.clearance, axis=1)
+            clear[lo:lo + _EDGE_BLOCK] = ~hit
+        return clear
 
     def _escape(self, z):
         """Lead a point trapped inside capsules to free space, radially."""
         out = [complex(z)]
         for _ in range(8):
-            cap = self._inside_capsule(out[-1])
-            if cap is None:
+            hit = self._inside_capsule(out[-1])
+            if hit is None:
                 return out
-            a, b, r = cap
-            d, t = _point_segment(out[-1], a, b)
+            k, t = hit
+            a, b, r = self.capsules[k]
             foot = a + t * (b - a)
             nvec = out[-1] - foot
             if abs(nvec) < 1e-14 * max(1.0, abs(b - a)):
@@ -547,7 +614,7 @@ class PathPlanner:
         the local capsule radius restores visibility.
         """
         chain = list(chain)
-        if any(self.edge_clear(chain[-1], z) for z in self._nodes):
+        if self.edge_clear(chain[-1], self._nodes).any():
             return chain
         d0 = _unit(chain[-1] - chain[-2]) if len(chain) >= 2 else 1.0 + 0j
         step = 1.4 * max(max((r for _, _, r in self.capsules), default=0.0),
@@ -560,11 +627,11 @@ class PathPlanner:
             tip = chain[-1]
             for _ in range(16):
                 nxt = tip + direction * step
-                if not self._free(nxt) or not self.edge_clear(tip, nxt):
+                if not self._free(nxt) or not self.edge_clear(tip, nxt)[0]:
                     break
                 ext.append(nxt)
                 tip = nxt
-                if any(self.edge_clear(tip, z) for z in self._nodes):
+                if self.edge_clear(tip, self._nodes).any():
                     return chain + ext
         return chain
 
@@ -601,14 +668,15 @@ class PathPlanner:
                     ang = 2.0 * np.pi * (j + 0.25) / self.POINT_RING
                     nodes.append(p + self.POINT_FACTOR * self.clearance
                                  * np.exp(1j * ang))
-        nodes = [z for z in nodes if self._free(z)]
+        nodes = np.array(nodes, dtype=complex)
+        nodes = nodes[self._free(nodes)]
         adj = [[] for _ in nodes]
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                if self.edge_clear(nodes[i], nodes[j]):
-                    w = abs(nodes[i] - nodes[j])
-                    adj[i].append((j, w))
-                    adj[j].append((i, w))
+        iu, ju = np.triu_indices(len(nodes), 1)
+        clear = self.edge_clear(nodes[iu], nodes[ju])
+        for i, j in zip(iu[clear].tolist(), ju[clear].tolist()):
+            w = abs(nodes[i] - nodes[j])
+            adj[i].append((j, w))
+            adj[j].append((i, w))
         self._nodes, self._adj = nodes, adj
 
     def route(self, z0, z1):
@@ -618,7 +686,7 @@ class PathPlanner:
         prefix = self._escape(z0)
         suffix = self._escape(z1)
         start, end = prefix[-1], suffix[-1]
-        if self.edge_clear(start, end):
+        if self.edge_clear(start, end)[0]:
             return prefix + suffix[::-1][1:] if abs(start - end) == 0 \
                 else prefix + suffix[::-1]
         if self._nodes is None:
@@ -626,16 +694,18 @@ class PathPlanner:
         prefix = self._extend_to_visibility(prefix)
         suffix = self._extend_to_visibility(suffix)
         start, end = prefix[-1], suffix[-1]
-        if self.edge_clear(start, end):
+        if self.edge_clear(start, end)[0]:
             return prefix + suffix[::-1]
         import heapq
-        nodes = self._nodes + [start, end]
+        nodes = list(self._nodes) + [start, end]
         si, ti = len(nodes) - 2, len(nodes) - 1
         adj = {i: list(e) for i, e in enumerate(self._adj)}
         adj[si], adj[ti] = [], []
+        sees = [(start, si, self.edge_clear(start, self._nodes)),
+                (end, ti, self.edge_clear(end, self._nodes))]
         for i, z in enumerate(self._nodes):
-            for q, qi in ((start, si), (end, ti)):
-                if self.edge_clear(q, z):
+            for q, qi, clear in sees:
+                if clear[i]:
                     w = abs(q - z)
                     adj[qi].append((i, w))
                     adj[i].append((qi, w))
@@ -664,8 +734,3 @@ class PathPlanner:
             chain.append(prev[chain[-1]])
         mid = [nodes[i] for i in reversed(chain)]
         return prefix[:-1] + mid + suffix[::-1][1:]
-
-
-def plan_path(z0, z1, points=(), clearance=0.0, capsules=()):
-    """One-shot wrapper around PathPlanner.route."""
-    return PathPlanner(points, clearance, capsules).route(z0, z1)

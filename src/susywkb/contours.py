@@ -210,21 +210,20 @@ class _Workspace:
         """Thickness of a cut's keep-out capsule: a fraction of the distance
         to the nearest foreign singularity or foreign cut segment, so that
         capsules of distinct cuts can never overlap."""
-        segs = self._cut_polyline(cut)
+        us, vs = np.array(self._cut_polyline(cut), dtype=complex).T
         a, b = self.cut_endpoints(cut)
         mine = {self._key(a), self._key(b)}
         dists = []
         for s in list(self.branch_points) + list(self.poles):
             if self._key(s) in mine:
                 continue
-            dists.append(min(br._point_segment(complex(s), u, v)[0]
-                             for u, v in segs))
+            dists.append(br._point_segment(complex(s), us, vs)[0].min())
         for other in self.cuts:
             if other is cut:
                 continue
-            dists.append(min(br._segment_segment_dist(u, v, p, q)
-                             for u, v in segs
-                             for p, q in self._cut_polyline(other)))
+            ps, qs = np.array(self._cut_polyline(other), dtype=complex).T
+            dists.append(br._segment_segment_dist(
+                us[:, None], vs[:, None], ps, qs).min())
         if not dists:
             return 0.45 * abs(b - a)
         # No floor here: the capsule must stay clear of foreign
