@@ -10,13 +10,9 @@ import susywkb as sw
 
 
 def probe_energy(spec):
-    if spec.spectrum is not None and spec.n_is_bound(2):
-        return spec.spectrum(2)
-    if spec.spectrum is not None and spec.n_is_bound(1):
-        return spec.spectrum(1)
     if spec.id == "nonexact2":
         return sw.numerov_eigenvalue(spec, 1)
-    return 1.0
+    return sw.catalog.probe_energy(spec, 2)
 
 
 def fmt(z):

@@ -16,7 +16,6 @@ conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +23,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .cpoly import Polynomial, _deflate
 from .errors import BranchAmbiguityError, ConvergenceError, DomainError
+from .quadrature import (GL_ORDER_MAX, GL_ORDER_START, gauss_legendre,
+                         refine_until)
 
 QUAD_TOL = 1e-11      # successive-refinement agreement for contour quadrature
 DEFAULT_NODES = 512
@@ -207,11 +208,6 @@ class Contour:
         return self.p1 - 1j * e * self.clearance
 
 
-def circle_nodes(center, radius, n):
-    th = 2.0 * np.pi * np.arange(n) / n
-    return center + radius * np.exp(1j * th)
-
-
 def stadium_nodes(p1, p2, clearance, n):
     """Counterclockwise nodes of a stadium around segment p1-p2: the side
     below the segment (left to right), a cap around p2, the side above
@@ -245,20 +241,8 @@ def contour_integral(contour: Contour, integrand: SqrtIntegrand,
     if not path:
         path = (integrand.anchor_point, contour.start_point())
     w_start = continue_along(integrand.P, integrand.anchor_value, path)
-    prev = None
-    n = int(n_points)
-    diff = None
-    while n <= MAX_NODES:
-        val = _traverse(contour, integrand, w_start, n)
-        if prev is not None:
-            diff = abs(val - prev)
-            if diff < tol:
-                return val
-        prev = val
-        n *= 2
-    raise ConvergenceError(
-        "contour quadrature did not converge", residuals=[diff]
-    )
+    return refine_until(lambda n: _traverse(contour, integrand, w_start, n),
+                        int(n_points), MAX_NODES, tol, "contour quadrature")
 
 
 def _traverse(contour, integrand, w_start, n):
@@ -295,21 +279,7 @@ def _check_closed(ws):
 # cut integrals (vanishing-clearance limit of a counterclockwise stadium)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(order):
-    """Read-only Gauss-Legendre nodes and weights of the cut integrals.
-
-    Their orders double from 64 up to max_order, so the cache holds a few
-    rules at most.
-    """
-    u, wt = np.polynomial.legendre.leggauss(order)
-    u.flags.writeable = False
-    wt.flags.writeable = False
-    return u, wt
-
-
-def cut_segment_integral(integrand: SqrtIntegrand, p1, p2, w_mid,
-                         tol=QUAD_TOL, max_order=4096):
+def cut_segment_integral(integrand: SqrtIntegrand, p1, p2, w_mid):
     """(1/pi) * integral of w/den * measure along the straight cut p1->p2.
 
     Equals the counterclockwise stadium around the cut in the limit of
@@ -329,23 +299,19 @@ def cut_segment_integral(integrand: SqrtIntegrand, p1, p2, w_mid,
     zmid = 0.5 * (p1 + p2)
     g_mid = 2.0 * complex(w_mid) / d        # phi(midpoint) = d/2
     den_c = integrand.den.coeffs
-    prev = None
-    order = 64
-    while order <= max_order:
-        u, wt = _gauss_legendre(order)
+
+    def at_order(order):
+        u, wt = gauss_legendre(order)
         th = u * np.pi / 2.0
         t = 0.5 * (1.0 + np.sin(th))
         zs = p1 + t * d
         gs = _track_from_mid(negQ, g_mid, zmid, zs)
         f = gs / npoly.polyval(zs, den_c) * integrand.measure(zs)
         vals = f * d * d * np.cos(th) ** 2 / 4.0
-        val = 0.5 * np.sum(wt * vals)
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
-        order *= 2
-    raise ConvergenceError("cut quadrature did not converge",
-                           residuals=[abs(val - prev)])
+        return 0.5 * np.sum(wt * vals)
+
+    return refine_until(at_order, GL_ORDER_START, GL_ORDER_MAX, QUAD_TOL,
+                        "cut quadrature")
 
 
 def _track_from_mid(P, g_mid, zmid, zs):
@@ -359,8 +325,7 @@ def _track_from_mid(P, g_mid, zmid, zs):
     return np.concatenate([gl, gr])
 
 
-def arc_cut_integral(integrand: SqrtIntegrand, theta1, theta2, w_mid,
-                     tol=QUAD_TOL, max_order=4096):
+def arc_cut_integral(integrand: SqrtIntegrand, theta1, theta2, w_mid):
     """(1/pi) * integral of w/den * measure along the unit-circle arc
     y = exp(i theta), theta from theta1 to theta2.
 
@@ -409,10 +374,8 @@ def arc_cut_integral(integrand: SqrtIntegrand, theta1, theta2, w_mid,
             total += dth / dist
         return total
 
-    prev = None
-    order = 64
-    while order <= max_order:
-        u, wt = _gauss_legendre(order)
+    def at_order(order):
+        u, wt = gauss_legendre(order)
         th = thm + thh * np.sin(u * np.pi / 2.0)
         ys = np.exp(1j * th)
         gs = _track_scalar_chain(g_of, g_mid, thm, th, wind_bound)
@@ -420,13 +383,10 @@ def arc_cut_integral(integrand: SqrtIntegrand, theta1, theta2, w_mid,
         # per-theta integrand w/den*measure*(i y): with w = i*phi*g the two
         # factors of i combine to -1.
         vals = -f * ys * thh * thh * np.cos(u * np.pi / 2.0) ** 2
-        val = 0.5 * np.sum(wt * vals)
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
-        order *= 2
-    raise ConvergenceError("arc cut quadrature did not converge",
-                           residuals=[abs(val - prev)])
+        return 0.5 * np.sum(wt * vals)
+
+    return refine_until(at_order, GL_ORDER_START, GL_ORDER_MAX, QUAD_TOL,
+                        "arc cut quadrature")
 
 
 def _track_scalar_chain(g_of, g_mid, tmid, ts, wind_bound):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,7 +39,6 @@ class PotentialSpec:
     threshold: float                   # sup of bound-state energies
     spectrum: Optional[Callable]       # n -> E_n, or None
     n_is_bound: Callable               # n -> bool
-    fixed_poles: tuple = ()            # finite poles of the contour integrand
     partial: bool = False              # best-effort entry, excluded from
                                        # quantitative guarantees
 
@@ -109,9 +108,6 @@ class PotentialSpec:
         """Partner potential omega^2 - hbar * omega'."""
         return self.omega_x(x) ** 2 - self.hbar * self.omega_prime_x(x)
 
-    def v_plus(self, x):
-        return self.omega_x(x) ** 2 + self.hbar * self.omega_prime_x(x)
-
     def is_y_symmetric(self):
         """True when omega^2(-y) = omega^2(y) in the mapped plane."""
         n, d = self.omega_y.num, self.omega_y.den
@@ -128,16 +124,12 @@ class PotentialSpec:
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
-        def poly(p):
-            return [[c.real, c.imag] for c in p.coeffs]
         return {
             "id": self.id,
             "params": dict(self.params),
             "hbar": self.hbar,
             "domain": [self.domain[0], self.domain[1]],
             "mapping": self.mapping,
-            "omega": {"num": poly(self.omega_y.num),
-                      "den": poly(self.omega_y.den)},
         }
 
 
@@ -173,7 +165,6 @@ def _build_eckart(params, hbar):
         mapping="exp", omega_y=omega, threshold=(B / A - A) ** 2,
         spectrum=spectrum,
         n_is_bound=lambda n: n >= 0 and (A + n * al * hbar) ** 2 < B,
-        fixed_poles=(0.0 + 0j, 1.0 + 0j, -1.0 + 0j),
     )
 
 
@@ -190,7 +181,6 @@ def _build_scarf2(params, hbar):
         domain=(-math.inf, math.inf), mapping="exp", omega_y=omega,
         threshold=A * A, spectrum=spectrum,
         n_is_bound=lambda n: n >= 0 and A - n * al * hbar > 0,
-        fixed_poles=(0.0 + 0j, 1j, -1j),
     )
 
 
@@ -211,7 +201,6 @@ def _build_rosenmorse2(params, hbar):
         threshold=(A - B / A) ** 2, spectrum=spectrum,
         n_is_bound=lambda n: n >= 0 and (A - n * al * hbar) ** 2 > B
         and A - n * al * hbar > 0,
-        fixed_poles=(0.0 + 0j, 1j, -1j),
     )
 
 
@@ -228,7 +217,6 @@ def _build_genpt(params, hbar):
         id="genpt", params=params, hbar=hbar, domain=(0.0, math.inf),
         mapping="exp", omega_y=omega, threshold=A * A, spectrum=spectrum,
         n_is_bound=lambda n: n >= 0 and A - n * al * hbar > 0,
-        fixed_poles=(0.0 + 0j, 1.0 + 0j, -1.0 + 0j),
     )
 
 
@@ -246,7 +234,6 @@ def _build_scarf1(params, hbar):
         domain=(-math.pi / (2 * al), math.pi / (2 * al)), mapping="exp_i",
         omega_y=omega, threshold=math.inf, spectrum=spectrum,
         n_is_bound=lambda n: n >= 0,
-        fixed_poles=(0.0 + 0j, 1j, -1j),
     )
 
 
@@ -266,7 +253,6 @@ def _build_rosenmorse1(params, hbar):
         domain=(0.0, math.pi / al), mapping="exp_i", omega_y=omega,
         threshold=math.inf, spectrum=spectrum,
         n_is_bound=lambda n: n >= 0,
-        fixed_poles=(0.0 + 0j, 1.0 + 0j, -1.0 + 0j),
     )
 
 
@@ -282,8 +268,6 @@ def _build_nonexact1(params, hbar):
         id="nonexact1", params=params, hbar=hbar, domain=(0.0, math.inf),
         mapping="identity", omega_y=omega, threshold=math.inf,
         spectrum=spectrum, n_is_bound=lambda n: n >= 0,
-        fixed_poles=(0.0 + 0j, 1j, -1j,
-                     1j * math.sqrt(2.0), -1j * math.sqrt(2.0)),
     )
 
 
@@ -291,13 +275,10 @@ def _build_nonexact2(params, hbar):
     num = Polynomial([-192.0, -240.0, -108.0, -56.0, -16.0, 0.0, 1.0])
     den = Polynomial([0.0, 192.0, 320.0, 272.0, 120.0, 32.0, 4.0])
     omega = RationalFunction(num, den)
-    poles = tuple(sorted(omega.poles(),
-                         key=lambda z: (round(z.real, 12), round(z.imag, 12))))
     return PotentialSpec(
         id="nonexact2", params=params, hbar=hbar, domain=(0.0, math.inf),
         mapping="identity", omega_y=omega, threshold=1.0 / 16.0,
         spectrum=None, n_is_bound=lambda n: n >= 0,
-        fixed_poles=poles,
     )
 
 
@@ -311,7 +292,7 @@ def _build_nonexact3(params, hbar):
         id="nonexact3", params=params, hbar=hbar,
         domain=(-math.inf, math.inf), mapping="identity", omega_y=omega,
         threshold=math.inf, spectrum=None, n_is_bound=lambda n: n >= 0,
-        fixed_poles=(), partial=True,
+        partial=True,
     )
 
 
@@ -324,7 +305,7 @@ _BUILDERS = {
     "rosenmorse1": (_build_rosenmorse1, {"A": 1.0, "B": 1.0, "alpha": 1.0}),
     "nonexact1": (_build_nonexact1, {}),
     "nonexact2": (_build_nonexact2, {}),
-    "nonexact3": (_build_nonexact3, {"lam": 0.5, "nu": 1.0, "mu0": 1.0}),
+    "nonexact3": (_build_nonexact3, {"lam": 0.5, "mu0": 1.0}),
 }
 
 EXACT_IDS = ("eckart", "scarf2", "rosenmorse2", "genpt", "scarf1",
@@ -366,6 +347,19 @@ def closed_form_energy(spec, n):
             f"level n={n} is not bound for {spec.id} "
             f"(bound-state count: {count})")
     return float(spec.spectrum(n))
+
+
+def probe_energy(spec, n=1):
+    """A bound energy to take a census at: the closed-form E_k of the
+    highest bound level k <= max(n, 1), else half a finite threshold,
+    else 1."""
+    if spec.spectrum is not None:
+        for k in range(max(n, 1), 0, -1):
+            if spec.n_is_bound(k):
+                return spec.spectrum(k)
+    if math.isfinite(spec.threshold):
+        return 0.5 * spec.threshold
+    return 1.0
 
 
 def bound_state_count(spec, limit=10000):

@@ -152,7 +152,8 @@ def _cmd_spectrum(args):
 
 def _cmd_compare(args):
     spec = _load_spec(args)
-    two_cut = len(contours.census(spec, _probe_energy(spec)).branch_cuts) <= 2
+    cen = contours.census(spec, catalog.probe_energy(spec))
+    two_cut = len(cen.branch_cuts) <= 2
     rows = []
     for n in _bound_levels(spec, args.levels):
         vals = {}
@@ -176,14 +177,6 @@ def _cmd_compare(args):
         })
     _emit(["n", "E_closed_form", "E_swkb", "E_contour", "E_numerov",
            "max_pairwise_gap"], rows, args)
-
-
-def _probe_energy(spec):
-    if spec.spectrum is not None and spec.n_is_bound(1):
-        return spec.spectrum(1)
-    if math.isfinite(spec.threshold):
-        return 0.5 * spec.threshold
-    return 1.0
 
 
 def _cmd_contours(args):

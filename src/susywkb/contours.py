@@ -27,8 +27,10 @@ from numpy.polynomial import polynomial as npoly
 from scipy.optimize import brentq
 
 from . import branch as br
-from .cpoly import Polynomial, find_roots
-from .errors import ConvergenceError, DomainError, UnboundEnergyError
+from .catalog import probe_energy
+from .cpoly import find_roots
+from .errors import ConvergenceError, DomainError
+from .quadrature import refine_until
 from .swkb import (QuantizationResult, _bracket, _energy_numerator,
                    swkb_integral, turning_points)
 
@@ -276,24 +278,18 @@ class _Workspace:
         R = self.big_radius
         path = self.path_to(R + 0j)
         w_R = br.continue_along(self.P, self.anchor_value, path)
-        prev, diff = None, None
-        n = br.DEFAULT_NODES
-        while n <= br.MAX_NODES:
+
+        def at_nodes(n):
             th = 2.0 * np.pi * np.arange(n + 1) / n
             zs = np.exp(1j * th) / R          # small circle, ccw in z
             ys = 1.0 / zs                     # large circle in y
             ws = br.track_nodes(self.P, w_R, ys)
             br._check_closed(ws)
             f = self.integrand.values(ys[:-1], ws[:-1])
-            val = complex(np.mean(f * 1j * ys[:-1]))
-            if prev is not None:
-                diff = abs(val - prev)
-                if diff < br.QUAD_TOL:
-                    return val
-            prev = val
-            n *= 2
-        raise ConvergenceError("large-circle quadrature did not converge",
-                               residuals=[diff])
+            return complex(np.mean(f * 1j * ys[:-1]))
+
+        return refine_until(at_nodes, br.DEFAULT_NODES, br.MAX_NODES,
+                            br.QUAD_TOL, "large-circle quadrature")
 
     def cut_value(self, cut):
         if cut.arc:
@@ -432,7 +428,7 @@ def _condition_value(spec, E):
     return total.real
 
 
-def quantize_by_contours(spec, n, probe_energy=None):
+def quantize_by_contours(spec, n):
     """Solve J_GammaR(E) - sum(J_gamma(E)) = 2n*hbar for E.
 
     Only valid when the classical cut and its mirror are the sole branch
@@ -440,14 +436,7 @@ def quantize_by_contours(spec, n, probe_energy=None):
     content makes the condition inexact (see defect_report)."""
     if n < 0:
         raise DomainError("n must be non-negative")
-    if probe_energy is None:
-        if spec.spectrum is not None and spec.n_is_bound(max(n, 1)):
-            probe_energy = spec.spectrum(max(n, 1))
-        elif math.isfinite(spec.threshold):
-            probe_energy = 0.5 * spec.threshold
-        else:
-            probe_energy = 1.0
-    cen = census(spec, probe_energy)
+    cen = census(spec, probe_energy(spec, n))
     if len(cen.branch_cuts) > 2:
         raise DomainError(
             f"{spec.id} has {len(cen.branch_cuts)} branch cuts; the "
@@ -460,33 +449,7 @@ def quantize_by_contours(spec, n, probe_energy=None):
     def g(E):
         return _condition_value(spec, E) - 2.0 * n * hbar
 
-    if math.isfinite(spec.threshold):
-        # Approaching the continuum threshold a turning point collides with
-        # a fixed pole (or runs to infinity) and the contour geometry
-        # degenerates, so back the upper bracket off until it resolves.
-        for eps in (1e-9, 1e-7, 1e-5, 1e-3):
-            hi = spec.threshold * (1.0 - eps)
-            try:
-                g_hi = g(hi)
-            except ConvergenceError:
-                continue
-            if g_hi < 0.0:
-                raise UnboundEnergyError(
-                    f"level n={n} exceeds the bound spectrum of {spec.id}")
-            break
-        else:
-            raise ConvergenceError(
-                f"contour geometry unresolvable below threshold for {spec.id}")
-        lo = 1e-9 * spec.threshold
-        for _ in range(60):
-            if g(lo) < 0.0:
-                break
-            lo *= 0.25
-        else:
-            raise ConvergenceError(
-                f"could not establish lower bracket for n={n}")
-    else:
-        lo, hi = _bracket(spec, g, n)
+    lo, hi = _bracket(spec, g, n)
     E = brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16)
     resid = abs(_condition_value(spec, E) / (2.0 * hbar) - n)
     return QuantizationResult(n, float(E), "contour", resid)

@@ -15,11 +15,11 @@ from scipy.optimize import brentq
 
 from .cpoly import Polynomial, find_roots
 from .errors import ConvergenceError, DomainError, UnboundEnergyError
+from .quadrature import (GL_ORDER_MAX, GL_ORDER_START, gauss_legendre,
+                         refine_until)
 
 TAU_SWKB = 1e-11     # quadrature self-consistency target
 TAU_LEVEL = 1e-10    # |J/hbar - n| tolerance for solved levels
-GL_ORDER_START = 64
-GL_ORDER_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -85,21 +85,17 @@ def swkb_integral(spec, E, tol=TAU_SWKB):
         return 0.0
     tp = turning_points(spec, E)
     xm, xh = 0.5 * (tp.x1 + tp.x2), 0.5 * (tp.x2 - tp.x1)
-    prev = None
-    order = GL_ORDER_START
-    while order <= GL_ORDER_MAX:
-        t, wt = np.polynomial.legendre.leggauss(order)
+
+    def at_order(order):
+        t, wt = gauss_legendre(order)
         th = t * np.pi / 2.0
         xs = xm + xh * np.sin(th)
         om2 = spec.omega_x(xs) ** 2
         integ = np.sqrt(np.maximum(E - om2, 0.0)) * xh * np.cos(th) * np.pi / 2.0
-        val = float(np.sum(wt * integ) / np.pi)
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
-        order *= 2
-    raise ConvergenceError("SWKB quadrature did not converge",
-                           residuals=[abs(val - prev)])
+        return float(np.sum(wt * integ) / np.pi)
+
+    return refine_until(at_order, GL_ORDER_START, GL_ORDER_MAX, tol,
+                        "SWKB quadrature")
 
 
 def solve_level(spec, n, tol=TAU_LEVEL):
@@ -126,14 +122,20 @@ def solve_level(spec, n, tol=TAU_LEVEL):
 
 
 def _bracket(spec, g, n):
-    """Bracket for the monotone level equation g(E) = J(E) - n*hbar = 0."""
-    scale = spec.threshold if math.isfinite(spec.threshold) else 1.0
-    lo = 1e-9 * scale
+    """Bracket for a monotone level equation g(E) = 0, g < 0 below the level.
+
+    A finite threshold is approached from inside, farthest first: near it a
+    turning point runs away or meets a pole, and quadratures may not
+    converge there, so a ConvergenceError ends the approach."""
     if math.isfinite(spec.threshold):
-        hi = spec.threshold * (1.0 - 1e-9)
-        if g(hi) < 0.0:
+        for eps in (1e-3, 1e-5, 1e-7, 1e-9):
+            hi = spec.threshold * (1.0 - eps)
+            if g(hi) > 0.0:
+                break
+        else:
             raise UnboundEnergyError(
                 f"level n={n} exceeds the bound spectrum of {spec.id}")
+        lo = 1e-9 * spec.threshold
     else:
         hi = 1.0
         for _ in range(60):
@@ -146,6 +148,7 @@ def _bracket(spec, g, n):
         else:
             raise UnboundEnergyError(
                 f"could not bracket level n={n} for {spec.id}")
+        lo = 1e-9
     # lower end: J -> 0 as E -> 0+, so g(lo) < 0 once lo is small enough.
     # Below a local maximum of omega^2 an energy can have more than one pair
     # of turning points; step such a lo up instead, staying below hi.

@@ -3,6 +3,7 @@
 from functools import lru_cache
 
 import susywkb as sw
+from susywkb.catalog import probe_energy
 
 
 @lru_cache(maxsize=None)
@@ -27,11 +28,6 @@ def decompose_of(pot_id, E):
 
 def mid_spectrum_energy(pot_id):
     """A representative bound energy for contour work."""
-    spec = spec_of(pot_id)
-    if spec.spectrum is not None and spec.n_is_bound(2):
-        return spec.spectrum(2)
-    if spec.spectrum is not None and spec.n_is_bound(1):
-        return spec.spectrum(1)
     if pot_id == "nonexact2":
         return numerov_of("nonexact2", 1)
-    return 1.0
+    return probe_energy(spec_of(pot_id), 2)

@@ -127,3 +127,18 @@ def test_complex_cells_quoted():
     rc, out, _ = run_cli("census", "scarf2", "--energy", "5")
     assert rc == 0
     assert '"' in out        # complex locations are single quoted fields
+
+
+@pytest.mark.parametrize("pot_id", susywkb.CATALOG_IDS)
+def test_every_entry_solves_or_refuses_in_process(pot_id, capsys):
+    assert main(["spectrum", pot_id, "--method", "swkb", "--levels", "2"]) == 0
+    # more than two cuts is the documented DomainError of the contour route
+    want = 0 if pot_id in susywkb.EXACT_IDS else 2
+    assert main(["spectrum", pot_id, "--method", "contour",
+                 "--levels", "2"]) == want
+
+
+def test_compare_nonexact2_in_process(capsys):
+    assert main(["compare", "nonexact2", "--levels", "2"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert len(rows) == 3

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import susywkb as sw
-from susywkb import UnboundEnergyError
+from susywkb import ConvergenceError, UnboundEnergyError, swkb
+from susywkb.quadrature import gauss_legendre, refine_until
 from susywkb.swkb import solve_level, swkb_integral, turning_points
 
 
@@ -119,3 +121,38 @@ def test_nonexact3_level_above_the_inner_wells(n):
                 epsabs=1e-13, epsrel=1e-13, limit=400)
     assert abs(J / math.pi / spec.hbar - n) <= 1e-10
 
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nonexact2_level_below_the_threshold(n, monkeypatch):
+    # omega rises from -inf at x = 0 to 1/4 as x -> inf, so x2 runs away as
+    # E approaches the threshold 1/16; the bracket must not probe there.
+    orders = []
+
+    def recording_rule(order):
+        orders.append(order)
+        return gauss_legendre(order)
+
+    monkeypatch.setattr(swkb, "gauss_legendre", recording_rule)
+    spec = sw.get_spec("nonexact2")
+    E = solve_level(spec, n).energy
+    assert max(orders) <= 512
+
+    num = [-192.0, -240.0, -108.0, -56.0, -16.0, 0.0, 1.0]
+    den = [0.0, 192.0, 320.0, 272.0, 120.0, 32.0, 4.0]
+
+    def omega(x):
+        return npoly.polyval(x, num) / npoly.polyval(x, den)
+
+    k = math.sqrt(E)
+    x1 = brentq(lambda x: omega(x) + k, 1e-6, 1e6, xtol=1e-15)
+    x2 = brentq(lambda x: omega(x) - k, 1e-6, 1e6, xtol=1e-15)
+    J, _ = quad(lambda x: math.sqrt(max(E - omega(x) ** 2, 0.0)), x1, x2,
+                epsabs=1e-13, epsrel=1e-13, limit=400)
+    assert abs(J / math.pi / spec.hbar - n) <= 1e-10
+
+
+def test_refine_until_reports_the_last_difference():
+    with pytest.raises(ConvergenceError, match="halving did not converge") \
+            as info:
+        refine_until(lambda n: 1.0 / n, 1, 8, 1e-3, "halving")
+    assert info.value.residuals == [0.125]
