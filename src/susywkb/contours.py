@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -96,7 +96,7 @@ class _Workspace:
                 poles.append(0.0 + 0j)
         self.poles = tuple(sorted(poles, key=lambda z: (z.real, z.imag)))
         self.measure = spec.measure
-        tp = turning_points(spec, self.E)
+        tp = turning_points(spec, self.E, self.branch_points)
         self.x1, self.x2 = tp.x1, tp.x2
         self.y1 = complex(spec.y_of_x(tp.x1))
         self.y2 = complex(spec.y_of_x(tp.x2))
@@ -445,13 +445,14 @@ def quantize_by_contours(spec, n):
     if n == 0:
         return QuantizationResult(0, 0.0, "contour", 0.0)
     hbar = spec.hbar
+    cond = cache(lambda E: _condition_value(spec, E))    # as in solve_level
 
     def g(E):
-        return _condition_value(spec, E) - 2.0 * n * hbar
+        return cond(E) - 2.0 * n * hbar
 
     lo, hi = _bracket(spec, g, n)
     E = brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    resid = abs(_condition_value(spec, E) / (2.0 * hbar) - n)
+    resid = abs(cond(E) / (2.0 * hbar) - n)
     return QuantizationResult(n, float(E), "contour", resid)
 
 

@@ -1,9 +1,9 @@
 """Numerov shooting oracle for H_- = -hbar^2 d^2/dx^2 + V_-(x).
 
-Independent ground truth for the SWKB engines: eigenvalues are located by
-node-count bisection on the left (regular) solution followed by root
-refinement of the matching Wronskian at the outermost classical turning
-point, then Richardson-extrapolated over two grid spacings.
+Independent ground truth for the SWKB engines: eigenvalues are roots of the
+matching Wronskian at the outermost classical turning point, bracketed
+with node counts of the left (regular) solution, then Richardson-
+extrapolated over two grid spacings.
 
 Sweeps
 ------
@@ -12,11 +12,12 @@ memoryviews of the coefficient arrays and stored in compact double arrays.
 These are the same IEEE operations in the same order as numpy-scalar
 indexing, so the results are bit-identical, at a third of the cost and with
 no extra memory.  On each grid one memo of sweeps, keyed by energy, serves
-both node-count bisections and the Wronskian root search.  The h/2 grid
-starts its bisections from the h-grid transitions: it replays the bisection
-steps towards them without sweeping and resumes from the first bracket whose
-node counts confirm it (see _node_transition), so it sweeps about a third
-less and reaches the same eigenvalue as a bisection from scratch.
+the bracket and the Wronskian root search.  The h grid brackets the root
+around the reference energy (E_hint, else the closed form) and the h/2 grid
+around the h-grid eigenvalue (see _hint_bracket): about 10-30 sweeps a
+grid.  Without a hint, or when the node counts refuse the bracket, the grid
+bisects [E_lo, E_hi] for the node-count transitions t_{n-1} and t_n
+instead, at 40-90 sweeps.
 
 Endpoint handling
 -----------------
@@ -180,7 +181,8 @@ def _recur(p0, p1, c, t_back, t_next):
 
 def _shoot(spec, Vg, xg, ics, E):
     """One bidirectional Numerov sweep.  Returns (node count of the left
-    solution, normalized matching Wronskian, pieces for assembly)."""
+    solution on the whole grid and up to the matching point, normalized
+    matching Wronskian, pieces for assembly)."""
     hbar = spec.hbar
     N = len(xg)
     h = xg[1] - xg[0]
@@ -195,47 +197,22 @@ def _shoot(spec, Vg, xg, ics, E):
     cls = np.where(f < 0.0)[0]
     m = int(cls[-1]) if len(cls) else N // 2
     m = min(max(m, 2), N - 3)
-    nodes = int(np.sum(np.sign(pL[1:-1]) * np.sign(pL[2:]) < 0.0))
+    changes = np.sign(pL[1:-1]) * np.sign(pL[2:]) < 0.0
+    nodes = int(np.sum(changes))
+    inner = int(np.sum(changes[:m - 1]))    # sign changes within pL[1:m + 1]
     dL = (pL[m + 1] - pL[m - 1]) / (2.0 * h)
     dR = (pR[m + 1] - pR[m - 1]) / (2.0 * h)
     W = (dL * pR[m] - dR * pL[m]) / (abs(pL[m] * pR[m]) + 1e-300)
-    return nodes, W, pL, pR, m
+    return nodes, inner, W, pL, pR, m
 
 
-def _node_transition(nodes, k, E_lo, E_hi, guess=None):
+def _node_transition(sweep, k, E_lo, E_hi):
     """Energy where the node count steps from <= k to > k, by bisection of
-    [E_lo, E_hi] down to a relative width of 1e-9.
-
-    A guess (the transition on a coarser grid) lets the bisection skip
-    ahead.  The steps it would take towards the guess are replayed without
-    sweeps until the bracket is about 1e-6*(1 + |guess|) wide; the
-    bisection resumes from that bracket, or from the one 64 or 64^2 ...
-    times wider, as soon as the node counts at its ends confirm that it
-    holds the transition, and from [E_lo, E_hi] when none does.  A confirmed
-    bracket is one the bisection from [E_lo, E_hi] passes through whenever
-    the node count rises monotonically with E, so the result is the same.
-    """
-    path = [(E_lo, E_hi)]
-    if guess is not None:
-        lo, hi = E_lo, E_hi
-        width = 1e-6 * (1.0 + abs(guess))
-        while hi - lo > width:
-            mid = 0.5 * (lo + hi)
-            if mid < guess:
-                lo = mid
-            else:
-                hi = mid
-            path.append((lo, hi))
-    depth = len(path) - 1
-    while depth > 0:
-        lo, hi = path[depth]
-        if nodes(lo) <= k < nodes(hi):
-            break
-        depth = max(depth - 6, 0)
-    lo, hi = path[depth]
-    for _ in range(120 - depth):
+    [E_lo, E_hi] down to a relative width of 1e-9."""
+    lo, hi = E_lo, E_hi
+    for _ in range(120):
         mid = 0.5 * (lo + hi)
-        if nodes(mid) <= k:
+        if sweep(mid)[0] <= k:
             lo = mid
         else:
             hi = mid
@@ -244,57 +221,80 @@ def _node_transition(nodes, k, E_lo, E_hi, guess=None):
     return lo, hi
 
 
-def _solve_on_grid(spec, xg, ics, n, E_lo, E_hi, near=None):
-    """Level n on one grid.  Returns the eigenvalue and the node-count
-    transitions (t_n, t_{n-1}) that bracketed it; `near`, the transitions
-    from a coarser grid, warm-starts their search."""
-    Vg = spec.v_minus(xg)
-    sweeps = {}     # energy -> (nodes, W), shared by every search below
+def _hint_bracket(sweep, n, hint):
+    """[hint - d, hint + d] for the first d = 1e-7*(1 + |hint|) * 8^k, k < 7
+    (up to 2.6e-2*(1 + |hint|)), where the matching Wronskian changes sign.
+    The pair is accepted only when the left solution has n nodes up to the
+    matching point at both ends.  That count does not fall as E rises and
+    reads k near E_k, and W keeps its sign where pL or pR vanishes at the
+    matching point, so E_n is then the one eigenvalue inside.  None when
+    widening cannot give such a pair."""
+    d = 1e-7 * (1.0 + abs(hint))
+    for _ in range(7):
+        a, b = hint - d, hint + d
+        (_, na, wa), (_, nb, wb) = sweep(a), sweep(b)
+        if wa * wb < 0.0:
+            return (a, b) if na == nb == n else None
+        if na < n or nb > n:
+            return None
+        d *= 8.0
+    return None
 
-    def sh(E):
-        if E not in sweeps:
-            sweeps[E] = _shoot(spec, Vg, xg, ics, E)[:2]
-        return sweeps[E]
 
-    def nodes(E):
-        return sh(E)[0]
-
-    def Wf(E):
-        return sh(E)[1]
-
-    near_n, near_prev = near or (None, None)
-    # The node-count transition t_k satisfies E_k <= t_k < E_{k+1} (a node
-    # can enter the truncated grid somewhat above the eigenvalue when it
-    # drifts in through the decay tail), so the n-th eigenvalue is the
-    # unique zero of the matching Wronskian in (t_{n-1}, t_n].
-    _, t_n = _node_transition(nodes, n, E_lo, E_hi, near_n)
+def _transition_bracket(sweep, n, E_lo, E_hi):
+    """Bracket of level n between the node-count transitions of the whole
+    grid.  The transition t_k satisfies E_k <= t_k < E_{k+1} (a node can
+    enter the truncated grid somewhat above the eigenvalue when it drifts in
+    through the decay tail), so the n-th eigenvalue is the unique zero of
+    the matching Wronskian in (t_{n-1}, t_n]."""
+    _, t_n = _node_transition(sweep, n, E_lo, E_hi)
     if n == 0:
-        t_prev = None
         a = E_lo
     else:
-        _, t_prev = _node_transition(nodes, n - 1, E_lo, E_hi, near_prev)
+        _, t_prev = _node_transition(sweep, n - 1, E_lo, E_hi)
         a = t_prev + 1e-9 * (1.0 + abs(t_prev))
     b = t_n + 1e-9 * (1.0 + abs(t_n))
-    wa, wb = Wf(a), Wf(b)
+    wa, wb = _wronskian(a, sweep), _wronskian(b, sweep)
     if wa * wb > 0.0:
         # endpoints too close to a zero, or the transition estimate is off
         # by a hair: scan the interval for the sign change
         es = np.linspace(a, b, 129)
-        ws = [wa] + [Wf(E) for E in es[1:-1]] + [wb]
+        ws = [wa] + [_wronskian(E, sweep) for E in es[1:-1]] + [wb]
         for i in range(len(es) - 1):
             if ws[i] * ws[i + 1] < 0.0:
-                a, b, wa, wb = es[i], es[i + 1], ws[i], ws[i + 1]
-                break
-        else:
-            raise ConvergenceError(
-                f"could not bracket the matching condition for n={n}",
-                residuals=[wa, wb])
-    E = brentq(Wf, a, b, xtol=1e-14, rtol=8.9e-16)
-    return E, (t_n, t_prev)
+                return es[i], es[i + 1]
+        raise ConvergenceError(
+            f"could not bracket the matching condition for n={n}",
+            residuals=[wa, wb])
+    return a, b
+
+
+def _wronskian(E, sweep):
+    return sweep(E)[2]
+
+
+def _solve_on_grid(spec, xg, ics, n, E_lo, E_hi, hint):
+    """Level n on one grid: the root of the matching Wronskian, bracketed
+    around hint when there is one, else between node-count transitions."""
+    Vg = spec.v_minus(xg)
+    sweeps = {}     # energy -> (nodes, inner nodes, W), shared by all searches
+
+    def sweep(E):
+        if E not in sweeps:
+            sweeps[E] = _shoot(spec, Vg, xg, ics, E)[:3]
+        return sweeps[E]
+
+    bracket = None if hint is None else _hint_bracket(sweep, n, hint)
+    a, b = bracket or _transition_bracket(sweep, n, E_lo, E_hi)
+    # brentq keeps its objective in a reference cycle (scipy's NaN guard
+    # refers to itself).  Passing sweep as an argument keeps this grid's
+    # arrays out of that cycle, so they are freed on return and not left to
+    # the cyclic collector, which let peak RSS creep up level by level.
+    return brentq(_wronskian, a, b, args=(sweep,), xtol=1e-14, rtol=8.9e-16)
 
 
 def _prepare(spec, n, E_hint=None):
-    """Energy window and box for level n."""
+    """Energy window, reference energy (or None) and box for level n."""
     ref = None
     if E_hint is not None:
         ref = E_hint
@@ -325,7 +325,7 @@ def _prepare(spec, n, E_hint=None):
         E_hi = min(E_hi, thr - margin)
     E_lo = -0.05 * max(abs(E_hi), 1.0)
     x_min, x_max, ics = _build_box(spec, E_hi)
-    return E_lo, E_hi, x_min, x_max, ics
+    return E_lo, E_hi, ref, x_min, x_max, ics
 
 
 def numerov_eigenvalue(spec, n, n_points=DEFAULT_POINTS, E_hint=None):
@@ -335,13 +335,12 @@ def numerov_eigenvalue(spec, n, n_points=DEFAULT_POINTS, E_hint=None):
         raise DomainError("n must be non-negative")
     if not spec.n_is_bound(n):
         raise DomainError(f"level n={n} is not bound for {spec.id}")
-    E_lo, E_hi, x_min, x_max, ics = _prepare(spec, n, E_hint)
+    E_lo, E_hi, hint, x_min, x_max, ics = _prepare(spec, n, E_hint)
     results = []
-    near = None
     for N in (n_points, 2 * n_points - 1):
         xg = np.linspace(x_min, x_max, N)
-        E, near = _solve_on_grid(spec, xg, ics, n, E_lo, E_hi, near)
-        results.append(E)
+        hint = _solve_on_grid(spec, xg, ics, n, E_lo, E_hi, hint)
+        results.append(hint)
     return (16.0 * results[1] - results[0]) / 15.0
 
 
@@ -349,11 +348,11 @@ def grid_solution(spec, n, n_points=DEFAULT_POINTS, E_hint=None):
     """Converged eigenfunction on a single grid (no extrapolation)."""
     if not spec.n_is_bound(n):
         raise DomainError(f"level n={n} is not bound for {spec.id}")
-    E_lo, E_hi, x_min, x_max, ics = _prepare(spec, n, E_hint)
+    E_lo, E_hi, ref, x_min, x_max, ics = _prepare(spec, n, E_hint)
     xg = np.linspace(x_min, x_max, n_points)
-    E, _ = _solve_on_grid(spec, xg, ics, n, E_lo, E_hi)
+    E = _solve_on_grid(spec, xg, ics, n, E_lo, E_hi, ref)
     Vg = spec.v_minus(xg)
-    _, _, pL, pR, m = _shoot(spec, Vg, xg, ics, E)
+    _, _, _, pL, pR, m = _shoot(spec, Vg, xg, ics, E)
     psi = np.empty_like(xg)
     scale = pL[m] / pR[m] if pR[m] != 0.0 else 1.0
     psi[:m + 1] = pL[:m + 1]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -43,15 +44,18 @@ def _energy_numerator(spec, E):
     return Polynomial(E) * den * den - num * num
 
 
-def turning_points(spec, E):
-    """The unique pair of real turning points of E - omega^2 in the domain."""
+def turning_points(spec, E, roots=None):
+    """The unique pair of real turning points of E - omega^2 in the domain.
+    roots, the roots of _energy_numerator(spec, E) when the caller holds
+    them already, spares solving for them again."""
     if not (E > 0):
         raise UnboundEnergyError(f"E={E} must be positive")
     if E >= spec.threshold:
         raise UnboundEnergyError(
             f"E={E} at or above the binding threshold {spec.threshold} "
             f"of {spec.id}")
-    roots = find_roots(_energy_numerator(spec, E))
+    if roots is None:
+        roots = find_roots(_energy_numerator(spec, E))
     lo, hi = spec.domain
     xs = []
     for r in roots:
@@ -107,13 +111,16 @@ def solve_level(spec, n, tol=TAU_LEVEL):
         return QuantizationResult(0, 0.0, "swkb_quadrature", 0.0)
     hbar = spec.hbar
     target = n * hbar
+    # brentq evaluates again the ends _bracket has evaluated, and returns a
+    # root it has evaluated: keep J by energy for this solve
+    J = cache(lambda E: swkb_integral(spec, E))
 
     def g(E):
-        return swkb_integral(spec, E) - target
+        return J(E) - target
 
     lo, hi = _bracket(spec, g, n)
     E = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    resid = abs(swkb_integral(spec, E) / hbar - n)
+    resid = abs(J(E) / hbar - n)
     if resid > tol:
         raise ConvergenceError(
             f"level solve residual {resid} exceeds {tol}",

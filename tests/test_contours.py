@@ -5,7 +5,7 @@ import math
 import pytest
 
 import susywkb as sw
-from susywkb import DomainError
+from susywkb import DomainError, contours, swkb
 from susywkb.swkb import swkb_integral
 
 from conftest import decompose_of, mid_spectrum_energy, spec_of
@@ -94,6 +94,25 @@ def test_quantize_by_contours_eckart():
     r = sw.quantize_by_contours(spec, 1)
     assert r.energy == pytest.approx(189.0, abs=1e-6)
     assert r.method == "contour"
+
+
+def test_quantize_by_contours_evaluates_each_energy_once(monkeypatch):
+    energies = []
+    condition = contours._condition_value
+
+    def counted(spec, E):
+        energies.append(E)
+        return condition(spec, E)
+
+    def unexpected(P):
+        raise AssertionError("the workspace solved P twice")
+
+    monkeypatch.setattr(contours, "_condition_value", counted)
+    # each workspace hands its branch points to turning_points
+    monkeypatch.setattr(swkb, "find_roots", unexpected)
+    r = sw.quantize_by_contours(spec_of("eckart"), 1)
+    assert len(energies) == len(set(energies)) >= 4
+    assert r.energy in energies
 
 
 def test_quantize_by_contours_refuses_extra_cuts():

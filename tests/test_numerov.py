@@ -1,5 +1,7 @@
 """Numerov oracle: eigenvalues, node counts, quantum action, QHJ residual."""
 
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -101,7 +103,8 @@ def test_dump_wavefunction(tmp_path):
 
 def _numpy_shoot(spec, Vg, xg, ics, E):
     """The sweep as it was written on numpy scalars, kept as a reference for
-    the plain-float sweep; also returns the number of OVERFLOW rescales."""
+    the plain-float sweep, with the node count up to the matching point
+    added; also returns the number of OVERFLOW rescales."""
     rescales = 0
     hbar = spec.hbar
     N = len(xg)
@@ -126,15 +129,17 @@ def _numpy_shoot(spec, Vg, xg, ics, E):
     m = int(cls[-1]) if len(cls) else N // 2
     m = min(max(m, 2), N - 3)
     nodes = int(np.sum(np.sign(pL[1:-1]) * np.sign(pL[2:]) < 0.0))
+    inner = sum(1 for i in range(1, m) if pL[i] * pL[i + 1] < 0.0)
     dL = (pL[m + 1] - pL[m - 1]) / (2.0 * h)
     dR = (pR[m + 1] - pR[m - 1]) / (2.0 * h)
     W = (dL * pR[m] - dR * pL[m]) / (abs(pL[m] * pR[m]) + 1e-300)
-    return (nodes, W, pL, pR, m), rescales
+    return (nodes, inner, W, pL, pR, m), rescales
 
 
 def _level_grid(pot_id, n_points):
     spec = spec_of(pot_id)
-    E_lo, E_hi, x_min, x_max, ics = numerov._prepare(spec, 1, spec.spectrum(1))
+    E_lo, E_hi, _, x_min, x_max, ics = numerov._prepare(spec, 1,
+                                                        spec.spectrum(1))
     return spec, np.linspace(x_min, x_max, n_points), ics, E_lo, E_hi
 
 
@@ -145,11 +150,14 @@ def _level_grid(pot_id, n_points):
 def test_shoot_equals_numpy_sweep(pot_id, E):
     spec, xg, ics, _, _ = _level_grid(pot_id, 20001)
     Vg = spec.v_minus(xg)
-    nodes, W, pL, pR, m = numerov._shoot(spec, Vg, xg, ics, E)
-    (nodes0, W0, pL0, pR0, m0), rescales = _numpy_shoot(spec, Vg, xg, ics, E)
+    nodes, inner, W, pL, pR, m = numerov._shoot(spec, Vg, xg, ics, E)
+    (nodes0, inner0, W0, pL0, pR0, m0), rescales = _numpy_shoot(spec, Vg, xg,
+                                                                ics, E)
     if E < 0.0:
         assert rescales >= 2
-    assert (nodes, W, m) == (nodes0, W0, m0)
+    if E > 0.0:
+        assert inner == 1
+    assert (nodes, inner, W, m) == (nodes0, inner0, W0, m0)
     assert np.array_equal(pL, pL0) and np.array_equal(pR, pR0)
 
 
@@ -167,22 +175,77 @@ def sweeps(monkeypatch):
     return counts
 
 
-def test_sweep_budget_per_grid(sweeps):
-    # Bisecting from scratch took 86 sweeps on the h grid and 89 on h/2.
-    # The shared sweep memo saves a few on the h grid; the warm start from
-    # the h-grid transitions cuts h/2 to 55.  10% headroom on each.
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Calls of the node-count transition search."""
+    calls = []
+    search = numerov._transition_bracket
+
+    def counted(sweep, n, E_lo, E_hi):
+        calls.append(n)
+        return search(sweep, n, E_lo, E_hi)
+
+    monkeypatch.setattr(numerov, "_transition_bracket", counted)
+    return calls
+
+
+def test_sweep_budget_per_grid(sweeps, fallbacks):
+    # Bisecting for the node-count transitions took 83 sweeps on the h grid
+    # and, warm-started, 55 on h/2.  Bracketing the Wronskian root at the
+    # hint takes 11 and 15.  10% headroom on each.
     sw.numerov_eigenvalue(spec_of("eckart"), 1, E_hint=189.0)
-    assert sweeps[20001] <= 91
-    assert sweeps[40001] <= 60
+    assert sweeps[20001] <= 12
+    assert sweeps[40001] <= 16
+    assert fallbacks == []
 
 
 @pytest.mark.parametrize("pot_id", ["eckart", "scarf1"])
-def test_warm_start_gives_the_cold_result(pot_id, sweeps):
+def test_hinted_solve_gives_the_cold_result(pot_id, sweeps, fallbacks):
     spec, xg, ics, E_lo, E_hi = _level_grid(pot_id, 2001)
-    _, near = numerov._solve_on_grid(spec, xg, ics, 1, E_lo, E_hi)
     fine = np.linspace(xg[0], xg[-1], 4001)
-    cold = numerov._solve_on_grid(spec, fine, ics, 1, E_lo, E_hi)
-    n_cold = sweeps.pop(4001)
-    warm = numerov._solve_on_grid(spec, fine, ics, 1, E_lo, E_hi, near)
-    assert warm == cold
-    assert sweeps[4001] < n_cold
+    hint = spec.spectrum(1)
+    for grid in (xg, fine):
+        cold = numerov._solve_on_grid(spec, grid, ics, 1, E_lo, E_hi, None)
+        n_cold = sweeps.pop(len(grid))
+        hint = numerov._solve_on_grid(spec, grid, ics, 1, E_lo, E_hi, hint)
+        assert abs(hint - cold) <= 1e-12 * (1.0 + abs(cold))
+        assert sweeps[len(grid)] < n_cold
+    assert fallbacks == [1, 1]          # the two cold searches
+
+
+@pytest.mark.parametrize("pot_id", ["eckart", "scarf1"])
+def test_wrong_hint_falls_back(pot_id, fallbacks):
+    spec, xg, ics, E_lo, E_hi = _level_grid(pot_id, 2001)
+    cold = numerov._solve_on_grid(spec, xg, ics, 1, E_lo, E_hi, None)
+    E1, E2 = spec.spectrum(1), spec.spectrum(2)
+    # the grid's own E_2 makes W change sign at the first, narrowest pair
+    E2_grid = numerov._solve_on_grid(spec, xg, ics, 2, E_lo,
+                                     max(E_hi, E2 + 1.0), None)
+    fallbacks.clear()
+    for hint in (E2_grid, E2, 0.9 * E1):
+        got = numerov._solve_on_grid(spec, xg, ics, 1, E_lo, E_hi, hint)
+        assert got == cold
+    assert fallbacks == [1, 1, 1]
+    fallbacks.clear()
+    E = sw.numerov_eigenvalue(spec, 1, n_points=2001, E_hint=E2)
+    assert fallbacks == [1]             # the h grid only
+    assert E == pytest.approx(E1, rel=1e-3)     # a 2001-point grid: 7e-4
+
+
+def test_nonexact2_without_a_hint():
+    # the value the previous node-count search gave, as recorded in
+    # perfbench/workloads.py NONEXACT2_LEVELS
+    assert numerov_of("nonexact2", 1) == pytest.approx(0.03491466653630712,
+                                                       rel=1e-12, abs=0.0)
+
+
+def test_grid_arrays_are_freed_on_return():
+    spec, xg, ics, E_lo, E_hi = _level_grid("eckart", 2001)
+    gc.disable()
+    try:
+        numerov._solve_on_grid(spec, xg, ics, 1, E_lo, E_hi, spec.spectrum(1))
+        alive = weakref.ref(xg)
+        del xg
+        assert alive() is None
+    finally:
+        gc.enable()

@@ -79,6 +79,20 @@ def test_solve_level_eckart():
     assert r.residual <= 1e-10
 
 
+@pytest.mark.parametrize("pot_id, n", [("eckart", 1), ("nonexact2", 1)])
+def test_solve_level_integrates_each_energy_once(pot_id, n, monkeypatch):
+    energies = []
+
+    def counted(spec, E, tol=swkb.TAU_SWKB):
+        energies.append(E)
+        return swkb_integral(spec, E, tol)
+
+    monkeypatch.setattr(swkb, "swkb_integral", counted)
+    r = solve_level(sw.get_spec(pot_id), n)
+    assert len(energies) == len(set(energies)) >= 4
+    assert r.energy in energies     # the residual reuses the root's value
+
+
 def test_solve_level_zero_is_exact():
     spec = sw.get_spec("eckart")
     r = solve_level(spec, 0)
