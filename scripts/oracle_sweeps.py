@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Count the Numerov oracle's work per level, grid by grid.
+
+For each catalog entry and level n = 1, 2 (where bound) this solves
+numerov_eigenvalue without a hint and, where the entry has a closed form,
+again with E_n as the hint.  For each grid the level uses (h, h/2, and
+the 4001-point search for an upper energy where there is no closed form
+and no finite threshold) it prints:
+
+  sweeps  calls of numerov._shoot;
+  steps   iterations of the Numerov recurrence (numerov._recur), summed;
+  whole   sweeps that also count nodes past the matching point, which only
+          the node-count fallback asks for.
+
+and for the level its CPU time and eigenvalue.  A sweep that stops at the
+matching point takes N - 1 steps on an N-point grid.
+
+    PYTHONPATH=src python scripts/oracle_sweeps.py [--json PATH] [ids ...]
+"""
+
+import argparse
+import json
+import time
+from collections import Counter
+
+import susywkb as sw
+from susywkb import numerov
+
+
+class Counts:
+    """Wraps numerov._shoot and numerov._recur to count per grid size."""
+
+    def __init__(self):
+        self.sweeps, self.steps, self.whole = Counter(), Counter(), Counter()
+        self._grid = None
+        shoot, recur = numerov._shoot, numerov._recur
+
+        def counted_shoot(spec, Vg, xg, ics, E, whole=False):
+            self._grid = len(xg)
+            self.sweeps[self._grid] += 1
+            self.whole[self._grid] += bool(whole)
+            return shoot(spec, Vg, xg, ics, E, whole)
+
+        def counted_recur(p0, p1, c, t_back, t_next):
+            self.steps[self._grid] += len(c)
+            return recur(p0, p1, c, t_back, t_next)
+
+        numerov._shoot, numerov._recur = counted_shoot, counted_recur
+
+    def take(self):
+        """Counts since the last call, per grid: {N: (sweeps, steps, whole)}."""
+        out = {N: (self.sweeps[N], self.steps[N], self.whole[N])
+               for N in sorted(self.sweeps)}
+        for c in (self.sweeps, self.steps, self.whole):
+            c.clear()
+        return out
+
+
+def cases(ids):
+    for pot_id in ids:
+        spec = sw.get_spec(pot_id)
+        for n in (1, 2):
+            if not spec.n_is_bound(n):
+                continue
+            yield spec, n, None
+            if spec.spectrum is not None:
+                yield spec, n, spec.spectrum(n)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("ids", nargs="*", default=list(sw.CATALOG_IDS))
+    ap.add_argument("--json", default=None, metavar="PATH",
+                    help="also write the rows as JSON")
+    args = ap.parse_args()
+    counts = Counts()
+    rows = []
+    print(f"{'id':12s} {'n':>2s} {'hint':>4s} {'cpu_s':>6s} {'E':>22s}  "
+          "per grid -- points: sweeps steps whole")
+    for spec, n, hint in cases(args.ids):
+        t0 = time.process_time()
+        E = sw.numerov_eigenvalue(spec, n, E_hint=hint)
+        cpu = time.process_time() - t0
+        grids = counts.take()
+        rows.append({"entry": spec.id, "n": n, "E_hint": hint, "E": E,
+                     "cpu_s": cpu,
+                     "grids": {N: dict(zip(("sweeps", "steps", "whole"), v))
+                               for N, v in grids.items()}})
+        hinted = "yes" if hint is not None else "no"
+        per_grid = "  ".join(f"{N:6d}: {a:3d} {b:8d} {c:3d}"
+                             for N, (a, b, c) in grids.items())
+        print(f"{spec.id:12s} {n:2d} {hinted:>4s} {cpu:6.3f} {E!r:>22s}  "
+              f"{per_grid}")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(rows, fh, indent=1)
+
+
+if __name__ == "__main__":
+    main()

@@ -463,6 +463,9 @@ def _segment_segment_dist(a0, a1, b0, b1):
 
 
 def _unit(z, fallback=1.0 + 0j):
+    # Python's complex division, whatever scalar type z comes in: numpy's
+    # multiplies by the reciprocal and can round differently.
+    z = complex(z)
     a = abs(z)
     return z / a if a > 0.0 else fallback
 
@@ -505,12 +508,7 @@ class PathPlanner:
         hit = np.flatnonzero(dist < self._cap_r)
         if not hit.size:
             return None
-        t = t[hit[0]]
-        # At a segment end t is a Python float, as a scalar min/max clamp
-        # gives, so the foot is a Python complex there and a numpy one
-        # inside.  The two types round the division in _unit differently,
-        # and the escape waypoints are pinned to that split bit for bit.
-        return int(hit[0]), float(t) if t in (0.0, 1.0) else t
+        return int(hit[0]), t[hit[0]]
 
     def _free(self, zs):
         """Whether each point of zs lies outside every capsule and keeps

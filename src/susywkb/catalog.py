@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -97,11 +98,16 @@ class PotentialSpec:
         return np.real_if_close(val, tol=1e6).real if self.mapping == "exp_i" \
             else np.asarray(val).real
 
+    @cached_property
+    def omega_prime_y(self):
+        """The rational derivative d omega/dy, built once per spec."""
+        return self.omega_y.deriv()
+
     def omega_prime_x(self, x):
         """Exact d omega/dx via the rational derivative and the chain rule."""
         self._check_domain(x)
         y = self.y_of_x(x)
-        val = self.omega_y.deriv()(y) * self.dydx(y)
+        val = self.omega_prime_y(y) * self.dydx(y)
         return np.asarray(val).real
 
     def v_minus(self, x):

@@ -11,13 +11,17 @@ A sweep runs both Numerov recurrences on plain Python floats, read through
 memoryviews of the coefficient arrays and stored in compact double arrays.
 These are the same IEEE operations in the same order as numpy-scalar
 indexing, so the results are bit-identical, at a third of the cost and with
-no extra memory.  On each grid one memo of sweeps, keyed by energy, serves
-the bracket and the Wronskian root search.  The h grid brackets the root
+no extra memory.  The two recurrences meet at the matching point m: the
+left one runs up to m + 1 and the right one down to m - 1, N - 1 steps in
+all on an N-point grid, which is all the Wronskian and the node count up
+to m read.  On each grid one memo of sweeps, keyed by energy, serves the
+bracket and the Wronskian root search.  The h grid brackets the root
 around the reference energy (E_hint, else the closed form) and the h/2 grid
 around the h-grid eigenvalue (see _hint_bracket): about 10-30 sweeps a
 grid.  Without a hint, or when the node counts refuse the bracket, the grid
 bisects [E_lo, E_hi] for the node-count transitions t_{n-1} and t_n
-instead, at 40-90 sweeps.
+instead, at 40-90 sweeps; only these sweeps continue the left recurrence
+to the end of the grid, for the whole-grid node count.
 
 Endpoint handling
 -----------------
@@ -46,6 +50,7 @@ DEFAULT_POINTS = 20001
 INSET_FRACTION = 1e-3       # inset of singular walls, in units of 1/alpha
 DECAY_BUDGET = 38.0         # required WKB decay integral past the box edge
 OVERFLOW = 1e200
+W_SCALE = 2.0 ** -664       # about 1/OVERFLOW, and exact
 
 
 @dataclass(frozen=True)
@@ -136,18 +141,17 @@ def _build_box(spec, E_hi):
     return x_min, x_max, ics
 
 
-def _end_ic(spec, ics, which, xg, E):
+def _end_ic(spec, ics, which, xg, Vg, E):
     kind = ics[which]
     hbar = spec.hbar
     if which == "left":
-        xa, xb = xg[0], xg[1]
+        xa, xb, v_end = xg[0], xg[1], Vg[0]
     else:
-        xa, xb = xg[-1], xg[-2]
+        xa, xb, v_end = xg[-1], xg[-2], Vg[-1]
     if kind[0] == "series":
         _, x0, side, s, c1h, c0h = kind
         ta, tb = side * (xa - x0), side * (xb - x0)
         return _series_ic(ta, tb, s, c1h, c0h, E, hbar)
-    v_end = spec.v_minus(np.array([xa]))[0]
     kap = math.sqrt(max(v_end - E, 1e-12)) / hbar
     h = abs(xb - xa)
     return 1.0, math.exp(kap * h)
@@ -163,14 +167,14 @@ def _recur(p0, p1, c, t_back, t_next):
     p0, p1.  Whenever |p2| passes OVERFLOW, everything computed so far is
     rescaled by 1/OVERFLOW.  Returns the solution as a float64 array in sweep
     order."""
-    big = OVERFLOW
+    big, neg_big = OVERFLOW, -OVERFLOW
     out = array("d", (p0, p1))
     p0, p1 = out                    # plain floats, even from numpy scalars
     append = out.append
     for ci, tb, tn in zip(c, t_back, t_next):
         p2 = (ci * p1 - tb * p0) / tn
         append(p2)
-        if abs(p2) > big:
+        if p2 > big or p2 < neg_big:    # cheaper than abs(p2) > big
             done = np.frombuffer(out)
             done *= 1.0 / big
             del done                # release the buffer so out can grow
@@ -179,30 +183,47 @@ def _recur(p0, p1, c, t_back, t_next):
     return np.frombuffer(out)
 
 
-def _shoot(spec, Vg, xg, ics, E):
-    """One bidirectional Numerov sweep.  Returns (node count of the left
-    solution on the whole grid and up to the matching point, normalized
-    matching Wronskian, pieces for assembly)."""
+def _sign_changes(p):
+    """Number of sign changes between neighbours of p."""
+    return int(np.count_nonzero(np.sign(p[:-1]) * np.sign(p[1:]) < 0.0))
+
+
+def _shoot(spec, Vg, xg, ics, E, whole=False):
+    """One bidirectional Numerov sweep that meets at the matching point m:
+    the left solution runs up to m + 1 and the right one down to m - 1.
+    Returns (node count of the left solution on the whole grid, or None,
+    node count up to m, normalized matching Wronskian, pL[:m + 2],
+    pR[m - 1:], m).  With whole, the left recurrence continues from
+    (pL[m], pL[m + 1]) to the end of the grid to count the rest of the
+    nodes; those are the floats an uninterrupted sweep gives there."""
     hbar = spec.hbar
     N = len(xg)
-    h = xg[1] - xg[0]
+    h = float(xg[1] - xg[0])
     f = (Vg - E) / (hbar * hbar)
+    cls = np.flatnonzero(f < 0.0)
+    m = int(cls[-1]) if len(cls) else N // 2
+    m = min(max(m, 2), N - 3)
     t_arr = 1.0 - h * h * f / 12.0
     t = memoryview(t_arr)           # iterating these yields plain floats
     c = memoryview(12.0 - 10.0 * t_arr)
-    pL = _recur(*_end_ic(spec, ics, "left", xg, E),
-                c[1:N - 1], t[:N - 2], t[2:])
-    pR = _recur(*_end_ic(spec, ics, "right", xg, E),
-                c[N - 2:0:-1], t[N - 1:1:-1], t[N - 3::-1])[::-1]
-    cls = np.where(f < 0.0)[0]
-    m = int(cls[-1]) if len(cls) else N // 2
-    m = min(max(m, 2), N - 3)
-    changes = np.sign(pL[1:-1]) * np.sign(pL[2:]) < 0.0
-    nodes = int(np.sum(changes))
-    inner = int(np.sum(changes[:m - 1]))    # sign changes within pL[1:m + 1]
-    dL = (pL[m + 1] - pL[m - 1]) / (2.0 * h)
-    dR = (pR[m + 1] - pR[m - 1]) / (2.0 * h)
-    W = (dL * pR[m] - dR * pL[m]) / (abs(pL[m] * pR[m]) + 1e-300)
+    pL = _recur(*_end_ic(spec, ics, "left", xg, Vg, E),
+                c[1:m + 1], t[:m], t[2:m + 2])
+    pR = _recur(*_end_ic(spec, ics, "right", xg, Vg, E),
+                c[N - 2:m - 1:-1], t[N - 1:m:-1], t[N - 3:m - 2:-1])[::-1]
+    inner = _sign_changes(pL[1:m + 1])
+    nodes = None
+    if whole:
+        tail = _recur(pL[m], pL[m + 1], c[m + 1:N - 1], t[m:N - 2], t[m + 2:])
+        nodes = inner + _sign_changes(tail)
+    pl, pr = pL[m - 1:].tolist(), pR[:3].tolist()
+    if abs(pl[1] * pr[1]) > OVERFLOW:
+        # both halves end near OVERFLOW, and the products below could
+        # overflow: scaling one half by a power of two keeps them finite
+        # and leaves every bit of W as it is
+        pl = [p * W_SCALE for p in pl]
+    dL = (pl[2] - pl[0]) / (2.0 * h)
+    dR = (pr[2] - pr[0]) / (2.0 * h)
+    W = (dL * pr[1] - dR * pl[1]) / (abs(pl[1] * pr[1]) + 1e-300)
     return nodes, inner, W, pL, pR, m
 
 
@@ -212,7 +233,7 @@ def _node_transition(sweep, k, E_lo, E_hi):
     lo, hi = E_lo, E_hi
     for _ in range(120):
         mid = 0.5 * (lo + hi)
-        if sweep(mid)[0] <= k:
+        if sweep(mid, whole=True)[0] <= k:
             lo = mid
         else:
             hi = mid
@@ -277,12 +298,15 @@ def _solve_on_grid(spec, xg, ics, n, E_lo, E_hi, hint):
     """Level n on one grid: the root of the matching Wronskian, bracketed
     around hint when there is one, else between node-count transitions."""
     Vg = spec.v_minus(xg)
-    sweeps = {}     # energy -> (nodes, inner nodes, W), shared by all searches
+    # energy -> (whole-grid nodes, or None until a search needs them,
+    # inner nodes, W), shared by all searches
+    sweeps = {}
 
-    def sweep(E):
-        if E not in sweeps:
-            sweeps[E] = _shoot(spec, Vg, xg, ics, E)[:3]
-        return sweeps[E]
+    def sweep(E, whole=False):
+        s = sweeps.get(E)
+        if s is None or (whole and s[0] is None):
+            s = sweeps[E] = _shoot(spec, Vg, xg, ics, E, whole)[:3]
+        return s
 
     bracket = None if hint is None else _hint_bracket(sweep, n, hint)
     a, b = bracket or _transition_bracket(sweep, n, E_lo, E_hi)
@@ -310,7 +334,7 @@ def _prepare(spec, n, E_hint=None):
             x_min, x_max, ics = _build_box(spec, E_hi)
             xg = np.linspace(x_min, x_max, 4001)
             Vg = spec.v_minus(xg)
-            if _shoot(spec, Vg, xg, ics, E_hi)[0] > n:
+            if _shoot(spec, Vg, xg, ics, E_hi, whole=True)[0] > n:
                 break
             E_hi *= 2.0
             if E_hi > 2.0 ** 40:
@@ -354,9 +378,9 @@ def grid_solution(spec, n, n_points=DEFAULT_POINTS, E_hint=None):
     Vg = spec.v_minus(xg)
     _, _, _, pL, pR, m = _shoot(spec, Vg, xg, ics, E)
     psi = np.empty_like(xg)
-    scale = pL[m] / pR[m] if pR[m] != 0.0 else 1.0
+    scale = pL[m] / pR[1] if pR[1] != 0.0 else 1.0     # pR[1] is at m
     psi[:m + 1] = pL[:m + 1]
-    psi[m + 1:] = pR[m + 1:] * scale
+    psi[m + 1:] = pR[2:] * scale
     peak = np.abs(psi).max()
     if peak > 0.0:
         psi = psi / peak

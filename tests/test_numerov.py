@@ -101,35 +101,40 @@ def test_dump_wavefunction(tmp_path):
     assert len(lines) == len(sol.grid) + 1
 
 
-def _numpy_shoot(spec, Vg, xg, ics, E):
+def _numpy_shoot(spec, Vg, xg, ics, E, stop=True):
     """The sweep as it was written on numpy scalars, kept as a reference for
-    the plain-float sweep, with the node count up to the matching point
-    added; also returns the number of OVERFLOW rescales."""
+    the plain-float sweep.  With stop, the left solution runs up to m + 1
+    and the right one down to m - 1; without, both run over the whole grid
+    and the whole-grid node count is taken.  Returns (whole-grid nodes or
+    None, nodes up to m, W, pL, pR, m) and the number of OVERFLOW
+    rescales."""
     rescales = 0
     hbar = spec.hbar
     N = len(xg)
     h = xg[1] - xg[0]
     f = (Vg - E) / (hbar * hbar)
     t = 1.0 - h * h * f / 12.0
+    cls = np.where(f < 0.0)[0]
+    m = int(cls[-1]) if len(cls) else N // 2
+    m = min(max(m, 2), N - 3)
     pL = np.zeros(N)
-    pL[0], pL[1] = numerov._end_ic(spec, ics, "left", xg, E)
-    for i in range(1, N - 1):
+    pL[0], pL[1] = numerov._end_ic(spec, ics, "left", xg, Vg, E)
+    for i in range(1, m + 1 if stop else N - 1):
         pL[i + 1] = ((12.0 - 10.0 * t[i]) * pL[i] - t[i - 1] * pL[i - 1]) / t[i + 1]
         if abs(pL[i + 1]) > OVERFLOW:
             pL[:i + 2] *= 1.0 / OVERFLOW
             rescales += 1
     pR = np.zeros(N)
-    pR[-1], pR[-2] = numerov._end_ic(spec, ics, "right", xg, E)
-    for i in range(N - 2, 0, -1):
+    pR[-1], pR[-2] = numerov._end_ic(spec, ics, "right", xg, Vg, E)
+    for i in range(N - 2, m - 1 if stop else 0, -1):
         pR[i - 1] = ((12.0 - 10.0 * t[i]) * pR[i] - t[i + 1] * pR[i + 1]) / t[i - 1]
         if abs(pR[i - 1]) > OVERFLOW:
             pR[i - 1:] *= 1.0 / OVERFLOW
             rescales += 1
-    cls = np.where(f < 0.0)[0]
-    m = int(cls[-1]) if len(cls) else N // 2
-    m = min(max(m, 2), N - 3)
-    nodes = int(np.sum(np.sign(pL[1:-1]) * np.sign(pL[2:]) < 0.0))
-    inner = sum(1 for i in range(1, m) if pL[i] * pL[i + 1] < 0.0)
+    # signs, not products: a product of two rescaled values can underflow
+    changes = np.sign(pL[1:-1]) * np.sign(pL[2:]) < 0.0
+    nodes = None if stop else int(np.sum(changes))
+    inner = int(np.sum(changes[:m - 1]))
     dL = (pL[m + 1] - pL[m - 1]) / (2.0 * h)
     dR = (pR[m + 1] - pR[m - 1]) / (2.0 * h)
     W = (dL * pR[m] - dR * pL[m]) / (abs(pL[m] * pR[m]) + 1e-300)
@@ -138,27 +143,72 @@ def _numpy_shoot(spec, Vg, xg, ics, E):
 
 def _level_grid(pot_id, n_points):
     spec = spec_of(pot_id)
-    E_lo, E_hi, _, x_min, x_max, ics = numerov._prepare(spec, 1,
-                                                        spec.spectrum(1))
+    hint = spec.spectrum(1) if spec.spectrum else None
+    E_lo, E_hi, _, x_min, x_max, ics = numerov._prepare(spec, 1, hint)
     return spec, np.linspace(x_min, x_max, n_points), ics, E_lo, E_hi
 
 
-# eckart has decaying ends, scarf1 Frobenius walls; the negative energies
-# make both sweeps overflow and rescale
-@pytest.mark.parametrize("pot_id, E", [("eckart", 189.0), ("eckart", -1e3),
-                                       ("scarf1", 3.0), ("scarf1", -3e4)])
+# eckart has decaying ends, scarf1 Frobenius walls; at the negative
+# energies the sweeps up to the matching point overflow and rescale twice
+SWEEP_CASES = [("eckart", 189.0), ("eckart", -3e3), ("scarf1", 3.0),
+               ("scarf1", -1e5)]
+
+
+@pytest.mark.parametrize("pot_id, E", SWEEP_CASES)
 def test_shoot_equals_numpy_sweep(pot_id, E):
     spec, xg, ics, _, _ = _level_grid(pot_id, 20001)
     Vg = spec.v_minus(xg)
     nodes, inner, W, pL, pR, m = numerov._shoot(spec, Vg, xg, ics, E)
-    (nodes0, inner0, W0, pL0, pR0, m0), rescales = _numpy_shoot(spec, Vg, xg,
-                                                                ics, E)
+    (_, inner0, W0, pL0, pR0, m0), rescales = _numpy_shoot(spec, Vg, xg,
+                                                           ics, E)
     if E < 0.0:
         assert rescales >= 2
     if E > 0.0:
         assert inner == 1
-    assert (nodes, inner, W, m) == (nodes0, inner0, W0, m0)
-    assert np.array_equal(pL, pL0) and np.array_equal(pR, pR0)
+    assert (nodes, inner, W, m) == (None, inner0, W0, m0)
+    assert np.array_equal(pL, pL0[:m + 2]) and np.array_equal(pR, pR0[m - 1:])
+
+
+# eckart at E = 60 on 2001 points has a node between m and m + 1, which
+# only the continuation sees
+@pytest.mark.parametrize("pot_id, E, points", [
+    *[(pot_id, E, 20001) for pot_id, E in SWEEP_CASES],
+    ("nonexact2", None, 20001), ("eckart", 60.0, 2001)])
+def test_whole_count_equals_the_full_grid_count(pot_id, E, points):
+    spec, xg, ics, E_lo, E_hi = _level_grid(pot_id, points)
+    Vg = spec.v_minus(xg)
+    # nonexact2 has no closed form, so its node-count search runs over the
+    # whole window
+    for E in [E] if E is not None else np.linspace(E_lo, E_hi, 7):
+        nodes, inner, _, pL, _, m = numerov._shoot(spec, Vg, xg, ics, E,
+                                                   whole=True)
+        (nodes0, inner0, *_), _ = _numpy_shoot(spec, Vg, xg, ics, E,
+                                               stop=False)
+        assert (nodes, inner) == (nodes0, inner0)
+        # the sweep up to m + 1 is the same whether or not the count goes on
+        assert np.array_equal(pL, numerov._shoot(spec, Vg, xg, ics, E)[3])
+    if points == 2001:
+        assert pL[m] * pL[m + 1] < 0.0
+
+
+def test_wronskian_stays_finite_when_both_halves_overflow():
+    spec, xg, ics, _, _ = _level_grid("nonexact2", 20001)
+    Vg = spec.v_minus(xg)
+    h = xg[1] - xg[0]
+    # pL[m]*pR[m] passes OVERFLOW at both energies, and overflows at -1e3
+    for E, overflows in ((-1e3, True), (-900.0, False)):
+        _, _, W, pL, pR, m = numerov._shoot(spec, Vg, xg, ics, E)
+        pl, pr = pL[m - 1:].tolist(), pR[:3].tolist()
+        assert abs(pl[1] * pr[1]) > OVERFLOW
+        assert np.isfinite(pl[1] * pr[1]) != overflows
+        dL = (pl[2] - pl[0]) / (2.0 * h)
+        dR = (pr[2] - pr[0]) / (2.0 * h)
+        # the same W with each half normalized by its own value at m
+        ref = dL / abs(pl[1]) * np.sign(pr[1]) - dR / abs(pr[1]) * np.sign(pl[1])
+        assert np.isfinite(W) and W == pytest.approx(ref, rel=1e-12)
+        if not overflows:
+            # the guard scales by a power of two: the unscaled bits
+            assert W == (dL * pr[1] - dR * pl[1]) / (abs(pl[1] * pr[1]) + 1e-300)
 
 
 @pytest.fixture
@@ -167,9 +217,9 @@ def sweeps(monkeypatch):
     counts = Counter()
     shoot = numerov._shoot
 
-    def counted(spec, Vg, xg, ics, E):
+    def counted(spec, Vg, xg, ics, E, whole=False):
         counts[len(xg)] += 1
-        return shoot(spec, Vg, xg, ics, E)
+        return shoot(spec, Vg, xg, ics, E, whole)
 
     monkeypatch.setattr(numerov, "_shoot", counted)
     return counts
@@ -197,6 +247,37 @@ def test_sweep_budget_per_grid(sweeps, fallbacks):
     assert sweeps[20001] <= 12
     assert sweeps[40001] <= 16
     assert fallbacks == []
+
+
+def test_memo_counts_the_whole_grid_when_a_search_asks(monkeypatch):
+    spec, xg, ics, E_lo, E_hi = _level_grid("eckart", 2001)
+    cold = numerov._solve_on_grid(spec, xg, ics, 1, E_lo, E_hi, None)
+
+    def refuse(sweep, n, hint):
+        # sweep, without the whole count, the first energy the node-count
+        # search will ask the whole count of
+        assert sweep(0.5 * (E_lo + E_hi))[0] is None
+        return None
+
+    monkeypatch.setattr(numerov, "_hint_bracket", refuse)
+    got = numerov._solve_on_grid(spec, xg, ics, 1, E_lo, E_hi, spec.spectrum(1))
+    assert got == cold
+
+
+def test_hinted_level_never_runs_the_continuation(sweeps, monkeypatch):
+    lengths = []
+    recur = numerov._recur
+
+    def counted(p0, p1, c, t_back, t_next):
+        lengths.append(len(c))
+        return recur(p0, p1, c, t_back, t_next)
+
+    monkeypatch.setattr(numerov, "_recur", counted)
+    sw.numerov_eigenvalue(spec_of("eckart"), 1, E_hint=189.0)
+    # each sweep is two recurrences that meet at the matching point, N - 1
+    # steps in all; the whole-grid continuation would be a third
+    assert len(lengths) == 2 * sum(sweeps.values())
+    assert sum(lengths) == sum((N - 1) * k for N, k in sweeps.items())
 
 
 @pytest.mark.parametrize("pot_id", ["eckart", "scarf1"])
