@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Count the root finder's work per level.
+
+For each catalog entry and bound level n = 1..4 this solves the SWKB level
+(solve_level), and for one entry of each contour mapping (eckart: exp,
+scarf1: exp_i) one contour level (quantize_by_contours, n = 1).  For each
+level it prints:
+
+  calls   calls of cpoly.find_roots, a deflated quotient's call included;
+  steps   a histogram of Aberth steps per call, {steps: calls};
+
+and the level's CPU time and energy.
+
+    PYTHONPATH=src python scripts/root_steps.py [--json PATH] [ids ...]
+"""
+
+import argparse
+import json
+import sys
+import time
+from collections import Counter
+
+import susywkb as sw
+from susywkb import contours, cpoly
+
+CONTOUR_LEVELS = (("eckart", 1), ("scarf1", 1))
+
+
+class Counts:
+    """Wraps cpoly.find_roots, wherever it is bound, and cpoly._aberth_step
+    to record the steps of each call."""
+
+    def __init__(self):
+        self.per_call = []
+        open_calls = []
+        find, step = cpoly.find_roots, cpoly._aberth_step
+
+        def counted_find(p):
+            open_calls.append(0)
+            try:
+                return find(p)
+            finally:
+                self.per_call.append(open_calls.pop())
+
+        def counted_step(z, pv, dv):
+            open_calls[-1] += 1
+            return step(z, pv, dv)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("susywkb")
+                    and getattr(mod, "find_roots", None) is find):
+                mod.find_roots = counted_find
+        cpoly._aberth_step = counted_step
+
+    def take(self):
+        """Steps per call since the last call of take."""
+        out, self.per_call = self.per_call, []
+        return out
+
+
+def cases(ids):
+    for pot_id in ids:
+        spec = sw.get_spec(pot_id)
+        for n in range(1, 5):
+            if spec.n_is_bound(n):
+                yield spec, n, "swkb"
+    for pot_id, n in CONTOUR_LEVELS:
+        if pot_id in ids:
+            yield sw.get_spec(pot_id), n, "contour"
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("ids", nargs="*", default=list(sw.CATALOG_IDS))
+    ap.add_argument("--json", default=None, metavar="PATH",
+                    help="also write the rows as JSON")
+    args = ap.parse_args()
+    solvers = {"swkb": sw.solve_level,
+               "contour": contours.quantize_by_contours}
+    counts = Counts()
+    rows = []
+    print(f"{'id':12s} {'n':>2s} {'route':>7s} {'cpu_s':>6s} {'E':>22s} "
+          f"{'calls':>5s}  steps: calls")
+    for spec, n, route in cases(args.ids):
+        t0 = time.process_time()
+        E = solvers[route](spec, n).energy
+        cpu = time.process_time() - t0
+        hist = dict(sorted(Counter(counts.take()).items()))
+        calls = sum(hist.values())
+        rows.append({"entry": spec.id, "n": n, "route": route, "E": E,
+                     "cpu_s": cpu, "calls": calls, "steps": hist})
+        shown = " ".join(f"{k}:{v}" for k, v in hist.items())
+        print(f"{spec.id:12s} {n:2d} {route:>7s} {cpu:6.3f} {E!r:>22s} "
+              f"{calls:5d}  {shown}")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(rows, fh, indent=1)
+
+
+if __name__ == "__main__":
+    main()

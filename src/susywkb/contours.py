@@ -32,7 +32,7 @@ from .cpoly import find_roots
 from .errors import ConvergenceError, DomainError
 from .quadrature import refine_until
 from .swkb import (QuantizationResult, _bracket, _energy_numerator,
-                   swkb_integral, turning_points)
+                   _unbound_level, swkb_integral, turning_points)
 
 DELTA_BRANCH_FRACTION = 1e-3   # delta_branch = this x branch-point spread
 BIG_RADIUS_FACTOR = 4.0
@@ -436,6 +436,8 @@ def quantize_by_contours(spec, n):
     content makes the condition inexact (see defect_report)."""
     if n < 0:
         raise DomainError("n must be non-negative")
+    if not spec.n_is_bound(n):
+        raise _unbound_level(spec, n)
     cen = census(spec, probe_energy(spec, n))
     if len(cen.branch_cuts) > 2:
         raise DomainError(

@@ -2,9 +2,11 @@
 
 Coefficients are stored ascending in degree, matching
 ``numpy.polynomial.polynomial`` conventions.  Degrees in this package stay
-small (at most 12), so the simultaneous-iteration root finder below is both
-fast and accurate enough for the 1e-10 relative tolerance required of
-turning-point and branch-point computations.
+small (at most 12).  The root finder starts from the companion-matrix
+eigenvalues, which are backward stable, and refines them by simultaneous
+(Aberth) iteration only until the residuals reach rounding level; most
+calls take no step at all.  Its roots meet the 1e-10 relative tolerance
+required of turning-point and branch-point computations.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from numpy.polynomial import polynomial as npoly
 from .errors import ConvergenceError, DomainError
 
 ROOT_TOL = 1e-10      # relative residual bound for accepted roots
+MAX_ITER = 200        # cap on Aberth steps per call
+ROUNDING_STOP = 4.0   # multiple of deg*eps times sum |c_k||z|^k under which
+                      # a residual is rounding and the iteration stops
 GCD_TOL = 1e-9        # common-root tolerance when reducing rational functions
 EPS = np.finfo(float).eps
 CLUSTER_RADIUS = 0.1  # relative reach within which roots may form a cluster
@@ -86,15 +91,19 @@ def _as_coeffs(p):
     return np.atleast_1d(np.asarray(p, dtype=complex))
 
 
-def find_roots(p: Polynomial, max_iter=200):
+def find_roots(p: Polynomial):
     """All complex roots of ``p``, repeated per multiplicity.
 
-    Aberth-Ehrlich simultaneous iteration from a perturbed ring of starting
-    points.  The iteration stalls near a multiple root, so each cluster of
-    iterates is checked for one (see _multiple_roots); multiple roots found
-    are divided out and the quotient's roots are found afresh.  The
-    returned roots satisfy |p(r)| <= ROOT_TOL * max|coeff| * scale; failing
-    that a ConvergenceError carrying the residuals is raised.
+    Aberth-Ehrlich simultaneous iteration started from the eigenvalues of
+    the companion matrix (backward stable, so each start is already the
+    exact root of a nearby polynomial).  The iteration stops once every
+    iterate's residual is within ROUNDING_STOP * deg * eps of its rounding
+    bound, sum_k |c_k| |z|^k, or once its steps stop moving the iterates.
+    It stalls near a multiple root, so each cluster of iterates is checked
+    for one (see _multiple_roots); multiple roots found are divided out and
+    the quotient's roots are found afresh.  The returned roots satisfy
+    |p(r)| <= ROOT_TOL * max|coeff| * scale; failing that a
+    ConvergenceError carrying the residuals is raised.
     """
     if p.is_zero:
         raise DomainError("cannot take roots of the zero polynomial")
@@ -102,21 +111,14 @@ def find_roots(p: Polynomial, max_iter=200):
     n = len(c) - 1
     if n == 0:
         return np.zeros(0, dtype=complex)
-    # Cauchy-style radius bound for initial ring
-    radius = 1.0 + np.abs(c[:-1]).max()
-    k = np.arange(n)
-    z = radius * 0.6 * np.exp(2j * np.pi * (k + 0.35) / n + 0.41j)
-    dc = npoly.polyder(c)
-    for _ in range(max_iter):
+    z = npoly.polyroots(c)
+    dc, ac = npoly.polyder(c), np.abs(c)
+    rounding = ROUNDING_STOP * n * EPS
+    for _ in range(MAX_ITER):
         pv = npoly.polyval(z, c)
-        dv = npoly.polyval(z, dc)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            repulse = np.sum(1.0 / diff, axis=1)
-            denom = 1.0 - newton * repulse
-            step = np.where(np.abs(denom) > 1e-300, newton / denom, newton)
+        if np.all(np.abs(pv) <= rounding * npoly.polyval(np.abs(z), ac)):
+            break
+        step = _aberth_step(z, pv, npoly.polyval(z, dc))
         z = z - step
         if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(z))):
             break
@@ -132,7 +134,7 @@ def find_roots(p: Polynomial, max_iter=200):
         # the quotient inherits the error of each r; polish its roots on p,
         # but only where that lowers |p|, since Newton on p is noise at a
         # multiple root the quotient may still hold
-        rest = _newton_polish(oc, find_roots(q, max_iter), descent=True)
+        rest = _newton_polish(oc, find_roots(q), descent=True)
         z = np.concatenate([np.repeat([r for r, _ in multiple],
                                       [m for _, m in multiple]), rest])
     res = np.abs(npoly.polyval(z, oc))
@@ -142,6 +144,18 @@ def find_roots(p: Polynomial, max_iter=200):
             "root finder did not converge", residuals=res.tolist()
         )
     return z
+
+
+def _aberth_step(z, pv, dv):
+    """One Aberth-Ehrlich correction for the iterates z, given the
+    polynomial's values pv and derivative values dv there."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        repulse = np.sum(1.0 / diff, axis=1)
+        denom = 1.0 - newton * repulse
+        return np.where(np.abs(denom) > 1e-300, newton / denom, newton)
 
 
 def _newton_polish(c, z, steps=3, descent=False):

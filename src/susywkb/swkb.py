@@ -128,6 +128,12 @@ def solve_level(spec, n, tol=TAU_LEVEL):
     return QuantizationResult(n, float(E), "swkb_quadrature", resid)
 
 
+def _unbound_level(spec, n):
+    """The error for a level n above the bound spectrum of spec."""
+    return UnboundEnergyError(
+        f"level n={n} exceeds the bound spectrum of {spec.id}")
+
+
 def _bracket(spec, g, n):
     """Bracket for a monotone level equation g(E) = 0, g < 0 below the level.
 
@@ -140,8 +146,7 @@ def _bracket(spec, g, n):
             if g(hi) > 0.0:
                 break
         else:
-            raise UnboundEnergyError(
-                f"level n={n} exceeds the bound spectrum of {spec.id}")
+            raise _unbound_level(spec, n)
         lo = 1e-9 * spec.threshold
     else:
         hi = 1.0

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import susywkb as sw
-from susywkb import DomainError, contours, swkb
+from susywkb import DomainError, UnboundEnergyError, contours, swkb
 from susywkb.swkb import swkb_integral
 
 from conftest import decompose_of, mid_spectrum_energy, spec_of
@@ -148,3 +148,15 @@ def test_pole_circle_deformation_invariance():
     spec = spec_of("eckart")
     for E in (100.0, 189.0):
         assert sw.pole_contribution(spec, E, 1.0) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("pot_id, n", [("genpt", 2), ("eckart", 3)])
+def test_unbound_level_raises_the_same_error_on_both_routes(pot_id, n):
+    spec = sw.get_spec(pot_id)
+    assert not spec.n_is_bound(n)
+    for solve in (swkb.solve_level, contours.quantize_by_contours):
+        with pytest.raises(UnboundEnergyError,
+                           match=f"level n={n} exceeds the bound spectrum"
+                           ) as info:
+            solve(spec, n)
+        assert type(info.value) is UnboundEnergyError

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susywkb import DomainError, Polynomial, RationalFunction, find_roots
+import susywkb as sw
+from susywkb import DomainError, Polynomial, RationalFunction, cpoly, find_roots
 from susywkb.cpoly import _deflate
+from susywkb.swkb import _energy_numerator
 
 
 def test_trivial_quadratic_roots():
@@ -35,6 +37,40 @@ def test_zero_polynomial_rejected():
 
 def test_constant_polynomial_has_no_roots():
     assert len(find_roots(Polynomial([3.0]))) == 0
+
+
+@pytest.fixture
+def aberth_steps(monkeypatch):
+    """Calls of the Aberth step, each recorded by its number of iterates."""
+    steps = []
+    step = cpoly._aberth_step
+
+    def counted(z, pv, dv):
+        steps.append(len(z))
+        return step(z, pv, dv)
+
+    monkeypatch.setattr(cpoly, "_aberth_step", counted)
+    return steps
+
+
+# the lower bracket end of a level solve, 1e-9 of the threshold (or 1e-9):
+# there pairs of branch points lie 4e-6 to 6e-5 apart, so an iterate can
+# resolve them only to about eps/distance and a step never falls under
+# 1e-14; from a ring start the iteration ran to its cap of 200 steps
+@pytest.mark.parametrize("pot_id, E", [
+    ("eckart", 2.25e-7), ("scarf1", 1e-9),
+    ("nonexact1", 1e-9), ("nonexact2", 6.25e-11),
+])
+def test_close_branch_points_stop_at_the_rounding_level(pot_id, E,
+                                                        aberth_steps):
+    P = _energy_numerator(sw.get_spec(pot_id), E)
+    roots = find_roots(P)
+    assert len(roots) == P.degree
+    assert len(aberth_steps) <= 2
+    res = np.abs(P(roots))
+    bound = (cpoly.ROOT_TOL * np.abs(P.coeffs).max()
+             * np.maximum(1.0, np.abs(roots)) ** P.degree)
+    assert np.all(res <= bound)
 
 
 @settings(max_examples=25, deadline=None)

@@ -93,6 +93,37 @@ def test_solve_level_integrates_each_energy_once(pot_id, n, monkeypatch):
     assert r.energy in energies     # the residual reuses the root's value
 
 
+# every bound level n <= 4 of the entries with a solvable SWKB level but
+# nonexact3, as the ring-started root finder gave them, bit for bit
+@pytest.mark.parametrize("pot_id, n, energy", [
+    ("eckart", 1, 189.00000000000037),
+    ("eckart", 2, 219.55555555555574),
+    ("scarf2", 1, 5.000000000000026),
+    ("scarf2", 2, 8.000000000000023),
+    ("rosenmorse2", 1, 6.805555555555592),
+    ("rosenmorse2", 2, 11.250000000000037),
+    ("genpt", 1, 3.0000000000000133),
+    ("scarf1", 1, 3.0000000000000253),
+    ("scarf1", 2, 8.000000000000078),
+    ("scarf1", 3, 15.000000000000147),
+    ("scarf1", 4, 24.00000000000026),
+    ("rosenmorse1", 1, 3.750000000000026),
+    ("rosenmorse1", 2, 8.888888888888966),
+    ("rosenmorse1", 3, 15.937500000000155),
+    ("rosenmorse1", 4, 24.960000000000253),
+    ("nonexact1", 1, 4.023584266821277),
+    ("nonexact1", 2, 8.01945170523656),
+    ("nonexact1", 3, 12.015433524121505),
+    ("nonexact1", 4, 16.01246610620455),
+    ("nonexact2", 1, 0.034810637272040916),
+    ("nonexact2", 2, 0.04693630890314296),
+    ("nonexact2", 3, 0.05253761280342268),
+    ("nonexact2", 4, 0.055579349182735466),
+])
+def test_solve_level_energy_is_pinned(pot_id, n, energy):
+    assert solve_level(sw.get_spec(pot_id), n).energy == energy
+
+
 def test_solve_level_zero_is_exact():
     spec = sw.get_spec("eckart")
     r = solve_level(spec, 0)
