@@ -15,6 +15,7 @@ conventions.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -470,6 +471,36 @@ def _unit(z, fallback=1.0 + 0j):
     return z / a if a > 0.0 else fallback
 
 
+def _box_gap(x0, x1, y0, y1, bx0, bx1, by0, by1):
+    """Lower bound on the distance between anything inside the box
+    [x0, x1] x [y0, y1] and anything inside [bx0, bx1] x [by0, by1]: the
+    larger of the two axis gaps, negative where the boxes overlap."""
+    return np.maximum(np.maximum(bx0 - x1, x0 - bx1),
+                      np.maximum(by0 - y1, y0 - by1))
+
+
+def _near_pairs(gap, limit):
+    """Row and column indices of the (segment, obstacle) pairs whose box gap
+    does not rule out a distance below limit."""
+    return np.nonzero(gap < limit)
+
+
+@dataclass
+class _Source:
+    """What a planner keeps per source point: the escape; once a route
+    needs the graph, the escape extended to visibility, whose tip the
+    direct test uses, and which nodes that tip sees; once a route needs the
+    search, the chain it starts from and its tree (see PathPlanner._tree)."""
+
+    prefix: list
+    chain: list | None = None
+    sees: np.ndarray | None = None
+    path: list | None = None
+    dist: np.ndarray | None = None
+    prev: list | None = None
+    order: np.ndarray | None = None
+
+
 class PathPlanner:
     """Routes anchor paths around obstacles.
 
@@ -478,15 +509,31 @@ class PathPlanner:
     path may neither enter nor cross.  Routing uses a small visibility
     graph: candidate waypoints on rings around free capsule endpoints and
     around point obstacles, connected whenever the straight segment between
-    them clears everything, searched with Dijkstra.  Clearance tests are
-    batched: one edge_clear call tests many segments against all capsules
-    and points, and _build tests every pair of waypoints in one call.
+    them clears everything.
+
+    One search per source: the planner keeps, per source point z0, the
+    escape, its extension to visibility and one Dijkstra tree over the
+    graph.  A route then escapes and extends only its target, and takes
+    the visible node that minimises the tree distance plus the last leg.
+    This is the route a per-route Dijkstra from z0 to z1 returns: both
+    pick the first node in settle order that attains the least total.
+
+    Clearance tests are batched: one edge_clear call tests many segments
+    against all capsules and points, and _build tests every pair of
+    waypoints in one call.  A pair whose bounding boxes lie at least
+    r + margin apart is cleared without the exact test.  The margin,
+    1e-12 * (1 + the largest |coordinate|), is far above the rounding of
+    either the box gap or the exact distance, so every decision equals
+    the exact formulas'.
     """
 
     RING = 8          # waypoints per capsule-endpoint ring
     RING_FACTOR = 1.7
     POINT_RING = 6
     POINT_FACTOR = 2.2
+    MARCH = 16        # steps per direction of the visibility march
+    LAST_MARCH = 128  # the march where the graph would find no path
+    MARGIN = 1e-12    # box-gap margin per unit of coordinate size
 
     def __init__(self, points=(), clearance=0.0, capsules=()):
         self.points = np.array([complex(p) for p in points], dtype=complex)
@@ -496,8 +543,15 @@ class PathPlanner:
         self._cap_a = np.array([c[0] for c in self.capsules], dtype=complex)
         self._cap_b = np.array([c[1] for c in self.capsules], dtype=complex)
         self._cap_r = np.array([c[2] for c in self.capsules], dtype=float)
+        a, b = self._cap_a, self._cap_b
+        self._cap_box = (np.minimum(a.real, b.real), np.maximum(a.real, b.real),
+                         np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag))
+        self._size = np.abs(np.concatenate(
+            [a.real, a.imag, b.real, b.imag, self.points.real,
+             self.points.imag])).max(initial=0.0)
         self._nodes = None
         self._adj = None
+        self._sources = {}
 
     # -- primitives ---------------------------------------------------------
 
@@ -523,18 +577,36 @@ class PathPlanner:
     def edge_clear(self, us, vs):
         """Whether each segment us[i]-vs[i] keeps out of every capsule (no
         point within r, no crossing) and passes every point obstacle at the
-        clearance or more.  us and vs broadcast to one dimension."""
+        clearance or more.  us and vs broadcast to one dimension.  Only
+        the pairs that the box gap does not clear get the exact test."""
         us, vs = np.broadcast_arrays(np.atleast_1d(us).astype(complex),
                                      np.atleast_1d(vs).astype(complex))
         clear = np.empty(us.shape, dtype=bool)
+        cx0, cx1, cy0, cy1 = self._cap_box
+        px, py = self.points.real, self.points.imag
         # Blocks of edges bound the edges x obstacles temporaries.
         for lo in range(0, len(us), _EDGE_BLOCK):
-            u = us[lo:lo + _EDGE_BLOCK, None]
-            v = vs[lo:lo + _EDGE_BLOCK, None]
-            hit = np.any(_segment_segment_dist(u, v, self._cap_a, self._cap_b)
-                         < self._cap_r, axis=1)
-            hit |= np.any(_point_segment(self.points, u, v)[0]
-                          < self.clearance, axis=1)
+            u = us[lo:lo + _EDGE_BLOCK]
+            v = vs[lo:lo + _EDGE_BLOCK]
+            x0, x1 = np.minimum(u.real, v.real), np.maximum(u.real, v.real)
+            y0, y1 = np.minimum(u.imag, v.imag), np.maximum(u.imag, v.imag)
+            # the largest |coordinate| of the obstacles and this block
+            size = max(self._size, -x0.min(), x1.max(), -y0.min(), y1.max())
+            margin = self.MARGIN * (1.0 + size)
+            hit = np.zeros(len(u), dtype=bool)
+            i, k = _near_pairs(
+                _box_gap(x0[:, None], x1[:, None], y0[:, None], y1[:, None],
+                         cx0, cx1, cy0, cy1), self._cap_r + margin)
+            if i.size:
+                hit[i[_segment_segment_dist(u[i], v[i], self._cap_a[k],
+                                            self._cap_b[k])
+                      < self._cap_r[k]]] = True
+            i, k = _near_pairs(
+                _box_gap(x0[:, None], x1[:, None], y0[:, None], y1[:, None],
+                         px, px, py, py), self.clearance + margin)
+            if i.size:
+                hit[i[_point_segment(self.points[k], u[i], v[i])[0]
+                      < self.clearance]] = True
             clear[lo:lo + _EDGE_BLOCK] = ~hit
         return clear
 
@@ -563,17 +635,20 @@ class PathPlanner:
                 out.append(foot + u * 1.4 * r)
         raise ConvergenceError("could not escape overlapping cut capsules")
 
-    def _extend_to_visibility(self, chain):
+    def _extend_to_visibility(self, chain, steps=MARCH):
         """Grow an escape polyline outward until its tip sees a graph node.
 
         An escaped endpoint can sit in a pocket (e.g. just outside a long
         curved capsule) where every chord to the waypoint graph grazes an
         obstacle.  Marching further along the escape direction in steps of
-        the local capsule radius restores visibility.
+        the local capsule radius restores visibility.  Returns the chain
+        and which graph nodes its tip sees; the chain comes back unchanged,
+        seeing no node, when no march of up to `steps` steps succeeds.
         """
         chain = list(chain)
-        if self.edge_clear(chain[-1], self._nodes).any():
-            return chain
+        sees = self.edge_clear(chain[-1], self._nodes)
+        if sees.any():
+            return chain, sees
         d0 = _unit(chain[-1] - chain[-2]) if len(chain) >= 2 else 1.0 + 0j
         step = 1.4 * max(max((r for _, _, r in self.capsules), default=0.0),
                          self.clearance, 1e-12)
@@ -583,15 +658,16 @@ class PathPlanner:
         for direction in (d0, 1j * d0, -1j * d0):
             ext = []
             tip = chain[-1]
-            for _ in range(16):
+            for _ in range(steps):
                 nxt = tip + direction * step
                 if not self._free(nxt) or not self.edge_clear(tip, nxt)[0]:
                     break
                 ext.append(nxt)
                 tip = nxt
-                if self.edge_clear(tip, self._nodes).any():
-                    return chain + ext
-        return chain
+                tip_sees = self.edge_clear(tip, self._nodes)
+                if tip_sees.any():
+                    return chain + ext, tip_sees
+        return chain, sees
 
     # -- graph --------------------------------------------------------------
 
@@ -631,64 +707,85 @@ class PathPlanner:
         adj = [[] for _ in nodes]
         iu, ju = np.triu_indices(len(nodes), 1)
         clear = self.edge_clear(nodes[iu], nodes[ju])
-        for i, j in zip(iu[clear].tolist(), ju[clear].tolist()):
-            w = abs(nodes[i] - nodes[j])
+        iu, ju = iu[clear], ju[clear]
+        d = nodes[iu] - nodes[ju]
+        for i, j, w in zip(iu.tolist(), ju.tolist(),
+                           np.hypot(d.real, d.imag).tolist()):
             adj[i].append((j, w))
             adj[j].append((i, w))
         self._nodes, self._adj = nodes, adj
 
-    def route(self, z0, z1):
-        """Polyline from z0 to z1 honoring all obstacles.  Endpoints inside
-        a capsule (e.g. the anchor below the classical cut, or a cut seed
-        point) are first led out radially."""
-        prefix = self._escape(z0)
-        suffix = self._escape(z1)
-        start, end = prefix[-1], suffix[-1]
-        if self.edge_clear(start, end)[0]:
-            return prefix + suffix[::-1][1:] if abs(start - end) == 0 \
-                else prefix + suffix[::-1]
-        if self._nodes is None:
-            self._build()
-        prefix = self._extend_to_visibility(prefix)
-        suffix = self._extend_to_visibility(suffix)
-        start, end = prefix[-1], suffix[-1]
-        if self.edge_clear(start, end)[0]:
-            return prefix + suffix[::-1]
-        import heapq
-        nodes = list(self._nodes) + [start, end]
-        si, ti = len(nodes) - 2, len(nodes) - 1
-        adj = {i: list(e) for i, e in enumerate(self._adj)}
-        adj[si], adj[ti] = [], []
-        sees = [(start, si, self.edge_clear(start, self._nodes)),
-                (end, ti, self.edge_clear(end, self._nodes))]
-        for i, z in enumerate(self._nodes):
-            for q, qi, clear in sees:
-                if clear[i]:
-                    w = abs(q - z)
-                    adj[qi].append((i, w))
-                    adj[i].append((qi, w))
-        dist = {si: 0.0}
-        prev = {}
-        heap = [(0.0, si)]
+    def _tree(self, src):
+        """Fill in src's search: Dijkstra over the graph from the tip of
+        src.path, which connects to the nodes it sees, giving each node's
+        distance (inf where unreachable), its predecessor (-1 for the tip)
+        and the nodes in settle order."""
+        src.path, sees = src.chain, src.sees
+        if not sees.any():
+            # Last resort: no route from here can use the graph, so march
+            # further, for the search only.
+            src.path, sees = self._extend_to_visibility(src.prefix,
+                                                        self.LAST_MARCH)
+        start, nodes = src.path[-1], self._nodes
+        dist = [np.inf] * len(nodes)
+        prev = [-1] * len(nodes)
+        heap = []
+        for i in np.flatnonzero(sees).tolist():
+            dist[i] = abs(start - nodes[i])
+            heap.append((dist[i], i))
+        heapq.heapify(heap)
+        order = []
         seen = set()
         while heap:
             d, u = heapq.heappop(heap)
             if u in seen:
                 continue
             seen.add(u)
-            if u == ti:
-                break
-            for v, w in adj[u]:
+            order.append(u)
+            for v, w in self._adj[u]:
                 nd = d + w
-                if nd < dist.get(v, np.inf):
+                if nd < dist[v]:
                     dist[v] = nd
                     prev[v] = u
                     heapq.heappush(heap, (nd, v))
-        if ti not in seen:
+        src.dist, src.prev = np.array(dist), prev
+        src.order = np.array(order, dtype=int)
+
+    def route(self, z0, z1):
+        """Polyline from z0 to z1 honoring all obstacles.  Endpoints inside
+        a capsule (e.g. the anchor below the classical cut, or a cut seed
+        point) are first led out radially."""
+        src = self._sources.get(z0)
+        if src is None:
+            src = self._sources[z0] = _Source(self._escape(z0))
+        suffix = self._escape(z1)
+        start, end = src.prefix[-1], suffix[-1]
+        if self.edge_clear(start, end)[0]:
+            return src.prefix + suffix[::-1][1:] if abs(start - end) == 0 \
+                else src.prefix + suffix[::-1]
+        if self._nodes is None:
+            self._build()
+        if src.chain is None:
+            src.chain, src.sees = self._extend_to_visibility(src.prefix)
+        suffix, sees = self._extend_to_visibility(suffix)
+        if self.edge_clear(src.chain[-1], suffix[-1])[0]:
+            return src.chain + suffix[::-1]
+        if not sees.any():
+            # Last resort, as for the source in _tree.
+            suffix, sees = self._extend_to_visibility(suffix, self.LAST_MARCH)
+        if src.order is None:
+            self._tree(src)
+        # Taking candidates in settle order breaks exact ties the way a
+        # per-route search from z0, stopping at the target, would.
+        cand = src.order[sees[src.order]]
+        if not cand.size:
             raise ConvergenceError(
                 "no admissible anchor path between contours")
-        chain = [ti]
-        while chain[-1] != si:
-            chain.append(prev[chain[-1]])
-        mid = [nodes[i] for i in reversed(chain)]
-        return prefix[:-1] + mid + suffix[::-1][1:]
+        leg = suffix[-1] - self._nodes[cand]
+        best = int(cand[np.argmin(src.dist[cand]
+                                  + np.hypot(leg.real, leg.imag))])
+        mid = [best]
+        while src.prev[mid[-1]] >= 0:
+            mid.append(src.prev[mid[-1]])
+        return (src.path + [self._nodes[i] for i in reversed(mid)]
+                + suffix[::-1])

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cpoly import Polynomial, RationalFunction
+from .cpoly import Polynomial, RationalFunction, find_roots
 from .errors import DomainError
 
 MAPPINGS = ("identity", "exp", "exp_i")
@@ -102,6 +102,13 @@ class PotentialSpec:
     def omega_prime_y(self):
         """The rational derivative d omega/dy, built once per spec."""
         return self.omega_y.deriv()
+
+    @cached_property
+    def omega_poles_y(self):
+        """The finite poles of omega(y), the roots of its denominator,
+        solved once per spec."""
+        den = self.omega_y.den
+        return tuple(find_roots(den)) if den.degree else ()
 
     def omega_prime_x(self, x):
         """Exact d omega/dx via the rational derivative and the chain rule."""

@@ -86,11 +86,10 @@ class _Workspace:
     def __init__(self, spec, E):
         self.spec = spec
         self.E = float(E)
-        num, den = spec.omega_y.num, spec.omega_y.den
-        self.den = den
+        self.den = den = spec.omega_y.den
         self.P = _energy_numerator(spec, self.E)
         self.branch_points = tuple(find_roots(self.P))
-        poles = list(find_roots(den)) if den.degree else []
+        poles = list(spec.omega_poles_y)
         if spec.mapping in ("exp", "exp_i"):
             if not any(abs(p) < 1e-9 for p in poles):
                 poles.append(0.0 + 0j)
@@ -215,11 +214,10 @@ class _Workspace:
         us, vs = np.array(self._cut_polyline(cut), dtype=complex).T
         a, b = self.cut_endpoints(cut)
         mine = {self._key(a), self._key(b)}
-        dists = []
-        for s in list(self.branch_points) + list(self.poles):
-            if self._key(s) in mine:
-                continue
-            dists.append(br._point_segment(complex(s), us, vs)[0].min())
+        foreign = [s for s in self.branch_points + self.poles
+                   if self._key(s) not in mine]
+        dists = list(br._point_segment(
+            np.array(foreign, dtype=complex)[:, None], us, vs)[0].min(axis=1))
         for other in self.cuts:
             if other is cut:
                 continue

@@ -1,13 +1,18 @@
 """Branch-tracked square roots, contour quadrature, and path planning."""
 
+import heapq
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from susywkb import BranchAmbiguityError, DomainError, Polynomial
+import susywkb as sw
+from susywkb import (BranchAmbiguityError, ConvergenceError, DomainError,
+                     Polynomial, contours)
 from susywkb.branch import (Contour, PathPlanner, SqrtIntegrand,
                             contour_integral, continue_along, continue_sqrt,
                             _unit, cut_segment_integral, track_nodes)
+from susywkb.catalog import probe_energy
 
 
 def brute_continue(Pc, w0, path, nsub=20000):
@@ -271,9 +276,48 @@ def test_batched_geometry_matches_scalar_formulas(seed):
     assert _segment_segment_dist(-1.0 + 0j, 1.0 + 0j, 0j, 2.0 + 0j) == 0.0
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_batched_planner_tests_match_scalar_predicate(seed):
-    points, clearance, caps, us, vs = _random_scene(seed)
+def _ulps(x, k):
+    """The float k steps from x (k < 0: below it)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return float(x)
+
+
+def _boundary_scene(a, b, r, p, clearance):
+    """A horizontal capsule a-b of radius r and a point obstacle p, with
+    segments whose box gap to one of them is within a few ulp of r or of
+    the clearance: beside the capsule, along its axis beyond each end,
+    and ending short of p or passing beside it."""
+    us, vs = [], []
+    for k in range(-3, 4):
+        for y in (_ulps(a.imag + r, k), _ulps(a.imag - r, -k)):
+            us.append(complex(a.real + 0.2, y))
+            vs.append(complex(b.real - 0.2, y))
+        # beyond b and before a: the clamped foot a + 1*(b - a) can round
+        # past b, so the exact distance can fall below the box gap
+        x = _ulps(b.real + r, k)
+        us.append(complex(x, a.imag))
+        vs.append(complex(x + 1.0, a.imag))
+        x = _ulps(a.real - r, -k)
+        us.append(complex(x - 1.0, a.imag))
+        vs.append(complex(x, a.imag))
+        x = _ulps(p.real - clearance, -k)
+        us.append(complex(a.real, p.imag))
+        vs.append(complex(x, p.imag))
+        y = _ulps(p.imag + clearance, k)
+        us.append(complex(p.real - 1.0, y))
+        vs.append(complex(p.real + 1.0, y))
+    return [p], clearance, [(a, b, r)], us, vs
+
+
+# Unit scale, and the scale of nonexact2's classical cut (y = 2.4 to 29.4).
+BOUNDARY_SCENES = (
+    _boundary_scene(0j, 2.0 + 0j, 0.25, 3.0 + 1.5j, 0.5),
+    _boundary_scene(2.417 + 0j, 29.37 + 0j, 0.3, 29.37 + 1.5j, 0.5),
+)
+
+
+def _check_planner_tests(points, clearance, caps, us, vs):
     planner = PathPlanner(points=points, clearance=clearance, capsules=caps)
     got = planner.edge_clear(np.array(us), np.array(vs))
     want = [_edge_clear_scalar(points, clearance, caps, u, v)
@@ -282,6 +326,23 @@ def test_batched_planner_tests_match_scalar_predicate(seed):
     assert 0 < sum(want) < len(want)
     # one segment at a time agrees with the batch
     assert [bool(planner.edge_clear(u, v)[0]) for u, v in zip(us, vs)] == want
+    return planner
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_planner_tests_match_scalar_predicate(seed):
+    for scene in BOUNDARY_SCENES:
+        _check_planner_tests(*scene)
+    # The far scene holds decisions that only the box-gap margin keeps
+    # exact: a gap of at least r whose exact distance, through the foot
+    # a + 1*(b - a) that rounds past b, is below r.
+    _, _, ((a, b, r),), us, vs = BOUNDARY_SCENES[1]
+    assert a + 1.0 * (b - a) != b
+    assert any(min(u.real, v.real) - b.real >= r
+               and not _edge_clear_scalar([], 0.0, [(a, b, r)], u, v)
+               for u, v in zip(us, vs))
+    points, clearance, caps, us, vs = _random_scene(seed)
+    planner = _check_planner_tests(points, clearance, caps, us, vs)
     zs = us + [1.0 + 0.5j, 1.0 + 0.25j, 2.25 + 0j]
     free = planner._free(np.array(zs))
     assert free.tolist() == [_free_scalar(points, clearance, caps, z)
@@ -295,6 +356,109 @@ def test_batched_planner_tests_match_scalar_predicate(seed):
             continue
         t = _point_segment_scalar(z, *caps[first][:2])[1]
         assert hit == (first, t)
+
+
+# -- memoized routes against the per-route search they replaced -------------
+
+def _route_per_search(planner, z0, z1):
+    """Route z0 -> z1 with one Dijkstra search of its own, as the planner
+    did before it kept one search per source: escape both ends, extend
+    both to visibility, then search from z0's tip to z1's tip, stopping
+    when z1's tip is settled.  Returns the path and how it was found."""
+    prefix = planner._escape(z0)
+    suffix = planner._escape(z1)
+    start, end = prefix[-1], suffix[-1]
+    if planner.edge_clear(start, end)[0]:
+        path = prefix + suffix[::-1][1:] if abs(start - end) == 0 \
+            else prefix + suffix[::-1]
+        return path, "direct"
+    if planner._nodes is None:
+        planner._build()
+    prefix, _ = planner._extend_to_visibility(prefix)
+    suffix, _ = planner._extend_to_visibility(suffix)
+    start, end = prefix[-1], suffix[-1]
+    if planner.edge_clear(start, end)[0]:
+        return prefix + suffix[::-1], "extended"
+    nodes = list(planner._nodes) + [start, end]
+    si, ti = len(nodes) - 2, len(nodes) - 1
+    adj = {i: list(e) for i, e in enumerate(planner._adj)}
+    adj[si], adj[ti] = [], []
+    sees = [(start, si, planner.edge_clear(start, planner._nodes)),
+            (end, ti, planner.edge_clear(end, planner._nodes))]
+    for i, z in enumerate(planner._nodes):
+        for q, qi, clear in sees:
+            if clear[i]:
+                w = abs(q - z)
+                adj[qi].append((i, w))
+                adj[i].append((qi, w))
+    dist = {si: 0.0}
+    prev = {}
+    heap = [(0.0, si)]
+    seen = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in seen:
+            continue
+        seen.add(u)
+        if u == ti:
+            break
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist.get(v, np.inf):
+                dist[v] = nd
+                prev[v] = u
+                heapq.heappush(heap, (nd, v))
+    if ti not in seen:
+        raise ConvergenceError("no admissible anchor path between contours")
+    chain = [ti]
+    while chain[-1] != si:
+        chain.append(prev[chain[-1]])
+    mid = [nodes[i] for i in reversed(chain)]
+    return prefix[:-1] + mid + suffix[::-1][1:], "graph"
+
+
+def _route_targets(ws, rng):
+    """Start points of the workspace's pole circles and of its large
+    circle, and a point a few clearances from each singularity."""
+    out = [ws.pole_circle(p).start_point() for p in ws.poles]
+    out.append(ws.big_radius + 0j)
+    for s in ws.branch_points + ws.poles:
+        ang = rng.uniform(0.0, 2.0 * np.pi, 1)
+        out.extend(s + 2.5 * ws.clearance * np.exp(1j * ang))
+    return out
+
+
+def test_memoized_routes_equal_per_route_search():
+    rng = np.random.default_rng(10)
+    kinds = {"direct": 0, "extended": 0, "graph": 0, "raised": 0}
+    for pot_id in sw.CATALOG_IDS:
+        spec = sw.get_spec(pot_id)
+        E1 = probe_energy(spec, 1)
+        E2 = probe_energy(spec, 2)
+        for E in (E1, E2 if E2 != E1 else 0.5 * E1):
+            ws = contours._Workspace(spec, E)
+            targets = _route_targets(ws, rng)
+            classical = next(c for c in ws.cuts if c.kind == "classical")
+            # Two planners share the anchor as source: trees must not
+            # leak between planners with different obstacles.
+            for cut in (None, classical):
+                caps = ws.capsules_excluding(cut)
+                memo = PathPlanner(ws.branch_points, ws.clearance, caps)
+                ref = PathPlanner(ws.branch_points, ws.clearance, caps)
+                for z0 in (ws.ya, ws.big_radius + 0j):
+                    for z1 in targets:
+                        try:
+                            want, kind = _route_per_search(ref, z0, z1)
+                        except ConvergenceError:
+                            kinds["raised"] += 1
+                            continue
+                        kinds[kind] += 1
+                        got = memo.route(z0, z1)
+                        assert len(got) == len(want)
+                        assert all(complex(g) == complex(w)
+                                   for g, w in zip(got, want))
+    assert kinds["graph"] >= 300 and kinds["direct"] >= 300, kinds
+    assert kinds["extended"] >= 1, kinds
 
 
 # -- vectorized closer-root chain against the loop it replaced --------------

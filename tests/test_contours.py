@@ -5,7 +5,8 @@ import math
 import pytest
 
 import susywkb as sw
-from susywkb import DomainError, UnboundEnergyError, contours, swkb
+from susywkb import (DomainError, UnboundEnergyError, catalog, contours,
+                     cpoly, swkb)
 from susywkb.swkb import swkb_integral
 
 from conftest import decompose_of, mid_spectrum_energy, spec_of
@@ -113,6 +114,34 @@ def test_quantize_by_contours_evaluates_each_energy_once(monkeypatch):
     r = sw.quantize_by_contours(spec_of("eckart"), 1)
     assert len(energies) == len(set(energies)) >= 4
     assert r.energy in energies
+
+
+def test_quantize_by_contours_scarf1_level_nine():
+    # At the bracket probe E = 64 the anchor's escape tip sees no graph
+    # node within the visibility march; the last-resort march finds one.
+    spec = spec_of("scarf1")
+    E = sw.quantize_by_contours(spec, 9).energy
+    assert E == pytest.approx(99.0, rel=1e-12)
+    assert E == pytest.approx(sw.solve_level(spec, 9).energy, rel=1e-12)
+
+
+def test_poles_are_solved_once_per_spec(monkeypatch):
+    spec = sw.get_spec("eckart")
+    den = spec.omega_y.den
+    want = tuple(cpoly.find_roots(den))
+    solved = []
+    find = cpoly.find_roots
+
+    def counted(p):
+        solved.append(p)
+        return find(p)
+
+    monkeypatch.setattr(catalog, "find_roots", counted)
+    monkeypatch.setattr(contours, "find_roots", counted)
+    for E in (100.0, 189.0, 189.0):
+        contours._Workspace(spec, E)
+    assert [p is den for p in solved] == [False, True, False, False]
+    assert spec.omega_poles_y == want
 
 
 def test_quantize_by_contours_refuses_extra_cuts():
