@@ -4,9 +4,17 @@
 For every entry the large-circle value is compared against the sum of
 fixed-pole and branch-cut contributions; the closure residual is the
 numerical error of that identity and should sit near machine precision.
+The last line gives the largest residual over the catalog; the script exits
+with status 1 when it exceeds CLOSURE_TOL.
+
+    PYTHONPATH=src python scripts/closure_sweep.py
 """
 
+import sys
+
 import susywkb as sw
+
+CLOSURE_TOL = 1e-12
 
 
 def probe_energy(spec):
@@ -23,6 +31,7 @@ def fmt(z):
 
 
 def main():
+    worst = (0.0, None)
     for spec in sw.catalog_list():
         E = probe_energy(spec)
         dec = sw.decompose(spec, E)
@@ -36,7 +45,11 @@ def main():
             print(f"  other cut {k}            : {fmt(v)}")
         print(f"  closure residual       : {dec.closure_residual:.3e}")
         print()
+        worst = max(worst, (dec.closure_residual, spec.id))
+    print(f"largest closure residual: {worst[0]:.3e} ({worst[1]}), "
+          f"tolerance {CLOSURE_TOL:.0e}")
+    return 1 if worst[0] > CLOSURE_TOL else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

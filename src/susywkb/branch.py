@@ -5,6 +5,12 @@ analytically along paths.  Writing E - omega^2 = P/den^2 keeps all branch
 points at the zeros of P; the integrand of every contour in this package is
 w(z)/den(z) times a mapping measure.
 
+The roots of P are found once per energy by the caller (cpoly.find_roots)
+and carried by SqrtIntegrand; every continuation takes them as an argument,
+since the winding of P over a step is computed from them.  The cut
+integrals factor the two cut ends out of w and track the rest,
+g^2 = -lead * prod(z - r) over the other roots, in that product form.
+
 A single global anchor value fixes the sheet.  Every contour carries an
 ``anchor_path`` from the anchor to its start point; continuation along that
 path (which the planner keeps away from branch points and from crossing any
@@ -22,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .cpoly import Polynomial, _deflate
+from .cpoly import Polynomial
 from .errors import BranchAmbiguityError, ConvergenceError, DomainError
 from .quadrature import (GL_ORDER_MAX, GL_ORDER_START, gauss_legendre,
                          refine_until)
@@ -33,30 +39,11 @@ MAX_NODES = 1 << 17
 _CLOSE_TOL = 1e-8     # branch must return to itself on a closed contour
 
 
-def _coeffs(p):
-    return p.coeffs if isinstance(p, Polynomial) else np.asarray(p, dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # analytic continuation of sqrt(P)
 # ---------------------------------------------------------------------------
 
 _PHASE_STEP = 1.0   # max winding of P per accepted continuation step
-
-
-def _root_cache(Pc):
-    """Roots (with multiplicity) of the polynomial with coefficient array Pc."""
-    key = Pc.tobytes()
-    roots = _ROOTS.get(key)
-    if roots is None:
-        roots = npoly.polyroots(Pc)
-        if len(_ROOTS) > 256:
-            _ROOTS.clear()
-        _ROOTS[key] = roots
-    return roots
-
-
-_ROOTS: dict = {}
 
 
 def _segment_winding(roots, za, zb):
@@ -77,21 +64,20 @@ def _segment_winding(roots, za, zb):
     return float(np.sum(np.angle(num / den)))
 
 
-def continue_sqrt(P, w0, z0, z1, max_halve=60):
+def continue_sqrt(P, roots, w0, z0, z1, max_halve=60):
     """Continue w (w^2 = P) from z0, where it equals w0, to z1 along the
     straight segment.
 
+    P is any callable radicand and roots are its zeros, with multiplicity.
     A step is accepted only when the exact winding of P across it (computed
-    from the roots of P; see _segment_winding) is at most _PHASE_STEP < pi,
+    from the roots; see _segment_winding) is at most _PHASE_STEP < pi,
     in which case w rotates by less than pi/2 and the nearer square root is
     provably the analytic continuation; larger windings are bisected.
     """
-    Pc = _coeffs(P)
-    roots = _root_cache(Pc)
 
     def walk(za, zb, w, depth):
         if abs(_segment_winding(roots, za, zb)) <= _PHASE_STEP:
-            pb = complex(npoly.polyval(zb, Pc))
+            pb = complex(P(zb))
             if pb == 0.0:
                 raise BranchAmbiguityError(
                     "sqrt continuation hit a branch point", residuals=[0.0])
@@ -108,25 +94,24 @@ def continue_sqrt(P, w0, z0, z1, max_halve=60):
     return walk(complex(z0), complex(z1), complex(w0), 0)
 
 
-def continue_along(P, w0, points):
+def continue_along(P, roots, w0, points):
     """Continuation of w along a polyline of complex points."""
     w = complex(w0)
     pts = [complex(p) for p in points]
     for a, b in zip(pts[:-1], pts[1:]):
-        w = continue_sqrt(P, w, a, b)
+        w = continue_sqrt(P, roots, w, a, b)
     return w
 
 
-def track_nodes(P, w0, zs):
+def track_nodes(P, roots, w0, zs):
     """Values of w at a dense chain of nodes, starting from w0 at zs[0].
 
+    P is any callable radicand and roots are its zeros, as in continue_sqrt.
     Uses the vectorized closer-root rule between consecutive nodes and falls
     back to adaptive continuation whenever the choice is ambiguous.
     """
     zs = np.asarray(zs, dtype=complex)
-    Pc = _coeffs(P)
-    roots = _root_cache(Pc)
-    p = npoly.polyval(zs, Pc).astype(complex)
+    p = np.asarray(P(zs), dtype=complex)
     s = np.sqrt(p)
     # exact winding of P over each chord between consecutive nodes
     num = zs[1:, None] - roots[None, :]
@@ -151,7 +136,7 @@ def track_nodes(P, w0, zs):
     while k < len(zs):
         prev = ws[k - 1]
         if not ok[k - 1]:
-            ws[k] = continue_sqrt(P, prev, zs[k - 1], zs[k])
+            ws[k] = continue_sqrt(P, roots, prev, zs[k - 1], zs[k])
             k += 1
             continue
         flip = not abs(s[k] - prev) <= abs(-s[k] - prev)
@@ -172,9 +157,13 @@ def track_nodes(P, w0, zs):
 
 @dataclass(frozen=True)
 class SqrtIntegrand:
-    """f(z) = sqrt(P(z))/den(z) * measure(z), branch fixed at the anchor."""
+    """f(z) = sqrt(P(z))/den(z) * measure(z), branch fixed at the anchor.
+
+    roots are the zeros of P with multiplicity, found once by the caller;
+    continuation and the cut integrals take them from here."""
 
     P: Polynomial
+    roots: np.ndarray
     den: Polynomial
     measure: Callable[[np.ndarray], np.ndarray]
     anchor_point: complex
@@ -241,7 +230,8 @@ def contour_integral(contour: Contour, integrand: SqrtIntegrand,
     path = contour.anchor_path
     if not path:
         path = (integrand.anchor_point, contour.start_point())
-    w_start = continue_along(integrand.P, integrand.anchor_value, path)
+    w_start = continue_along(integrand.P, integrand.roots,
+                             integrand.anchor_value, path)
     return refine_until(lambda n: _traverse(contour, integrand, w_start, n),
                         int(n_points), MAX_NODES, tol, "contour quadrature")
 
@@ -250,7 +240,7 @@ def _traverse(contour, integrand, w_start, n):
     if contour.kind == "circle":
         th = 2.0 * np.pi * np.arange(n + 1) / n * contour.orientation
         zs = contour.center + contour.radius * np.exp(1j * th)
-        ws = track_nodes(integrand.P, w_start, zs)
+        ws = track_nodes(integrand.P, integrand.roots, w_start, zs)
         _check_closed(ws)
         f = integrand.values(zs[:-1], ws[:-1])
         dz = 1j * contour.radius * np.exp(1j * th[:-1]) * contour.orientation
@@ -260,7 +250,7 @@ def _traverse(contour, integrand, w_start, n):
         if contour.orientation < 0:
             nodes = np.concatenate([nodes[:1], nodes[1:][::-1]])
         zs = np.append(nodes, nodes[0])
-        ws = track_nodes(integrand.P, w_start, zs)
+        ws = track_nodes(integrand.P, integrand.roots, w_start, zs)
         _check_closed(ws)
         f = integrand.values(zs, ws)
         dz = np.diff(zs)
@@ -280,6 +270,17 @@ def _check_closed(ws):
 # cut integrals (vanishing-clearance limit of a counterclockwise stadium)
 # ---------------------------------------------------------------------------
 
+def _cut_factor(integrand, ends):
+    """g^2 = -lead * prod(z - r) over the roots r of P other than the two
+    cut ends, as a radicand in product form together with its roots."""
+    rest = integrand.roots
+    for e in ends:
+        rest = np.delete(rest, np.argmin(np.abs(rest - e)))
+    lead = integrand.P.coeffs[-1]
+    return (lambda z: -lead * np.prod(np.asarray(z)[..., None] - rest,
+                                      axis=-1)), rest
+
+
 def cut_segment_integral(integrand: SqrtIntegrand, p1, p2, w_mid):
     """(1/pi) * integral of w/den * measure along the straight cut p1->p2.
 
@@ -289,14 +290,16 @@ def cut_segment_integral(integrand: SqrtIntegrand, p1, p2, w_mid):
     classical cut on the real axis this is the side "just below the cut").
 
     The square-root vanishing at the cut ends is factored out analytically:
-    w = sqrt((z-p1)(p2-z)) * g(z) with g nonvanishing near the cut, and the
-    sine substitution makes the Gauss-Legendre quadrature spectrally
-    accurate.
+    w = sqrt((z-p1)(p2-z)) * g(z) with g^2 = -lead * prod(z - r) over the
+    roots r of P other than p1 and p2, taken from integrand.roots.  The
+    product form stays accurate far from the origin, where the monomial
+    coefficients of a deflated polynomial cancel.  g is nonvanishing near
+    the cut, and the sine substitution makes the Gauss-Legendre quadrature
+    spectrally accurate.
     """
     p1, p2 = complex(p1), complex(p2)
     d = p2 - p1
-    Q = Polynomial(_deflate(_deflate(integrand.P, p1), p2).coeffs)
-    negQ = Polynomial(-Q.coeffs)            # g^2 = -Q on the chosen sheet
+    G, rest = _cut_factor(integrand, (p1, p2))
     zmid = 0.5 * (p1 + p2)
     g_mid = 2.0 * complex(w_mid) / d        # phi(midpoint) = d/2
     den_c = integrand.den.coeffs
@@ -306,7 +309,7 @@ def cut_segment_integral(integrand: SqrtIntegrand, p1, p2, w_mid):
         th = u * np.pi / 2.0
         t = 0.5 * (1.0 + np.sin(th))
         zs = p1 + t * d
-        gs = _track_from_mid(negQ, g_mid, zmid, zs)
+        gs = _track_from_mid(G, rest, g_mid, zmid, zs)
         f = gs / npoly.polyval(zs, den_c) * integrand.measure(zs)
         vals = f * d * d * np.cos(th) ** 2 / 4.0
         return 0.5 * np.sum(wt * vals)
@@ -315,14 +318,14 @@ def cut_segment_integral(integrand: SqrtIntegrand, p1, p2, w_mid):
                         "cut quadrature")
 
 
-def _track_from_mid(P, g_mid, zmid, zs):
+def _track_from_mid(P, roots, g_mid, zmid, zs):
     """Track sqrt(P) values over nodes zs (ordered along a chain), seeding
     from the value g_mid at zmid which falls between the middle nodes."""
     k0 = int(np.argmin(np.abs(zs - zmid)))
     left_chain = np.concatenate([[zmid], zs[k0::-1]])
     right_chain = np.concatenate([[zmid], zs[k0 + 1:]])
-    gl = track_nodes(P, g_mid, left_chain)[1:][::-1]
-    gr = track_nodes(P, g_mid, right_chain)[1:]
+    gl = track_nodes(P, roots, g_mid, left_chain)[1:][::-1]
+    gr = track_nodes(P, roots, g_mid, right_chain)[1:]
     return np.concatenate([gl, gr])
 
 
@@ -333,92 +336,43 @@ def arc_cut_integral(integrand: SqrtIntegrand, theta1, theta2, w_mid):
     Used for trigonometric mappings, where branch cuts lie on the unit
     circle; w_mid is the branch value at the arc midpoint approached from
     just outside the circle (the right-hand side of increasing theta).
+
+    w = i*phi*h*g with phi(theta) = sqrt((theta-th1)(th2-theta)) and g^2 =
+    -lead * prod(y - r) over the roots r of P other than the arc ends, as
+    in cut_segment_integral; g is tracked over the arc's y-nodes.  With
+    y_k = exp(i th_k) the end factor is in closed form,
+    (y - y1)(y - y2)/phi^2 = exp(i(theta + thm)) sinc(a) sinc(b), where
+    a, b = (theta - th1)/2, (th2 - theta)/2, sinc u = sin(u)/u and thm is
+    the arc's mid angle; h is its square root exp(i(theta + thm)/2)
+    sqrt(sinc(a) sinc(b)), continuous along arcs shorter than 2 pi.
     """
     th1, th2 = float(theta1), float(theta2)
     thm, thh = 0.5 * (th1 + th2), 0.5 * (th2 - th1)
-    Pc = _coeffs(integrand.P)
+    G, rest = _cut_factor(integrand, (np.exp(1j * th1), np.exp(1j * th2)))
     den_c = integrand.den.coeffs
-    # w = i*phi*g with phi(theta) = sqrt((theta-th1)(th2-theta)), so the
-    # seed is g(mid) = w_mid/(i*phi(mid)) and phi(midpoint) = thh.
-    g_mid = complex(w_mid) / (1j * thh)
 
-    def g_of(th):
-        y = np.exp(1j * th)
-        G = -npoly.polyval(y, Pc) / ((th - th1) * (th2 - th))
-        return np.sqrt(G.astype(complex))
+    def h(th):
+        # np.sinc(x) = sin(pi x)/(pi x)
+        return np.exp(0.5j * (th + thm)) * np.sqrt(
+            np.sinc((th - th1) / (2.0 * np.pi))
+            * np.sinc((th2 - th) / (2.0 * np.pi)))
 
-    # Winding bound for G along a theta sub-arc.  The phi-denominator is
-    # real positive inside (th1, th2) and contributes nothing; the two
-    # roots of P at the arc ends contribute exactly dth/2 each (the
-    # argument of exp(i th) - exp(i th1) is linear in theta); every other
-    # root r contributes at most dth / dist(r, sub-arc) since
-    # |d/dth arg(exp(i th) - r)| <= 1/|exp(i th) - r|.
-    roots = _root_cache(Pc)
-    y_ends = (np.exp(1j * th1), np.exp(1j * th2))
-    far = [r for r in roots
-           if min(abs(r - y_ends[0]), abs(r - y_ends[1])) > 1e-9]
-    n_end = len(roots) - len(far)
-
-    def wind_bound(ta, tb):
-        dth = abs(tb - ta)
-        total = 0.5 * n_end * dth
-        for r in far:
-            ya, yb = np.exp(1j * ta), np.exp(1j * tb)
-            dist = min(abs(r - ya), abs(r - yb))
-            ang = np.angle(r)
-            lo, hi = min(ta, tb), max(ta, tb)
-            for shift in (-2.0 * np.pi, 0.0, 2.0 * np.pi):
-                if lo <= ang + shift <= hi:
-                    dist = min(dist, abs(abs(r) - 1.0))
-            if dist == 0.0:
-                return np.inf
-            total += dth / dist
-        return total
+    # phi(midpoint) = thh
+    g_mid = complex(w_mid) / (1j * thh * h(thm))
 
     def at_order(order):
         u, wt = gauss_legendre(order)
         th = thm + thh * np.sin(u * np.pi / 2.0)
         ys = np.exp(1j * th)
-        gs = _track_scalar_chain(g_of, g_mid, thm, th, wind_bound)
+        gs = _track_from_mid(G, rest, g_mid, np.exp(1j * thm), ys) * h(th)
         f = gs / npoly.polyval(ys, den_c) * integrand.measure(ys)
-        # per-theta integrand w/den*measure*(i y): with w = i*phi*g the two
-        # factors of i combine to -1.
+        # per-theta integrand w/den*measure*(i y): with w = i*phi*h*g the
+        # two factors of i combine to -1.
         vals = -f * ys * thh * thh * np.cos(u * np.pi / 2.0) ** 2
         return 0.5 * np.sum(wt * vals)
 
     return refine_until(at_order, GL_ORDER_START, GL_ORDER_MAX, QUAD_TOL,
                         "arc cut quadrature")
-
-
-def _track_scalar_chain(g_of, g_mid, tmid, ts, wind_bound):
-    """Nearest-root sign tracking of a nonvanishing sqrt along a parameter
-    chain, seeded at tmid.  A step is accepted only when wind_bound(ta, tb)
-    (an upper bound on the winding of g^2 over it) stays below _PHASE_STEP;
-    larger steps are bisected."""
-
-    def step(ta, tb, g, depth=0):
-        if wind_bound(ta, tb) <= _PHASE_STEP:
-            s = complex(g_of(np.array([tb]))[0])
-            if s == 0.0 or g == 0.0:
-                raise BranchAmbiguityError(
-                    "arc continuation hit a zero of the deflated radicand",
-                    residuals=[abs(s)])
-            return s if abs(s - g) <= abs(-s - g) else -s
-        if depth >= 60:
-            raise BranchAmbiguityError("ambiguous arc continuation",
-                                       residuals=[abs(tb - ta)])
-        tm = 0.5 * (ta + tb)
-        return step(tm, tb, step(ta, tm, g, depth + 1), depth + 1)
-
-    out = np.empty(len(ts), dtype=complex)
-    k0 = int(np.argmin(np.abs(ts - tmid)))
-    g = step(tmid, ts[k0], g_mid)
-    out[k0] = g
-    for k in range(k0 - 1, -1, -1):
-        out[k] = step(ts[k + 1], ts[k], out[k + 1])
-    for k in range(k0 + 1, len(ts)):
-        out[k] = step(ts[k - 1], ts[k], out[k - 1])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -88,7 +88,8 @@ class _Workspace:
         self.E = float(E)
         self.den = den = spec.omega_y.den
         self.P = _energy_numerator(spec, self.E)
-        self.branch_points = tuple(find_roots(self.P))
+        self.roots = find_roots(self.P)
+        self.branch_points = tuple(self.roots)
         poles = list(spec.omega_poles_y)
         if spec.mapping in ("exp", "exp_i"):
             if not any(abs(p) < 1e-9 for p in poles):
@@ -118,12 +119,11 @@ class _Workspace:
                              0.35 * self._min_gap())
         self.cuts = self._pair_cuts()
         self.capsules = self._build_capsules()
-        self._planners = {}
         self.big_radius = BIG_RADIUS_FACTOR * max(
             max(abs(b) for b in self.branch_points),
             max((abs(p) for p in self.poles), default=0.0), 1e-6)
         self.integrand = br.SqrtIntegrand(
-            P=self.P, den=den, measure=self.measure,
+            P=self.P, roots=self.roots, den=den, measure=self.measure,
             anchor_point=self.ya, anchor_value=self.anchor_value)
 
     # -- geometry ----------------------------------------------------------
@@ -172,8 +172,12 @@ class _Workspace:
         return tuple(cuts)
 
     def _classify_arcs(self, pairs):
+        # The classical arc ends on its branch points c_k: alpha*x_k carries
+        # the rounding of the turning points, so add the angle of c_k from
+        # exp(i alpha x_k).
         al = self.spec.alpha
-        th1, th2 = al * self.x1, al * self.x2
+        th1, th2 = (al * x + cmath.phase(c * cmath.exp(-1j * al * x))
+                    for x, c in zip((self.x1, self.x2), pairs[0]))
         cuts = [Cut(th1, th2, "classical", arc=True)]
         cl_angles = (th1, th2)
         for k, (a, b) in enumerate(pairs[1:]):
@@ -234,22 +238,14 @@ class _Workspace:
     def _key(z):
         return (round(complex(z).real, 9), round(complex(z).imag, 9))
 
-    def capsules_excluding(self, cut=None):
-        out = []
-        for c, caps in self.capsules.items():
-            if cut is not None and c is cut:
-                continue
-            out.extend(caps)
-        return tuple(out)
+    @cached_property
+    def planner(self):
+        return br.PathPlanner(
+            points=self.branch_points, clearance=self.clearance,
+            capsules=[c for caps in self.capsules.values() for c in caps])
 
-    def path_to(self, target, exclude_cut=None):
-        planner = self._planners.get(exclude_cut)
-        if planner is None:
-            planner = br.PathPlanner(points=self.branch_points,
-                                     clearance=self.clearance,
-                                     capsules=self.capsules_excluding(exclude_cut))
-            self._planners[exclude_cut] = planner
-        return planner.route(self.ya, target)
+    def path_to(self, target):
+        return self.planner.route(self.ya, target)
 
     # -- contour values ----------------------------------------------------
 
@@ -275,13 +271,13 @@ class _Workspace:
         orientation stays counterclockwise."""
         R = self.big_radius
         path = self.path_to(R + 0j)
-        w_R = br.continue_along(self.P, self.anchor_value, path)
+        w_R = br.continue_along(self.P, self.roots, self.anchor_value, path)
 
         def at_nodes(n):
             th = 2.0 * np.pi * np.arange(n + 1) / n
             zs = np.exp(1j * th) / R          # small circle, ccw in z
             ys = 1.0 / zs                     # large circle in y
-            ws = br.track_nodes(self.P, w_R, ys)
+            ws = br.track_nodes(self.P, self.roots, w_R, ys)
             br._check_closed(ws)
             f = self.integrand.values(ys[:-1], ws[:-1])
             return complex(np.mean(f * 1j * ys[:-1]))
@@ -307,8 +303,8 @@ class _Workspace:
             # the anchor path can never cross the cut it is seeding and the
             # continued value lands on the globally consistent sheet.
             path = self.path_to(seed)
-        w_seed = br.continue_along(self.P, self.anchor_value, path)
-        w_mid = br.continue_sqrt(self.P, w_seed, seed, mid)
+        w_seed = br.continue_along(self.P, self.roots, self.anchor_value, path)
+        w_mid = br.continue_sqrt(self.P, self.roots, w_seed, seed, mid)
         return br.cut_segment_integral(self.integrand, p1, p2, w_mid)
 
     def _arc_cut_value(self, cut):
@@ -328,7 +324,7 @@ class _Workspace:
             path = ([self.ya, ring * cmath.exp(1j * tha)]
                     + [ring * cmath.exp(1j * t) for t in steps[1:]]
                     + [seed, mid])
-        w_mid = br.continue_along(self.P, self.anchor_value, path)
+        w_mid = br.continue_along(self.P, self.roots, self.anchor_value, path)
         return br.arc_cut_integral(self.integrand, th1, th2, w_mid)
 
 

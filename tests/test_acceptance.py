@@ -93,7 +93,7 @@ def test_criterion3_golden_residues_nonexact1():
 @pytest.mark.parametrize("pot_id", sw.CATALOG_IDS)
 def test_criterion4_contour_closure(pot_id):
     dec = decompose_of(pot_id, mid_spectrum_energy(pot_id))
-    assert dec.closure_residual <= 1e-9
+    assert dec.closure_residual <= 1e-12
 
 
 # -- criterion 5: oracle agreement -------------------------------------------

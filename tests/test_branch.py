@@ -13,6 +13,7 @@ from susywkb.branch import (Contour, PathPlanner, SqrtIntegrand,
                             contour_integral, continue_along, continue_sqrt,
                             _unit, cut_segment_integral, track_nodes)
 from susywkb.catalog import probe_energy
+from susywkb.cpoly import find_roots
 
 
 def brute_continue(Pc, w0, path, nsub=20000):
@@ -28,7 +29,7 @@ def brute_continue(Pc, w0, path, nsub=20000):
 
 def test_constant_radicand_is_unchanged():
     P = Polynomial([4.0])
-    w = continue_along(P, 2.0, [0.0, 1.0 + 1j, -3.0, 0.0])
+    w = continue_along(P, find_roots(P), 2.0, [0.0, 1.0 + 1j, -3.0, 0.0])
     assert w == pytest.approx(2.0)
 
 
@@ -36,7 +37,7 @@ def test_monodromy_single_branch_point_flips_sign():
     P = Polynomial([0.0, 1.0])          # sqrt(z), branch point at 0
     th = np.linspace(0.0, 2.0 * np.pi, 101)
     loop = np.exp(1j * th)
-    ws = track_nodes(P, 1.0, loop)
+    ws = track_nodes(P, find_roots(P), 1.0, loop)
     assert ws[-1] == pytest.approx(-1.0)
 
 
@@ -45,7 +46,7 @@ def test_monodromy_two_branch_points_is_trivial():
     th = np.linspace(0.0, 2.0 * np.pi, 201)
     loop = 3.0 * np.exp(1j * th)
     w0 = complex(np.sqrt(complex(8.0)))
-    ws = track_nodes(P, w0, loop)
+    ws = track_nodes(P, find_roots(P), w0, loop)
     assert ws[-1] == pytest.approx(w0)
 
 
@@ -56,7 +57,7 @@ def test_long_segment_passing_close_below_branch_points():
     P = Polynomial([-1.0, 0.0, 1.0])
     path = [2.0 - 0.01j, -2.0 - 0.01j]
     w0 = complex(np.sqrt(complex(3.0)))
-    got = continue_along(P, w0, path)
+    got = continue_along(P, find_roots(P), w0, path)
     want = brute_continue(P.coeffs, w0, path)
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -66,19 +67,21 @@ def test_continuation_is_path_independent_off_the_cuts():
     w0 = complex(np.sqrt(npoly.polyval(3.0 + 0j, P.coeffs)))
     upper = [3.0, 3.0 + 5j, -3.0 + 5j, -3.0]
     lower = [3.0, 3.0 - 5j, -3.0 - 5j, -3.0]
-    assert continue_along(P, w0, upper) == pytest.approx(
-        continue_along(P, w0, lower), rel=1e-10)
+    roots = find_roots(P)
+    assert continue_along(P, roots, w0, upper) == pytest.approx(
+        continue_along(P, roots, w0, lower), rel=1e-10)
 
 
 def test_continuation_through_branch_point_raises():
     P = Polynomial([0.0, 1.0])
     with pytest.raises(BranchAmbiguityError):
-        continue_sqrt(P, 1.0, 1.0, -1.0)   # straight through z = 0
+        continue_sqrt(P, find_roots(P), 1.0, 1.0, -1.0)   # through z = 0
 
 
 def unit_pole_integrand():
     # f = 1/y: w = sqrt(1) = 1, den = y, measure = 1
-    return SqrtIntegrand(P=Polynomial([1.0]), den=Polynomial([0.0, 1.0]),
+    P = Polynomial([1.0])
+    return SqrtIntegrand(P=P, roots=find_roots(P), den=Polynomial([0.0, 1.0]),
                          measure=lambda y: np.ones_like(y),
                          anchor_point=1.0 + 0j, anchor_value=1.0 + 0j)
 
@@ -112,7 +115,7 @@ def test_contour_integral_rejects_tiny_node_count():
 
 def test_odd_enclosed_branch_points_detected():
     P = Polynomial([0.0, 1.0])
-    integrand = SqrtIntegrand(P=P, den=Polynomial([1.0]),
+    integrand = SqrtIntegrand(P=P, roots=find_roots(P), den=Polynomial([1.0]),
                               measure=lambda y: np.ones_like(y),
                               anchor_point=1.0 + 0j, anchor_value=1.0 + 0j)
     c = Contour(kind="circle", center=0j, radius=1.0,
@@ -125,17 +128,19 @@ def test_cut_integral_matches_real_axis_quadrature():
     # w = sqrt(1 - z^2) just below the cut [-1, 1]; with den = 1 and unit
     # measure, (1/pi) * integral of sqrt(1 - x^2) over [-1, 1] = 1/2.
     P = Polynomial([1.0, 0.0, -1.0])
-    integrand = SqrtIntegrand(P=P, den=Polynomial([1.0]),
+    roots = find_roots(P)
+    integrand = SqrtIntegrand(P=P, roots=roots, den=Polynomial([1.0]),
                               measure=lambda y: np.ones_like(y),
                               anchor_point=0.0 - 0.01j, anchor_value=1.0 + 0j)
-    w_mid = continue_sqrt(P, 1.0 + 0j, 0.0 - 0.01j, 0.0 + 0j)
+    w_mid = continue_sqrt(P, roots, 1.0 + 0j, 0.0 - 0.01j, 0.0 + 0j)
     val = cut_segment_integral(integrand, -1.0 + 0j, 1.0 + 0j, w_mid)
     assert val == pytest.approx(0.5, abs=1e-10)
 
 
 def test_stadium_contour_equals_cut_integral():
     P = Polynomial([1.0, 0.0, -1.0])
-    integrand = SqrtIntegrand(P=P, den=Polynomial([1.0]),
+    roots = find_roots(P)
+    integrand = SqrtIntegrand(P=P, roots=roots, den=Polynomial([1.0]),
                               measure=lambda y: np.ones_like(y),
                               anchor_point=0.0 - 0.01j, anchor_value=1.0 + 0j)
     # anchor path stays below the cut and ends at the stadium's start node
@@ -146,7 +151,7 @@ def test_stadium_contour_equals_cut_integral():
     # trapezoid over the piecewise stadium parametrization is only
     # low-order accurate, so relax its convergence target
     loop = contour_integral(stadium, integrand, tol=1e-8)
-    w_mid = continue_sqrt(P, 1.0 + 0j, 0.0 - 0.01j, 0.0 + 0j)
+    w_mid = continue_sqrt(P, roots, 1.0 + 0j, 0.0 - 0.01j, 0.0 + 0j)
     chord = cut_segment_integral(integrand, -1.0 + 0j, 1.0 + 0j, w_mid)
     assert loop == pytest.approx(chord, abs=1e-6)
 
@@ -442,7 +447,8 @@ def test_memoized_routes_equal_per_route_search():
             # Two planners share the anchor as source: trees must not
             # leak between planners with different obstacles.
             for cut in (None, classical):
-                caps = ws.capsules_excluding(cut)
+                caps = [c for k, cs in ws.capsules.items() if k is not cut
+                        for c in cs]
                 memo = PathPlanner(ws.branch_points, ws.clearance, caps)
                 ref = PathPlanner(ws.branch_points, ws.clearance, caps)
                 for z0 in (ws.ya, ws.big_radius + 0j):
@@ -463,12 +469,10 @@ def test_memoized_routes_equal_per_route_search():
 
 # -- vectorized closer-root chain against the loop it replaced --------------
 
-def _track_nodes_loop(P, w0, zs):
-    from susywkb.branch import _PHASE_STEP, _coeffs, _root_cache
+def _track_nodes_loop(P, roots, w0, zs):
+    from susywkb.branch import _PHASE_STEP
     zs = np.asarray(zs, dtype=complex)
-    Pc = _coeffs(P)
-    roots = _root_cache(Pc)
-    p = npoly.polyval(zs, Pc).astype(complex)
+    p = npoly.polyval(zs, P.coeffs).astype(complex)
     s = np.sqrt(p)
     # exact winding of P over each chord between consecutive nodes
     num = zs[1:, None] - roots[None, :]
@@ -484,7 +488,7 @@ def _track_nodes_loop(P, w0, zs):
         if ok[k - 1]:
             ws[k] = s[k] if abs(s[k] - prev) <= abs(-s[k] - prev) else -s[k]
         else:
-            ws[k] = continue_sqrt(P, prev, zs[k - 1], zs[k])
+            ws[k] = continue_sqrt(P, roots, prev, zs[k - 1], zs[k])
     return ws
 
 
@@ -513,4 +517,6 @@ def _chains():
 @pytest.mark.parametrize("case", range(8))
 def test_track_nodes_equals_closer_root_loop(case):
     P, w0, zs = list(_chains())[case]
-    assert np.array_equal(track_nodes(P, w0, zs), _track_nodes_loop(P, w0, zs))
+    roots = find_roots(P)
+    assert np.array_equal(track_nodes(P, roots, w0, zs),
+                          _track_nodes_loop(P, roots, w0, zs))

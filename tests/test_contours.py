@@ -85,8 +85,31 @@ def test_classical_cut_matches_real_axis_swkb(pot_id):
     E = mid_spectrum_energy(pot_id)
     dec = decompose_of(pot_id, E)
     assert dec.J_classical_cut.real == pytest.approx(
-        swkb_integral(spec_of(pot_id), E), abs=1e-9)
-    assert abs(dec.J_classical_cut.imag) <= 1e-9
+        swkb_integral(spec_of(pot_id), E), abs=1e-12)
+    assert abs(dec.J_classical_cut.imag) <= 1e-12
+
+
+# nonexact2's first four excited levels from the Numerov oracle, and two
+# nonexact1 energies whose cuts reach far from the origin
+@pytest.mark.parametrize("pot_id, E", [
+    ("nonexact2", 0.03491466653630712), ("nonexact2", 0.046984278187708145),
+    ("nonexact2", 0.0525626674541024), ("nonexact2", 0.05559395214891046),
+    ("nonexact1", 4.0), ("nonexact1", 16.0)])
+def test_closure_on_the_non_exact_cuts(pot_id, E):
+    dec = decompose_of(pot_id, E)
+    assert dec.closure_residual <= 1e-12
+    assert abs(dec.J_classical_cut
+               - swkb_integral(spec_of(pot_id), E)) <= 1e-12
+
+
+@pytest.mark.parametrize("pot_id", ["scarf1", "rosenmorse1"])
+def test_classical_arc_ends_lie_on_branch_points(pot_id):
+    spec = spec_of(pot_id)
+    for n in (1, 2, 3):
+        ws = contours._Workspace(spec, catalog.probe_energy(spec, n))
+        cut = next(c for c in ws.cuts if c.kind == "classical")
+        for end in ws.cut_endpoints(cut):
+            assert min(abs(end - b) for b in ws.branch_points) <= 1e-15
 
 
 def test_quantize_by_contours_eckart():
