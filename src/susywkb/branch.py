@@ -13,28 +13,28 @@ g^2 = -lead * prod(z - r) over the other roots, in that product form.
 
 A single global anchor value fixes the sheet.  Every contour carries an
 ``anchor_path`` from the anchor to its start point; continuation along that
-path (which the planner keeps away from branch points and from crossing any
-branch cut) selects the branch consistently across all contours, so the
-closure identity sum(contours) = large-circle holds without per-contour sign
-conventions.
+path (tracked as one chain of short pieces; the planner keeps the path away
+from branch points and from crossing any branch cut) selects the branch
+consistently across all contours, so the closure identity sum(contours) =
+large-circle holds without per-contour sign conventions.  Every quadrature
+refines from ORDER_START = 64 nodes, trapezoid or Gauss-Legendre.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .cpoly import Polynomial
 from .errors import BranchAmbiguityError, ConvergenceError, DomainError
-from .quadrature import (GL_ORDER_MAX, GL_ORDER_START, gauss_legendre,
+from .quadrature import (GL_ORDER_MAX, ORDER_START, gauss_legendre,
                          refine_until)
 
 QUAD_TOL = 1e-11      # successive-refinement agreement for contour quadrature
-DEFAULT_NODES = 512
 MAX_NODES = 1 << 17
 _CLOSE_TOL = 1e-8     # branch must return to itself on a closed contour
 
@@ -44,6 +44,8 @@ _CLOSE_TOL = 1e-8     # branch must return to itself on a closed contour
 # ---------------------------------------------------------------------------
 
 _PHASE_STEP = 1.0   # max winding of P per accepted continuation step
+_MAX_HALVE = 60     # bisections of a step before continue_sqrt gives up
+_MAX_PIECES = 1024  # pieces per chord of a continue_along chain
 
 
 def _segment_winding(roots, za, zb):
@@ -64,7 +66,7 @@ def _segment_winding(roots, za, zb):
     return float(np.sum(np.angle(num / den)))
 
 
-def continue_sqrt(P, roots, w0, z0, z1, max_halve=60):
+def continue_sqrt(P, roots, w0, z0, z1):
     """Continue w (w^2 = P) from z0, where it equals w0, to z1 along the
     straight segment.
 
@@ -83,7 +85,7 @@ def continue_sqrt(P, roots, w0, z0, z1, max_halve=60):
                     "sqrt continuation hit a branch point", residuals=[0.0])
             s = np.sqrt(pb)
             return s if abs(s - w) <= abs(-s - w) else -s
-        if depth >= max_halve:
+        if depth >= _MAX_HALVE:
             raise BranchAmbiguityError(
                 "ambiguous sqrt continuation; path passes too close to a "
                 "branch point", residuals=[abs(zb - za)])
@@ -95,12 +97,26 @@ def continue_sqrt(P, roots, w0, z0, z1, max_halve=60):
 
 
 def continue_along(P, roots, w0, points):
-    """Continuation of w along a polyline of complex points."""
-    w = complex(w0)
-    pts = [complex(p) for p in points]
-    for a, b in zip(pts[:-1], pts[1:]):
-        w = continue_sqrt(P, roots, w, a, b)
-    return w
+    """Continuation of w along a polyline, tracked as one chain of pieces.
+
+    |piece| * sum_r 1/dist(r, chord) <= _PHASE_STEP bounds the winding of P
+    over a piece, so track_nodes takes the pieces by its closer-root rule
+    (falling back to continue_sqrt where _MAX_PIECES caps a chord).  The
+    root of the scalar sqrt(P(end)) nearer the tracked value is returned, as
+    by continue_sqrt's last step, so the result does not depend on the cut.
+    """
+    pts = np.asarray(points, dtype=complex)
+    a, b = pts[:-1], pts[1:]
+    dist = _point_segment(roots[None, :], a[:, None], b[:, None])[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.abs(b - a) * np.sum(1.0 / dist, axis=1) / _PHASE_STEP
+    # fmax sends NaN (a zero-length chord on a root) to one piece
+    pieces = np.fmin(np.fmax(np.ceil(bound), 1.0), _MAX_PIECES).astype(int)
+    k = np.repeat(np.arange(len(a)), pieces)
+    t = (np.arange(len(k)) - (np.cumsum(pieces) - pieces)[k]) / pieces[k]
+    w = track_nodes(P, roots, w0, np.append(a[k] + t * (b - a)[k], pts[-1]))
+    s = np.sqrt(complex(P(complex(pts[-1]))))
+    return s if abs(s - w[-1]) <= abs(-s - w[-1]) else -s
 
 
 def track_nodes(P, roots, w0, zs):
@@ -219,11 +235,13 @@ def stadium_nodes(p1, p2, clearance, n):
 
 
 def contour_integral(contour: Contour, integrand: SqrtIntegrand,
-                     n_points=DEFAULT_NODES, tol=QUAD_TOL):
+                     n_points=ORDER_START, tol=QUAD_TOL):
     """(1/2pi) * closed contour integral of the branch-anchored integrand.
 
-    Equispaced trapezoidal quadrature in the contour parameter, refined by
-    node doubling until two successive results agree within QUAD_TOL.
+    Equispaced trapezoidal quadrature in the contour parameter, doubling
+    n from n_points until two results agree within tol.  On a circle whose
+    other singularities lie rho radii or more from its centre the error
+    falls like rho^-n, so pole circles (rho >= 2) agree by 128 nodes.
     """
     if n_points < 16:
         raise DomainError("n_points below minimum of 16")
@@ -240,30 +258,24 @@ def _traverse(contour, integrand, w_start, n):
     if contour.kind == "circle":
         th = 2.0 * np.pi * np.arange(n + 1) / n * contour.orientation
         zs = contour.center + contour.radius * np.exp(1j * th)
-        ws = track_nodes(integrand.P, integrand.roots, w_start, zs)
-        _check_closed(ws)
-        f = integrand.values(zs[:-1], ws[:-1])
-        dz = 1j * contour.radius * np.exp(1j * th[:-1]) * contour.orientation
-        return np.mean(f * dz)
-    if contour.kind == "stadium":
+    elif contour.kind == "stadium":
         nodes = stadium_nodes(contour.p1, contour.p2, contour.clearance, n)
         if contour.orientation < 0:
             nodes = np.concatenate([nodes[:1], nodes[1:][::-1]])
         zs = np.append(nodes, nodes[0])
-        ws = track_nodes(integrand.P, integrand.roots, w_start, zs)
-        _check_closed(ws)
-        f = integrand.values(zs, ws)
-        dz = np.diff(zs)
-        return np.sum(0.5 * (f[:-1] + f[1:]) * dz) / (2.0 * np.pi)
-    raise DomainError(f"unknown contour kind {contour.kind!r}")
-
-
-def _check_closed(ws):
+    else:
+        raise DomainError(f"unknown contour kind {contour.kind!r}")
+    ws = track_nodes(integrand.P, integrand.roots, w_start, zs)
     if abs(ws[-1] - ws[0]) > _CLOSE_TOL * (1.0 + abs(ws[0])):
         raise BranchAmbiguityError(
             "branch does not close on the contour (odd number of enclosed "
-            "branch points)", residuals=[abs(ws[-1] - ws[0])]
-        )
+            "branch points)", residuals=[abs(ws[-1] - ws[0])])
+    if contour.kind == "circle":
+        f = integrand.values(zs[:-1], ws[:-1])
+        dz = 1j * contour.radius * np.exp(1j * th[:-1]) * contour.orientation
+        return np.mean(f * dz)
+    f = integrand.values(zs, ws)
+    return np.sum(0.5 * (f[:-1] + f[1:]) * np.diff(zs)) / (2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +326,7 @@ def cut_segment_integral(integrand: SqrtIntegrand, p1, p2, w_mid):
         vals = f * d * d * np.cos(th) ** 2 / 4.0
         return 0.5 * np.sum(wt * vals)
 
-    return refine_until(at_order, GL_ORDER_START, GL_ORDER_MAX, QUAD_TOL,
+    return refine_until(at_order, ORDER_START, GL_ORDER_MAX, QUAD_TOL,
                         "cut quadrature")
 
 
@@ -371,7 +383,7 @@ def arc_cut_integral(integrand: SqrtIntegrand, theta1, theta2, w_mid):
         vals = -f * ys * thh * thh * np.cos(u * np.pi / 2.0) ** 2
         return 0.5 * np.sum(wt * vals)
 
-    return refine_until(at_order, GL_ORDER_START, GL_ORDER_MAX, QUAD_TOL,
+    return refine_until(at_order, ORDER_START, GL_ORDER_MAX, QUAD_TOL,
                         "arc cut quadrature")
 
 

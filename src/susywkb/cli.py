@@ -227,7 +227,8 @@ def _cmd_defect(args):
     if spec.spectrum is not None:
         E = catalog.closed_form_energy(spec, n)
     else:
-        E = numerov.numerov_eigenvalue(spec, n)
+        hint = swkb.solve_level(spec, n).energy
+        E = numerov.numerov_eigenvalue(spec, n, E_hint=hint)
     rep = contours.defect_report(spec, E, n)
     rows = [{
         "id": rep.potential_id, "n": rep.n, "E_exact": rep.E_exact,

@@ -30,7 +30,6 @@ from . import branch as br
 from .catalog import probe_energy
 from .cpoly import find_roots
 from .errors import ConvergenceError, DomainError
-from .quadrature import refine_until
 from .swkb import (QuantizationResult, _bracket, _energy_numerator,
                    _unbound_level, swkb_integral, turning_points)
 
@@ -266,24 +265,11 @@ class _Workspace:
         return br.contour_integral(contour, self.integrand)
 
     def infinity_value(self):
-        """J_GammaR via the inversion z = 1/y: the large circle |y| = R maps
-        to a small circle around z = 0, traversed so that the y-plane
-        orientation stays counterclockwise."""
+        """J_GammaR: the large circle |y| = R, counterclockwise."""
         R = self.big_radius
-        path = self.path_to(R + 0j)
-        w_R = br.continue_along(self.P, self.roots, self.anchor_value, path)
-
-        def at_nodes(n):
-            th = 2.0 * np.pi * np.arange(n + 1) / n
-            zs = np.exp(1j * th) / R          # small circle, ccw in z
-            ys = 1.0 / zs                     # large circle in y
-            ws = br.track_nodes(self.P, self.roots, w_R, ys)
-            br._check_closed(ws)
-            f = self.integrand.values(ys[:-1], ws[:-1])
-            return complex(np.mean(f * 1j * ys[:-1]))
-
-        return refine_until(at_nodes, br.DEFAULT_NODES, br.MAX_NODES,
-                            br.QUAD_TOL, "large-circle quadrature")
+        contour = br.Contour(kind="circle", center=0j, radius=R,
+                             anchor_path=tuple(self.path_to(R + 0j)))
+        return br.contour_integral(contour, self.integrand)
 
     def cut_value(self, cut):
         if cut.arc:
@@ -303,8 +289,8 @@ class _Workspace:
             # the anchor path can never cross the cut it is seeding and the
             # continued value lands on the globally consistent sheet.
             path = self.path_to(seed)
-        w_seed = br.continue_along(self.P, self.roots, self.anchor_value, path)
-        w_mid = br.continue_sqrt(self.P, self.roots, w_seed, seed, mid)
+        w_mid = br.continue_along(self.P, self.roots, self.anchor_value,
+                                  path + [mid])
         return br.cut_segment_integral(self.integrand, p1, p2, w_mid)
 
     def _arc_cut_value(self, cut):
@@ -380,7 +366,7 @@ def pole_contribution(spec, E, pole):
 
 
 def infinity_contribution(spec, E):
-    """J_GammaR, the large-circle integral, via the z = 1/y inversion."""
+    """J_GammaR, the large-circle integral."""
     return _Workspace(spec, E).infinity_value()
 
 

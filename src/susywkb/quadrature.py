@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-GL_ORDER_START = 64
+ORDER_START = 64      # first Gauss-Legendre order or trapezoid node count
 GL_ORDER_MAX = 4096
 
 
@@ -31,7 +31,7 @@ def refine_until(fn, n0, nmax, tol, what):
 @lru_cache(maxsize=None)
 def gauss_legendre(order):
     """Read-only Gauss-Legendre nodes and weights; refinement doubles the
-    order from GL_ORDER_START, so the cache holds a few rules at most."""
+    order from ORDER_START, so the cache holds a few rules at most."""
     u, wt = np.polynomial.legendre.leggauss(order)
     u.flags.writeable = False
     wt.flags.writeable = False

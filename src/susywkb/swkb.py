@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 
 from .cpoly import Polynomial, find_roots
 from .errors import ConvergenceError, DomainError, UnboundEnergyError
-from .quadrature import (GL_ORDER_MAX, GL_ORDER_START, gauss_legendre,
+from .quadrature import (GL_ORDER_MAX, ORDER_START, gauss_legendre,
                          refine_until)
 
 TAU_SWKB = 1e-11     # quadrature self-consistency target
@@ -98,7 +98,7 @@ def swkb_integral(spec, E, tol=TAU_SWKB):
         integ = np.sqrt(np.maximum(E - om2, 0.0)) * xh * np.cos(th) * np.pi / 2.0
         return float(np.sum(wt * integ) / np.pi)
 
-    return refine_until(at_order, GL_ORDER_START, GL_ORDER_MAX, tol,
+    return refine_until(at_order, ORDER_START, GL_ORDER_MAX, tol,
                         "SWKB quadrature")
 
 

@@ -8,12 +8,13 @@ from numpy.polynomial import polynomial as npoly
 
 import susywkb as sw
 from susywkb import (BranchAmbiguityError, ConvergenceError, DomainError,
-                     Polynomial, contours)
+                     Polynomial, branch, contours)
 from susywkb.branch import (Contour, PathPlanner, SqrtIntegrand,
                             contour_integral, continue_along, continue_sqrt,
                             _unit, cut_segment_integral, track_nodes)
 from susywkb.catalog import probe_energy
 from susywkb.cpoly import find_roots
+from susywkb.quadrature import refine_until
 
 
 def brute_continue(Pc, w0, path, nsub=20000):
@@ -433,38 +434,119 @@ def _route_targets(ws, rng):
     return out
 
 
-def test_memoized_routes_equal_per_route_search():
-    rng = np.random.default_rng(10)
-    kinds = {"direct": 0, "extended": 0, "graph": 0, "raised": 0}
+def _probe_workspaces():
+    """Workspaces of every catalog entry at probe_energy(spec, n), n = 1, 2;
+    an entry without a closed form takes half its one probe energy as the
+    second."""
     for pot_id in sw.CATALOG_IDS:
         spec = sw.get_spec(pot_id)
         E1 = probe_energy(spec, 1)
         E2 = probe_energy(spec, 2)
         for E in (E1, E2 if E2 != E1 else 0.5 * E1):
-            ws = contours._Workspace(spec, E)
-            targets = _route_targets(ws, rng)
-            classical = next(c for c in ws.cuts if c.kind == "classical")
-            # Two planners share the anchor as source: trees must not
-            # leak between planners with different obstacles.
-            for cut in (None, classical):
-                caps = [c for k, cs in ws.capsules.items() if k is not cut
-                        for c in cs]
-                memo = PathPlanner(ws.branch_points, ws.clearance, caps)
-                ref = PathPlanner(ws.branch_points, ws.clearance, caps)
-                for z0 in (ws.ya, ws.big_radius + 0j):
-                    for z1 in targets:
-                        try:
-                            want, kind = _route_per_search(ref, z0, z1)
-                        except ConvergenceError:
-                            kinds["raised"] += 1
-                            continue
-                        kinds[kind] += 1
-                        got = memo.route(z0, z1)
-                        assert len(got) == len(want)
-                        assert all(complex(g) == complex(w)
-                                   for g, w in zip(got, want))
+            yield contours._Workspace(spec, E)
+
+
+def test_memoized_routes_equal_per_route_search():
+    rng = np.random.default_rng(10)
+    kinds = {"direct": 0, "extended": 0, "graph": 0, "raised": 0}
+    for ws in _probe_workspaces():
+        targets = _route_targets(ws, rng)
+        classical = next(c for c in ws.cuts if c.kind == "classical")
+        # Two planners share the anchor as source: trees must not
+        # leak between planners with different obstacles.
+        for cut in (None, classical):
+            caps = [c for k, cs in ws.capsules.items() if k is not cut
+                    for c in cs]
+            memo = PathPlanner(ws.branch_points, ws.clearance, caps)
+            ref = PathPlanner(ws.branch_points, ws.clearance, caps)
+            for z0 in (ws.ya, ws.big_radius + 0j):
+                for z1 in targets:
+                    try:
+                        want, kind = _route_per_search(ref, z0, z1)
+                    except ConvergenceError:
+                        kinds["raised"] += 1
+                        continue
+                    kinds[kind] += 1
+                    got = memo.route(z0, z1)
+                    assert len(got) == len(want)
+                    assert all(complex(g) == complex(w)
+                               for g, w in zip(got, want))
     assert kinds["graph"] >= 300 and kinds["direct"] >= 300, kinds
     assert kinds["extended"] >= 1, kinds
+
+
+# -- one chain per anchor path against the per-segment loop it replaced -----
+
+def _continue_along_per_segment(P, roots, w0, points):
+    """Continuation along a polyline, one continue_sqrt walk per chord, as
+    continue_along did before it tracked the polyline as one chain."""
+    w = complex(w0)
+    pts = [complex(p) for p in points]
+    for a, b in zip(pts[:-1], pts[1:]):
+        w = continue_sqrt(P, roots, w, a, b)
+    return w
+
+
+# Measured: 1 fallback over the 18 workspaces' anchor paths.  It is on
+# scarf2's large-circle path at E = 8, whose last chord (length 56) passes
+# 0.043 from a branch point and so is cut at the cap of 1024 pieces.
+CHAIN_FALLBACKS_MAX = 1
+
+
+def test_chain_continuation_equals_per_segment_loop(monkeypatch):
+    # Every anchor path of a decomposition: the pole circles, the large
+    # circle and the cut seeds, classical and other.
+    along, sqrt_walk = branch.continue_along, branch.continue_sqrt
+    calls = []
+    monkeypatch.setattr(branch, "continue_along", lambda *a: calls.append(a)
+                        or along(*a))
+    fallbacks = 0
+
+    def counted_walk(*a):
+        nonlocal fallbacks
+        fallbacks += 1
+        return sqrt_walk(*a)
+
+    kinds = set()
+    for ws in _probe_workspaces():
+        calls.clear()
+        contours._decompose(ws)
+        assert len(calls) == len(ws.poles) + 1 + len(ws.cuts)
+        kinds.update(c.kind for c in ws.cuts)
+        for P, roots, w0, points in calls:
+            want = _continue_along_per_segment(P, roots, w0, points)
+            monkeypatch.setattr(branch, "continue_sqrt", counted_walk)
+            got = along(P, roots, w0, points)
+            monkeypatch.setattr(branch, "continue_sqrt", sqrt_walk)
+            assert got == want
+    assert {"classical", "mirror", "other"} <= kinds
+    assert fallbacks <= CHAIN_FALLBACKS_MAX
+
+
+def test_circle_quadratures_converge_by_128_nodes(monkeypatch):
+    seen = []
+
+    def recording(fn, n0, nmax, tol, what):
+        val = refine_until(fn, n0, nmax, tol, what)
+        if what == "contour quadrature":
+            seen.append((fn, val))
+        return val
+
+    monkeypatch.setattr(branch, "refine_until", recording)
+    circles = 0
+    for ws in _probe_workspaces():
+        seen.clear()
+        for pole in ws.poles:
+            ws.pole_value(pole)
+        ws.infinity_value()
+        assert len(seen) == len(ws.poles) + 1
+        circles += len(seen)
+        for fn, val in seen:
+            J = fn(1024)
+            assert val == fn(128)
+            assert abs(val - fn(64)) < branch.QUAD_TOL
+            assert abs(val - J) <= 1e-13 * (1.0 + abs(J))
+    assert circles >= 40
 
 
 # -- vectorized closer-root chain against the loop it replaced --------------
@@ -520,3 +602,4 @@ def test_track_nodes_equals_closer_root_loop(case):
     roots = find_roots(P)
     assert np.array_equal(track_nodes(P, roots, w0, zs),
                           _track_nodes_loop(P, roots, w0, zs))
+
