@@ -8,12 +8,19 @@ the 4001-point search for an upper energy where there is no closed form
 and no finite threshold) it prints:
 
   sweeps  calls of numerov._shoot;
+  brack   of those, the sweeps of the bracket search (numerov._hint_bracket,
+          or numerov._transition_bracket when there is no hint or the hint
+          bracket is refused);
+  root    of those, the sweeps of the Wronskian root search (the brentq
+          call in numerov._solve_on_grid);
   steps   iterations of the Numerov recurrence (numerov._recur), summed;
   whole   sweeps that also count nodes past the matching point, which only
           the node-count fallback asks for.
 
-and for the level its CPU time and eigenvalue.  A sweep that stops at the
-matching point takes N - 1 steps on an N-point grid.
+and for the level its CPU time and eigenvalue.  On the h and h/2 grids
+sweeps = brack + root; the sweeps of the upper-energy search are neither.
+A sweep that stops at the matching point takes N - 1 steps on an N-point
+grid.
 
     PYTHONPATH=src python scripts/oracle_sweeps.py [--json PATH] [ids ...]
 """
@@ -27,31 +34,53 @@ import susywkb as sw
 from susywkb import numerov
 
 
+COLUMNS = ("sweeps", "brack", "root", "steps", "whole")
+
+
 class Counts:
-    """Wraps numerov._shoot and numerov._recur to count per grid size."""
+    """Wraps numerov._shoot and numerov._recur to count per grid size, and
+    the bracket searches and brentq to tell which of them a sweep serves."""
 
     def __init__(self):
-        self.sweeps, self.steps, self.whole = Counter(), Counter(), Counter()
+        self.counts = {c: Counter() for c in COLUMNS}
         self._grid = None
+        self._phase = None
         shoot, recur = numerov._shoot, numerov._recur
 
         def counted_shoot(spec, Vg, xg, ics, E, whole=False):
-            self._grid = len(xg)
-            self.sweeps[self._grid] += 1
-            self.whole[self._grid] += bool(whole)
+            N = self._grid = len(xg)
+            self.counts["sweeps"][N] += 1
+            if self._phase is not None:
+                self.counts[self._phase][N] += 1
+            self.counts["whole"][N] += bool(whole)
             return shoot(spec, Vg, xg, ics, E, whole)
 
         def counted_recur(p0, p1, c, t_back, t_next):
-            self.steps[self._grid] += len(c)
+            self.counts["steps"][self._grid] += len(c)
             return recur(p0, p1, c, t_back, t_next)
 
         numerov._shoot, numerov._recur = counted_shoot, counted_recur
+        for name, phase in (("_hint_bracket", "brack"),
+                            ("_transition_bracket", "brack"),
+                            ("brentq", "root")):
+            setattr(numerov, name, self._in_phase(getattr(numerov, name),
+                                                  phase))
+
+    def _in_phase(self, fn, phase):
+        def wrapped(*args, **kwargs):
+            outer, self._phase = self._phase, phase
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._phase = outer
+        return wrapped
 
     def take(self):
-        """Counts since the last call, per grid: {N: (sweeps, steps, whole)}."""
-        out = {N: (self.sweeps[N], self.steps[N], self.whole[N])
-               for N in sorted(self.sweeps)}
-        for c in (self.sweeps, self.steps, self.whole):
+        """Counts since the last call, per grid: {N: (sweeps, brack, root,
+        steps, whole)}."""
+        out = {N: tuple(self.counts[c][N] for c in COLUMNS)
+               for N in sorted(self.counts["sweeps"])}
+        for c in self.counts.values():
             c.clear()
         return out
 
@@ -76,7 +105,7 @@ def main():
     counts = Counts()
     rows = []
     print(f"{'id':12s} {'n':>2s} {'hint':>4s} {'cpu_s':>6s} {'E':>22s}  "
-          "per grid -- points: sweeps steps whole")
+          "per grid -- points: sweeps brack root steps whole")
     for spec, n, hint in cases(args.ids):
         t0 = time.process_time()
         E = sw.numerov_eigenvalue(spec, n, E_hint=hint)
@@ -84,11 +113,11 @@ def main():
         grids = counts.take()
         rows.append({"entry": spec.id, "n": n, "E_hint": hint, "E": E,
                      "cpu_s": cpu,
-                     "grids": {N: dict(zip(("sweeps", "steps", "whole"), v))
+                     "grids": {N: dict(zip(COLUMNS, v))
                                for N, v in grids.items()}})
         hinted = "yes" if hint is not None else "no"
-        per_grid = "  ".join(f"{N:6d}: {a:3d} {b:8d} {c:3d}"
-                             for N, (a, b, c) in grids.items())
+        per_grid = "  ".join(f"{N:6d}: {a:3d} {b:3d} {r:3d} {s:8d} {w:3d}"
+                             for N, (a, b, r, s, w) in grids.items())
         print(f"{spec.id:12s} {n:2d} {hinted:>4s} {cpu:6.3f} {E!r:>22s}  "
               f"{per_grid}")
     if args.json:

@@ -132,9 +132,8 @@ def _solve_one(spec, n, method, tol, dump=None):
         E = numerov.numerov_eigenvalue(spec, n, E_hint=hint)
         if dump:
             sol = numerov.grid_solution(spec, n, E_hint=hint)
-            path = dump if dump.endswith(".csv") else dump + ".csv"
-            path = path.replace(".csv", f".n{n}.csv")
-            numerov.dump_wavefunction(sol, path)
+            stem = dump[:-len(".csv")] if dump.endswith(".csv") else dump
+            numerov.dump_wavefunction(sol, f"{stem}.n{n}.csv")
         return swkb.QuantizationResult(n, E, "numerov", 0.0)
     raise DomainError(f"unknown method {method!r}")
 

@@ -17,11 +17,17 @@ all on an N-point grid, which is all the Wronskian and the node count up
 to m read.  On each grid one memo of sweeps, keyed by energy, serves the
 bracket and the Wronskian root search.  The h grid brackets the root
 around the reference energy (E_hint, else the closed form) and the h/2 grid
-around the h-grid eigenvalue (see _hint_bracket): about 10-30 sweeps a
-grid.  Without a hint, or when the node counts refuse the bracket, the grid
-bisects [E_lo, E_hi] for the node-count transitions t_{n-1} and t_n
-instead, at 40-90 sweeps; only these sweeps continue the left recurrence
-to the end of the grid, for the whole-grid node count.
+around the h-grid eigenvalue (see _hint_bracket), in 2-6 sweeps.  Without a
+hint, or when the node counts refuse the bracket, the grid bisects
+[E_lo, E_hi] for the node-count transitions t_{n-1} and t_n instead, at
+40-90 sweeps; only these sweeps continue the left recurrence to the end of
+the grid, for the whole-grid node count.  The root search then takes 2-14
+sweeps: a hinted level takes 4-17 sweeps a grid.  It stops at a relative
+width of W_RTOL, about the rounding floor of W's root: multiplying by a
+rounded 1/t_next in the recurrence instead of dividing by t_next moves the
+extrapolated levels at n = 1 by 1e-14 to 2e-10 relative, and narrower
+brackets only follow rounding noise.  The absolute width 1e-14 keeps
+levels near E = 0 at their floor.
 
 Endpoint handling
 -----------------
@@ -51,6 +57,7 @@ INSET_FRACTION = 1e-3       # inset of singular walls, in units of 1/alpha
 DECAY_BUDGET = 38.0         # required WKB decay integral past the box edge
 OVERFLOW = 1e200
 W_SCALE = 2.0 ** -664       # about 1/OVERFLOW, and exact
+W_RTOL = 3e-13              # relative tolerance of the Wronskian root
 
 
 @dataclass(frozen=True)
@@ -314,7 +321,7 @@ def _solve_on_grid(spec, xg, ics, n, E_lo, E_hi, hint):
     # refers to itself).  Passing sweep as an argument keeps this grid's
     # arrays out of that cycle, so they are freed on return and not left to
     # the cyclic collector, which let peak RSS creep up level by level.
-    return brentq(_wronskian, a, b, args=(sweep,), xtol=1e-14, rtol=8.9e-16)
+    return brentq(_wronskian, a, b, args=(sweep,), xtol=1e-14, rtol=W_RTOL)
 
 
 def _prepare(spec, n, E_hint=None):

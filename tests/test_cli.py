@@ -89,6 +89,17 @@ def test_determinism_byte_identical(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_dump_wavefunction_names_only_the_suffix(tmp_path):
+    # a ".csv" elsewhere in the path stays as it is
+    out_dir = tmp_path / "runs.csv.d"
+    out_dir.mkdir()
+    assert main(["--dump-wavefunction", str(out_dir / "wf"), "spectrum",
+                 "eckart", "--method", "numerov", "--levels", "1"]) == 0
+    dumped = out_dir / "wf.n0.csv"
+    assert dumped.exists()
+    assert dumped.read_text().splitlines()[0] == "x,psi"
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"B": 20.0}, "hbar": 1.0}))

@@ -242,10 +242,11 @@ def fallbacks(monkeypatch):
 def test_sweep_budget_per_grid(sweeps, fallbacks):
     # Bisecting for the node-count transitions took 83 sweeps on the h grid
     # and, warm-started, 55 on h/2.  Bracketing the Wronskian root at the
-    # hint takes 11 and 15.  10% headroom on each.
+    # hint takes 4 and 5: two bracket sweeps, then a root search that stops
+    # at W_RTOL.  One sweep of headroom on each.
     sw.numerov_eigenvalue(spec_of("eckart"), 1, E_hint=189.0)
-    assert sweeps[20001] <= 12
-    assert sweeps[40001] <= 16
+    assert sweeps[20001] <= 5
+    assert sweeps[40001] <= 6
     assert fallbacks == []
 
 
@@ -318,6 +319,22 @@ def test_nonexact2_without_a_hint():
     # perfbench/workloads.py NONEXACT2_LEVELS
     assert numerov_of("nonexact2", 1) == pytest.approx(0.03491466653630712,
                                                        rel=1e-12, abs=0.0)
+
+
+# Each oracle_levels case, hinted at the closed form, as the solve that
+# followed the Wronskian to rtol 8.9e-16 gave it.  Stopping at W_RTOL
+# may move a level only within the rounding floor of W's root.
+FULL_PRECISION_LEVELS = {"eckart": 189.00000438876256,
+                         "scarf2": 5.000000000008174,
+                         "scarf1": 2.99999985765078,
+                         "rosenmorse1": 3.750000001837089,
+                         "nonexact1": 4.000000000266275}
+
+
+@pytest.mark.parametrize("pot_id", sorted(FULL_PRECISION_LEVELS))
+def test_root_tolerance_keeps_the_levels(pot_id):
+    assert numerov_of(pot_id, 1) == pytest.approx(
+        FULL_PRECISION_LEVELS[pot_id], rel=1e-12, abs=0.0)
 
 
 def test_grid_arrays_are_freed_on_return():
