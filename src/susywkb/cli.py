@@ -117,6 +117,14 @@ def _cmd_list(args):
            "closed_form_spectrum", "partial"], rows, args)
 
 
+def _oracle_hint(spec, n):
+    """Where the Numerov oracle starts level n: the closed form, else the
+    SWKB level."""
+    if spec.spectrum is not None:
+        return catalog.closed_form_energy(spec, n)
+    return swkb.solve_level(spec, n).energy
+
+
 def _solve_one(spec, n, method, tol, dump=None):
     if method == "closed_form":
         E = catalog.closed_form_energy(spec, n)
@@ -126,9 +134,7 @@ def _solve_one(spec, n, method, tol, dump=None):
     if method == "contour":
         return contours.quantize_by_contours(spec, n)
     if method == "numerov":
-        hint = None
-        if spec.spectrum is not None and spec.n_is_bound(n):
-            hint = spec.spectrum(n)
+        hint = _oracle_hint(spec, n)
         E = numerov.numerov_eigenvalue(spec, n, E_hint=hint)
         if dump:
             sol = numerov.grid_solution(spec, n, E_hint=hint)
@@ -162,8 +168,8 @@ def _cmd_compare(args):
         vals["E_swkb"] = r.energy
         if two_cut:
             vals["E_contour"] = contours.quantize_by_contours(spec, n).energy
-        hint = vals.get("E_closed_form", vals["E_swkb"])
-        vals["E_numerov"] = numerov.numerov_eigenvalue(spec, n, E_hint=hint)
+        vals["E_numerov"] = numerov.numerov_eigenvalue(
+            spec, n, E_hint=_oracle_hint(spec, n))
         present = [v for v in vals.values() if v is not None]
         gap = max(abs(a - b) for a in present for b in present)
         rows.append({
@@ -223,11 +229,9 @@ def _cmd_census(args):
 def _cmd_defect(args):
     spec = _load_spec(args)
     n = args.level
-    if spec.spectrum is not None:
-        E = catalog.closed_form_energy(spec, n)
-    else:
-        hint = swkb.solve_level(spec, n).energy
-        E = numerov.numerov_eigenvalue(spec, n, E_hint=hint)
+    E = _oracle_hint(spec, n)
+    if spec.spectrum is None:
+        E = numerov.numerov_eigenvalue(spec, n, E_hint=E)
     rep = contours.defect_report(spec, E, n)
     rows = [{
         "id": rep.potential_id, "n": rep.n, "E_exact": rep.E_exact,

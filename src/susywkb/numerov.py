@@ -7,27 +7,29 @@ extrapolated over two grid spacings.
 
 Sweeps
 ------
-A sweep runs both Numerov recurrences on plain Python floats, read through
-memoryviews of the coefficient arrays and stored in compact double arrays.
-These are the same IEEE operations in the same order as numpy-scalar
-indexing, so the results are bit-identical, at a third of the cost and with
-no extra memory.  The two recurrences meet at the matching point m: the
-left one runs up to m + 1 and the right one down to m - 1, N - 1 steps in
-all on an N-point grid, which is all the Wronskian and the node count up
-to m read.  On each grid one memo of sweeps, keyed by energy, serves the
-bracket and the Wronskian root search.  The h grid brackets the root
-around the reference energy (E_hint, else the closed form) and the h/2 grid
-around the h-grid eigenvalue (see _hint_bracket), in 2-6 sweeps.  Without a
-hint, or when the node counts refuse the bracket, the grid bisects
-[E_lo, E_hi] for the node-count transitions t_{n-1} and t_n instead, at
-40-90 sweeps; only these sweeps continue the left recurrence to the end of
-the grid, for the whole-grid node count.  The root search then takes 2-14
-sweeps: a hinted level takes 4-17 sweeps a grid.  It stops at a relative
-width of W_RTOL, about the rounding floor of W's root: multiplying by a
-rounded 1/t_next in the recurrence instead of dividing by t_next moves the
-extrapolated levels at n = 1 by 1e-14 to 2e-10 relative, and narrower
-brackets only follow rounding noise.  The absolute width 1e-14 keeps
-levels near E = 0 at their floor.
+A sweep runs both Numerov recurrences, each as one banded solve: the steps
+p2 = (c*p1 - t_back*p0) / t_next are the rows of a lower-triangular system
+with two sub-diagonals, and BLAS dtbsv solves it by forward substitution
+(see _recur).  OpenBLAS fuses multiply and add, so the floats are not the
+ones a loop of separate IEEE operations gives; they move by the
+recurrence's own rounding, and the levels at n = 1, 2 by 5e-15 to 7.3e-11
+relative.  The two recurrences meet at the matching point m: the left one
+runs up to m + 1 and the right one down to m - 1, N - 1 steps in all on an
+N-point grid, which is all the Wronskian and the node count up to m read.
+On each grid one memo of sweeps, keyed by energy, serves the bracket and
+the Wronskian root search.  The h grid brackets the root around the
+reference energy (E_hint, else the closed form) and the h/2 grid around the
+h-grid eigenvalue (see _hint_bracket), in 2-6 sweeps.  Without a hint, or
+when the node counts refuse the bracket, the grid bisects [E_lo, E_hi] for
+the node-count transitions t_{n-1} and t_n instead, at 40-90 sweeps; only
+these sweeps continue the left recurrence to the end of the grid, for the
+whole-grid node count.  The root search then takes 2-24 sweeps: a hinted
+level takes 4-26 sweeps a grid.  It stops at a relative width of W_RTOL,
+about the rounding floor of W's root: rounding the recurrence differently
+(multiplying by a rounded 1/t_next instead of dividing by t_next, or fusing
+multiply and add) moves the extrapolated levels at n = 1 by 1e-14 to 2e-10
+relative, and narrower brackets only follow rounding noise.  The absolute
+width 1e-14 keeps levels near E = 0 at their floor.
 
 Endpoint handling
 -----------------
@@ -43,10 +45,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
@@ -170,24 +172,34 @@ def _end_ic(spec, ics, which, xg, Vg, E):
 
 def _recur(p0, p1, c, t_back, t_next):
     """Run the Numerov recurrence p2 = (c*p1 - t_back*p0) / t_next over the
-    zipped coefficient sequences on plain floats, from the start values
-    p0, p1.  Whenever |p2| passes OVERFLOW, everything computed so far is
-    rescaled by 1/OVERFLOW.  Returns the solution as a float64 array in sweep
-    order."""
-    big, neg_big = OVERFLOW, -OVERFLOW
-    out = array("d", (p0, p1))
-    p0, p1 = out                    # plain floats, even from numpy scalars
-    append = out.append
-    for ci, tb, tn in zip(c, t_back, t_next):
-        p2 = (ci * p1 - tb * p0) / tn
-        append(p2)
-        if p2 > big or p2 < neg_big:    # cheaper than abs(p2) > big
-            done = np.frombuffer(out)
-            done *= 1.0 / big
-            del done                # release the buffer so out can grow
-            p1, p2 = out[-2:]
-        p0, p1 = p1, p2
-    return np.frombuffer(out)
+    coefficient arrays, from the start values p0, p1.  The steps are the
+    rows of a lower-triangular system with two sub-diagonals, solved by
+    forward substitution in one BLAS call.  Where |p| first passes
+    OVERFLOW, everything up to it is rescaled by 1/OVERFLOW and the rest is
+    solved again from the rescaled pair.  Returns the solution as a float64
+    array in sweep order."""
+    L = len(c)
+    band = np.zeros((3, L), order="F")
+    band[0] = t_next
+    np.negative(c[1:], out=band[1, :-1])
+    band[2, :-2] = t_back[2:]
+    p = np.zeros(L + 2)
+    p[0], p[1] = p0, p1
+    s = 0                           # p[s], p[s + 1] start the solve
+    while s < L:
+        rest = p[s + 2:]
+        rest[0] = c[s] * p[s + 1] - t_back[s] * p[s]
+        if s + 1 < L:
+            rest[1] = -t_back[s + 1] * p[s + 1]
+        dtbsv(2, band[:, s:], rest, lower=1, overwrite_x=1)
+        over = np.abs(rest) > OVERFLOW
+        if not over.any():
+            break
+        i = s + 2 + int(over.argmax())
+        p[:i + 1] *= 1.0 / OVERFLOW
+        p[i + 1:] = 0.0
+        s = i - 1
+    return p
 
 
 def _sign_changes(p):
@@ -202,7 +214,7 @@ def _shoot(spec, Vg, xg, ics, E, whole=False):
     node count up to m, normalized matching Wronskian, pL[:m + 2],
     pR[m - 1:], m).  With whole, the left recurrence continues from
     (pL[m], pL[m + 1]) to the end of the grid to count the rest of the
-    nodes; those are the floats an uninterrupted sweep gives there."""
+    nodes."""
     hbar = spec.hbar
     N = len(xg)
     h = float(xg[1] - xg[0])
@@ -210,9 +222,8 @@ def _shoot(spec, Vg, xg, ics, E, whole=False):
     cls = np.flatnonzero(f < 0.0)
     m = int(cls[-1]) if len(cls) else N // 2
     m = min(max(m, 2), N - 3)
-    t_arr = 1.0 - h * h * f / 12.0
-    t = memoryview(t_arr)           # iterating these yields plain floats
-    c = memoryview(12.0 - 10.0 * t_arr)
+    t = 1.0 - h * h * f / 12.0
+    c = 12.0 - 10.0 * t
     pL = _recur(*_end_ic(spec, ics, "left", xg, Vg, E),
                 c[1:m + 1], t[:m], t[2:m + 2])
     pR = _recur(*_end_ic(spec, ics, "right", xg, Vg, E),

@@ -153,3 +153,17 @@ def test_compare_nonexact2_in_process(capsys):
     assert main(["compare", "nonexact2", "--levels", "2"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("pot_id", susywkb.CATALOG_IDS)
+def test_spectrum_numerov_equals_compare_oracle(pot_id, capsys):
+    # both start the oracle at the same level: the closed form, else SWKB
+    assert main(["spectrum", pot_id, "--method", "numerov",
+                 "--levels", "2"]) == 0
+    spectrum = capsys.readouterr().out.strip().splitlines()[1:]
+    assert main(["compare", pot_id, "--levels", "2"]) == 0
+    compare = capsys.readouterr().out.strip().splitlines()
+    column = compare[0].split(",").index("E_numerov")
+    assert len(spectrum) == len(compare) - 1 == 2
+    for s_row, c_row in zip(spectrum, compare[1:]):
+        assert s_row.split(",")[1] == c_row.split(",")[column]

@@ -102,8 +102,8 @@ def test_dump_wavefunction(tmp_path):
 
 
 def _numpy_shoot(spec, Vg, xg, ics, E, stop=True):
-    """The sweep as it was written on numpy scalars, kept as a reference for
-    the plain-float sweep.  With stop, the left solution runs up to m + 1
+    """The sweep as a loop over numpy scalars, kept as a reference for the
+    banded-solve sweep.  With stop, the left solution runs up to m + 1
     and the right one down to m - 1; without, both run over the whole grid
     and the whole-grid node count is taken.  Returns (whole-grid nodes or
     None, nodes up to m, W, pL, pR, m) and the number of OVERFLOW
@@ -154,8 +154,23 @@ SWEEP_CASES = [("eckart", 189.0), ("eckart", -3e3), ("scarf1", 3.0),
                ("scarf1", -1e5)]
 
 
+@pytest.fixture
+def banded_solves(monkeypatch):
+    """Counts of the BLAS banded solves: one per recurrence, and one more
+    after each OVERFLOW rescale."""
+    calls = Counter()
+    solve = numerov.dtbsv
+
+    def counted(*args, **kwargs):
+        calls["dtbsv"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(numerov, "dtbsv", counted)
+    return calls
+
+
 @pytest.mark.parametrize("pot_id, E", SWEEP_CASES)
-def test_shoot_equals_numpy_sweep(pot_id, E):
+def test_shoot_equals_numpy_sweep(pot_id, E, banded_solves):
     spec, xg, ics, _, _ = _level_grid(pot_id, 20001)
     Vg = spec.v_minus(xg)
     nodes, inner, W, pL, pR, m = numerov._shoot(spec, Vg, xg, ics, E)
@@ -165,8 +180,26 @@ def test_shoot_equals_numpy_sweep(pot_id, E):
         assert rescales >= 2
     if E > 0.0:
         assert inner == 1
-    assert (nodes, inner, W, m) == (None, inner0, W0, m0)
-    assert np.array_equal(pL, pL0[:m + 2]) and np.array_equal(pR, pR0[m - 1:])
+    assert (nodes, inner, m) == (None, inner0, m0)
+    assert banded_solves["dtbsv"] - 2 == rescales
+    # the BLAS kernel fuses multiply and add, so the floats differ from the
+    # loop's at the rounding level: up to 2.3e-11 of max|p| (scarf1, E = 3)
+    for p, p0 in ((pL, pL0[:m + 2]), (pR, pR0[m - 1:])):
+        assert len(p) == len(p0)
+        assert np.abs(p - p0).max() <= 1e-10 * np.abs(p0).max()
+
+
+def test_sweeps_are_deterministic():
+    spec, xg, ics, _, _ = _level_grid("nonexact2", 20001)
+    Vg = spec.v_minus(xg)
+    # -1e3 rescales in both halves, 0.03 in none
+    for E in (-1e3, 0.03):
+        for whole in (False, True):
+            first = numerov._shoot(spec, Vg, xg, ics, E, whole)
+            again = numerov._shoot(spec, Vg.copy(), xg.copy(), ics, E, whole)
+            assert first[:3] == again[:3] and first[5] == again[5]
+            assert np.array_equal(first[3], again[3])
+            assert np.array_equal(first[4], again[4])
 
 
 # eckart at E = 60 on 2001 points has a node between m and m + 1, which
@@ -321,20 +354,37 @@ def test_nonexact2_without_a_hint():
                                                        rel=1e-12, abs=0.0)
 
 
-# Each oracle_levels case, hinted at the closed form, as the solve that
-# followed the Wronskian to rtol 8.9e-16 gave it.  Stopping at W_RTOL
-# may move a level only within the rounding floor of W's root.
-FULL_PRECISION_LEVELS = {"eckart": 189.00000438876256,
-                         "scarf2": 5.000000000008174,
-                         "scarf1": 2.99999985765078,
-                         "rosenmorse1": 3.750000001837089,
-                         "nonexact1": 4.000000000266275}
+# Each oracle_levels case, hinted at the closed form, as the banded-solve
+# sweep gives it when brentq follows the Wronskian to rtol 8.9e-16.
+# Stopping at W_RTOL may move a level only within the rounding floor of
+# W's root.
+FULL_PRECISION_LEVELS = {"eckart": 189.00000438881256,
+                         "scarf2": 5.0000000000066676,
+                         "scarf1": 2.9999998574651836,
+                         "rosenmorse1": 3.7500000018736754,
+                         "nonexact1": 4.000000000258049}
+
+# The same cases as the plain-float loop gave them at rtol 8.9e-16.
+# Rounding the recurrence differently moves a level by up to 2.2e-10
+# relative (multiplying by a rounded 1/t_next on the loop), so the kernel
+# may move them that far: it moved them by 3e-13 to 6.2e-11.
+LOOP_LEVELS = {"eckart": 189.00000438876256,
+               "scarf2": 5.000000000008174,
+               "scarf1": 2.99999985765078,
+               "rosenmorse1": 3.750000001837089,
+               "nonexact1": 4.000000000266275}
 
 
 @pytest.mark.parametrize("pot_id", sorted(FULL_PRECISION_LEVELS))
 def test_root_tolerance_keeps_the_levels(pot_id):
     assert numerov_of(pot_id, 1) == pytest.approx(
         FULL_PRECISION_LEVELS[pot_id], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("pot_id", sorted(LOOP_LEVELS))
+def test_banded_solve_keeps_the_loop_levels(pot_id):
+    assert numerov_of(pot_id, 1) == pytest.approx(
+        LOOP_LEVELS[pot_id], rel=3e-10, abs=0.0)
 
 
 def test_grid_arrays_are_freed_on_return():
