@@ -14,8 +14,9 @@ the level on the contour route (quantize_by_contours) and prints:
   pairs   (segment, obstacle) pairs that edge_clear decided: exact, the
           pairs that got the exact distance test, and pruned, the pairs
           that the bounding-box gap cleared;
-  chains  continue_along calls (along), the pieces their chains were cut
-          into, and the continue_sqrt fallbacks those chains took;
+  chains  continue_along calls (along) and the chords of their chains
+          once track_nodes has halved every chord that winds P too far
+          (pieces);
   orders  how many circle quadratures (pole circles and the large circle)
           returned at each node count, as count x nodes;
 
@@ -38,7 +39,7 @@ LEVELS = (1, 2)
 class Counts:
     """Wraps the planner's methods and the workspace constructor to count
     their calls, branch._near_pairs to count the pairs it passes on, the
-    continuation functions to count chains, pieces and fallbacks, and
+    continuation functions to count chains and their refined chords, and
     refine_until to record the order each circle quadrature reached."""
 
     def __init__(self):
@@ -48,7 +49,7 @@ class Counts:
         extend, near = planner._extend_to_visibility, branch._near_pairs
         ws_init = contours._Workspace.__init__
         along, track = branch.continue_along, branch.track_nodes
-        walk, refine = branch.continue_sqrt, branch.refine_until
+        refine = branch.refine_until
         self.orders = Counter()
         self._in_chain = False
 
@@ -95,13 +96,15 @@ class Counts:
                 self._in_chain = False
 
         def counted_track(P, roots, w0, zs):
-            if self._in_chain:
-                self.c["pieces"] += len(zs) - 1
-            return track(P, roots, w0, zs)
+            if not self._in_chain:
+                return track(P, roots, w0, zs)
 
-        def counted_walk(P, roots, w0, z0, z1):
-            self.c["fallbk"] += self._in_chain
-            return walk(P, roots, w0, z0, z1)
+            def counted_P(z):
+                # track_nodes evaluates P once, on the refined chain
+                self.c["pieces"] += len(z) - 1
+                return P(z)
+
+            return track(counted_P, roots, w0, zs)
 
         def counted_refine(fn, n0, nmax, tol, what):
             reached = []
@@ -116,7 +119,6 @@ class Counts:
             return val
 
         branch.continue_along, branch.track_nodes = counted_along, counted_track
-        branch.continue_sqrt = counted_walk
         branch.refine_until = counted_refine
         contours._Workspace.__init__ = counted_ws
         planner._build, planner._tree = counted_build, counted_tree
@@ -135,7 +137,7 @@ class Counts:
 
 
 FIELDS = ("ws", "builds", "direct", "extended", "graph", "search", "exact",
-          "pruned", "along", "pieces", "fallbk")
+          "pruned", "along", "pieces")
 
 
 def main():
@@ -149,7 +151,7 @@ def main():
     print(f"{'id':12s} {'n':>2s} {'cpu_s':>6s} {'E':>22s} {'ws':>4s} "
           f"{'builds':>6s} {'direct':>6s} {'ext':>4s} {'graph':>5s} "
           f"{'search':>6s} {'exact':>8s} {'pruned':>8s} {'along':>5s} "
-          f"{'pieces':>6s} {'fallbk':>6s}  orders")
+          f"{'pieces':>6s}  orders")
     for pot_id in args.ids:
         spec = sw.get_spec(pot_id)
         for n in LEVELS:
@@ -167,7 +169,7 @@ def main():
                   f"{row['builds']:6d} {row['direct']:6d} "
                   f"{row['extended']:4d} {row['graph']:5d} "
                   f"{row['search']:6d} {row['exact']:8d} {row['pruned']:8d} "
-                  f"{row['along']:5d} {row['pieces']:6d} {row['fallbk']:6d}  "
+                  f"{row['along']:5d} {row['pieces']:6d}  "
                   + " ".join(f"{k}x{n}" for n, k in row["orders"].items()))
     if args.json:
         with open(args.json, "w") as fh:

@@ -7,14 +7,16 @@ w(z)/den(z) times a mapping measure.
 
 The roots of P are found once per energy by the caller (cpoly.find_roots)
 and carried by SqrtIntegrand; every continuation takes them as an argument,
-since the winding of P over a step is computed from them.  The cut
+since the winding of P over a chord is computed from them.  One tracker,
+track_nodes, carries the sheet along every chain of nodes: it halves the
+chords that wind P too far, then takes the closer square root.  The cut
 integrals factor the two cut ends out of w and track the rest,
 g^2 = -lead * prod(z - r) over the other roots, in that product form.
 
 A single global anchor value fixes the sheet.  Every contour carries an
 ``anchor_path`` from the anchor to its start point; continuation along that
-path (tracked as one chain of short pieces; the planner keeps the path away
-from branch points and from crossing any branch cut) selects the branch
+path (tracked as one chain; the planner keeps the path away from branch
+points and from crossing any branch cut) selects the branch
 consistently across all contours, so the closure identity sum(contours) =
 large-circle holds without per-contour sign conventions.  Every quadrature
 refines from ORDER_START = 64 nodes, trapezoid or Gauss-Legendre.
@@ -30,7 +32,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .cpoly import Polynomial
-from .errors import BranchAmbiguityError, ConvergenceError, DomainError
+from .errors import BranchAmbiguityError, ConvergenceError
 from .quadrature import (GL_ORDER_MAX, ORDER_START, gauss_legendre,
                          refine_until)
 
@@ -43,118 +45,59 @@ _CLOSE_TOL = 1e-8     # branch must return to itself on a closed contour
 # analytic continuation of sqrt(P)
 # ---------------------------------------------------------------------------
 
-_PHASE_STEP = 1.0   # max winding of P per accepted continuation step
-_MAX_HALVE = 60     # bisections of a step before continue_sqrt gives up
-_MAX_PIECES = 1024  # pieces per chord of a continue_along chain
-
-
-def _segment_winding(roots, za, zb):
-    """Exact phase change of P along the straight segment za -> zb.
-
-    Along a straight segment the argument of (z - r) changes by strictly
-    less than pi for every point r off the segment, so the principal value
-    of arg((zb - r)/(za - r)) IS the continuous change; summing over the
-    roots of P gives the exact winding.  Comparing endpoint values of P
-    alone is not safe: a long step passing a root can wind P by nearly
-    2*pi while the principal phase difference looks small.
-    """
-    num = zb - roots
-    den = za - roots
-    if np.any(num == 0.0) or np.any(den == 0.0):
-        raise BranchAmbiguityError(
-            "sqrt continuation hit a branch point", residuals=[0.0])
-    return float(np.sum(np.angle(num / den)))
-
-
-def continue_sqrt(P, roots, w0, z0, z1):
-    """Continue w (w^2 = P) from z0, where it equals w0, to z1 along the
-    straight segment.
-
-    P is any callable radicand and roots are its zeros, with multiplicity.
-    A step is accepted only when the exact winding of P across it (computed
-    from the roots; see _segment_winding) is at most _PHASE_STEP < pi,
-    in which case w rotates by less than pi/2 and the nearer square root is
-    provably the analytic continuation; larger windings are bisected.
-    """
-
-    def walk(za, zb, w, depth):
-        if abs(_segment_winding(roots, za, zb)) <= _PHASE_STEP:
-            pb = complex(P(zb))
-            if pb == 0.0:
-                raise BranchAmbiguityError(
-                    "sqrt continuation hit a branch point", residuals=[0.0])
-            s = np.sqrt(pb)
-            return s if abs(s - w) <= abs(-s - w) else -s
-        if depth >= _MAX_HALVE:
-            raise BranchAmbiguityError(
-                "ambiguous sqrt continuation; path passes too close to a "
-                "branch point", residuals=[abs(zb - za)])
-        zm = 0.5 * (za + zb)
-        wm = walk(za, zm, w, depth + 1)
-        return walk(zm, zb, wm, depth + 1)
-
-    return walk(complex(z0), complex(z1), complex(w0), 0)
-
-
-def continue_along(P, roots, w0, points):
-    """Continuation of w along a polyline, tracked as one chain of pieces.
-
-    |piece| * sum_r 1/dist(r, chord) <= _PHASE_STEP bounds the winding of P
-    over a piece, so track_nodes takes the pieces by its closer-root rule
-    (falling back to continue_sqrt where _MAX_PIECES caps a chord).  The
-    root of the scalar sqrt(P(end)) nearer the tracked value is returned, as
-    by continue_sqrt's last step, so the result does not depend on the cut.
-    """
-    pts = np.asarray(points, dtype=complex)
-    a, b = pts[:-1], pts[1:]
-    dist = _point_segment(roots[None, :], a[:, None], b[:, None])[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = np.abs(b - a) * np.sum(1.0 / dist, axis=1) / _PHASE_STEP
-    # fmax sends NaN (a zero-length chord on a root) to one piece
-    pieces = np.fmin(np.fmax(np.ceil(bound), 1.0), _MAX_PIECES).astype(int)
-    k = np.repeat(np.arange(len(a)), pieces)
-    t = (np.arange(len(k)) - (np.cumsum(pieces) - pieces)[k]) / pieces[k]
-    w = track_nodes(P, roots, w0, np.append(a[k] + t * (b - a)[k], pts[-1]))
-    s = np.sqrt(complex(P(complex(pts[-1]))))
-    return s if abs(s - w[-1]) <= abs(-s - w[-1]) else -s
+_PHASE_STEP = 1.0   # max winding of P per accepted chord
+_MAX_HALVE = 60     # halving passes before track_nodes gives up
 
 
 def track_nodes(P, roots, w0, zs):
-    """Values of w at a dense chain of nodes, starting from w0 at zs[0].
+    """Values of w (w^2 = P) at a chain of nodes, starting from w0 at zs[0].
 
-    P is any callable radicand and roots are its zeros, as in continue_sqrt.
-    Uses the vectorized closer-root rule between consecutive nodes and falls
-    back to adaptive continuation whenever the choice is ambiguous.
+    P is any callable radicand and roots are its zeros, with multiplicity.
+    Along a straight chord the argument of (z - r) changes by less than pi
+    for every r off the chord, so the sum over the roots of the principal
+    arg((z_b - r)/(z_a - r)) is the exact winding of P.  Each pass inserts
+    the midpoint of every chord that winds P by more than _PHASE_STEP < pi;
+    once none does, w rotates by less than pi/2 over every chord and the
+    closer square root is provably the continuation.  Only the values at
+    the given nodes are returned.
     """
     zs = np.asarray(zs, dtype=complex)
+    at = np.arange(len(zs))          # where the given nodes sit in the chain
+    for halvings in range(_MAX_HALVE + 1):
+        d = zs[:, None] - roots[None, :]
+        if not np.all(d):
+            raise BranchAmbiguityError(
+                "sqrt continuation hit a branch point", residuals=[0.0])
+        wind = np.sum(np.angle(d[1:] / d[:-1]), axis=1)
+        wide = np.flatnonzero(np.abs(wind) > _PHASE_STEP)
+        if not wide.size:
+            break
+        if halvings == _MAX_HALVE:
+            raise BranchAmbiguityError(
+                "ambiguous sqrt continuation; path passes too close to a "
+                "branch point", residuals=[abs(zs[wide[0] + 1] - zs[wide[0]])])
+        at += np.searchsorted(wide, at)
+        zs = np.insert(zs, wide + 1, 0.5 * (zs[wide] + zs[wide + 1]))
     p = np.asarray(P(zs), dtype=complex)
+    if np.any(p[1:] == 0.0):
+        raise BranchAmbiguityError(
+            "sqrt continuation hit a branch point", residuals=[0.0])
     s = np.sqrt(p)
-    # exact winding of P over each chord between consecutive nodes
-    num = zs[1:, None] - roots[None, :]
-    den = zs[:-1, None] - roots[None, :]
-    safe = np.all(num != 0.0, axis=1) & np.all(den != 0.0, axis=1)
-    wind = np.zeros(len(zs) - 1)
-    wind[safe] = np.sum(np.angle(num[safe] / den[safe]), axis=1)
-    ok = safe & (np.abs(wind) <= _PHASE_STEP) & (p[1:] != 0.0)
     # From w = +-s[k-1] the closer root to w is +-s[k] when s[k] is closer
     # to s[k-1] than to -s[k-1], else -+s[k]; at a tie it is +s[k] from
-    # either sign, so a tie starts a new run like a fallback step does.
+    # either sign, so a tie starts a new run, taken by the scalar rule.
     # np.hypot, not np.abs: numpy's vector complex abs rounds differently
     # from the scalar abs of the rule below.
     dsame, dflip = s[1:] - s[:-1], s[1:] + s[:-1]
     to_same = np.hypot(dsame.real, dsame.imag)
     to_flip = np.hypot(dflip.real, dflip.imag)
     keep = np.where(to_same < to_flip, 1.0, -1.0)
-    heads = np.flatnonzero(~ok | (to_same == to_flip)) + 1
+    heads = np.flatnonzero(to_same == to_flip) + 1
     ws = np.empty(len(zs), dtype=complex)
     ws[0] = w0
     k = 1
     while k < len(zs):
         prev = ws[k - 1]
-        if not ok[k - 1]:
-            ws[k] = continue_sqrt(P, roots, prev, zs[k - 1], zs[k])
-            k += 1
-            continue
         flip = not abs(s[k] - prev) <= abs(-s[k] - prev)
         ws[k] = -s[k] if flip else s[k]
         i = np.searchsorted(heads, k, side="right")
@@ -164,7 +107,19 @@ def track_nodes(P, roots, w0, zs):
             sign = -sign
         ws[k + 1:end] = np.where(sign > 0.0, s[k + 1:end], -s[k + 1:end])
         k = end
-    return ws
+    return ws[at]
+
+
+def continue_along(P, roots, w0, points):
+    """Continuation of w from w0 at points[0] along the polyline points.
+
+    The polyline is tracked as one chain by track_nodes; the root of the
+    scalar sqrt(P(end)) nearer the tracked value is returned, so the result
+    does not depend on how the chain was cut.
+    """
+    w = track_nodes(P, roots, w0, points)[-1]
+    s = np.sqrt(complex(P(complex(points[-1]))))
+    return s if abs(s - w) <= abs(-s - w) else -s
 
 
 # ---------------------------------------------------------------------------
@@ -192,94 +147,53 @@ class SqrtIntegrand:
 
 @dataclass(frozen=True)
 class Contour:
-    """Closed path: a circle or a stadium around a cut segment.
+    """Counterclockwise circle |z - center| = radius.
 
     anchor_path is a polyline from the global anchor to the contour's start
-    point; it fixes the branch of the integrand before traversal.
+    point, center + radius; it fixes the branch of the integrand before
+    traversal.
     """
 
-    kind: str                       # "circle" | "stadium"
-    center: complex = 0j
-    radius: float = 0.0
-    p1: complex = 0j
-    p2: complex = 0j
-    clearance: float = 0.0
-    orientation: int = 1            # +1 counterclockwise, -1 clockwise
+    center: complex
+    radius: float
     anchor_path: tuple = field(default_factory=tuple)
 
     def start_point(self):
-        if self.kind == "circle":
-            return self.center + self.radius
-        e = (self.p2 - self.p1) / abs(self.p2 - self.p1)
-        return self.p1 - 1j * e * self.clearance
+        return self.center + self.radius
 
 
-def stadium_nodes(p1, p2, clearance, n):
-    """Counterclockwise nodes of a stadium around segment p1-p2: the side
-    below the segment (left to right), a cap around p2, the side above
-    (right to left), and a cap around p1."""
-    seg = p2 - p1
-    L = abs(seg)
-    e = seg / L
-    nvec = 1j * e
-    r = clearance
-    n_side = max(8, int(n * L / (2.0 * (L + np.pi * r))))
-    n_cap = max(8, (n - 2 * n_side) // 2)
-    ts = np.linspace(0.0, 1.0, n_side, endpoint=False)
-    ang0 = np.angle(nvec)
-    side1 = p1 - r * nvec + ts * seg
-    cap2 = p2 + r * np.exp(1j * (ang0 - np.pi + np.linspace(0.0, np.pi, n_cap, endpoint=False)))
-    side2 = p2 + r * nvec - ts * seg
-    cap1 = p1 + r * np.exp(1j * (ang0 + np.linspace(0.0, np.pi, n_cap, endpoint=False)))
-    return np.concatenate([side1, cap2, side2, cap1])
-
-
-def contour_integral(contour: Contour, integrand: SqrtIntegrand,
-                     n_points=ORDER_START, tol=QUAD_TOL):
+def contour_integral(contour: Contour, integrand: SqrtIntegrand):
     """(1/2pi) * closed contour integral of the branch-anchored integrand.
 
-    Equispaced trapezoidal quadrature in the contour parameter, doubling
-    n from n_points until two results agree within tol.  On a circle whose
+    Equispaced trapezoidal quadrature in the angle, doubling n from
+    ORDER_START until two results agree within QUAD_TOL.  On a circle whose
     other singularities lie rho radii or more from its centre the error
     falls like rho^-n, so pole circles (rho >= 2) agree by 128 nodes.
     """
-    if n_points < 16:
-        raise DomainError("n_points below minimum of 16")
     path = contour.anchor_path
     if not path:
         path = (integrand.anchor_point, contour.start_point())
     w_start = continue_along(integrand.P, integrand.roots,
                              integrand.anchor_value, path)
     return refine_until(lambda n: _traverse(contour, integrand, w_start, n),
-                        int(n_points), MAX_NODES, tol, "contour quadrature")
+                        ORDER_START, MAX_NODES, QUAD_TOL, "contour quadrature")
 
 
 def _traverse(contour, integrand, w_start, n):
-    if contour.kind == "circle":
-        th = 2.0 * np.pi * np.arange(n + 1) / n * contour.orientation
-        zs = contour.center + contour.radius * np.exp(1j * th)
-    elif contour.kind == "stadium":
-        nodes = stadium_nodes(contour.p1, contour.p2, contour.clearance, n)
-        if contour.orientation < 0:
-            nodes = np.concatenate([nodes[:1], nodes[1:][::-1]])
-        zs = np.append(nodes, nodes[0])
-    else:
-        raise DomainError(f"unknown contour kind {contour.kind!r}")
+    th = 2.0 * np.pi * np.arange(n + 1) / n
+    zs = contour.center + contour.radius * np.exp(1j * th)
     ws = track_nodes(integrand.P, integrand.roots, w_start, zs)
     if abs(ws[-1] - ws[0]) > _CLOSE_TOL * (1.0 + abs(ws[0])):
         raise BranchAmbiguityError(
             "branch does not close on the contour (odd number of enclosed "
             "branch points)", residuals=[abs(ws[-1] - ws[0])])
-    if contour.kind == "circle":
-        f = integrand.values(zs[:-1], ws[:-1])
-        dz = 1j * contour.radius * np.exp(1j * th[:-1]) * contour.orientation
-        return np.mean(f * dz)
-    f = integrand.values(zs, ws)
-    return np.sum(0.5 * (f[:-1] + f[1:]) * np.diff(zs)) / (2.0 * np.pi)
+    f = integrand.values(zs[:-1], ws[:-1])
+    dz = 1j * contour.radius * np.exp(1j * th[:-1])
+    return np.mean(f * dz)
 
 
 # ---------------------------------------------------------------------------
-# cut integrals (vanishing-clearance limit of a counterclockwise stadium)
+# cut integrals (vanishing-clearance limit of a counterclockwise loop)
 # ---------------------------------------------------------------------------
 
 def _cut_factor(integrand, ends):
@@ -296,7 +210,7 @@ def _cut_factor(integrand, ends):
 def cut_segment_integral(integrand: SqrtIntegrand, p1, p2, w_mid):
     """(1/pi) * integral of w/den * measure along the straight cut p1->p2.
 
-    Equals the counterclockwise stadium around the cut in the limit of
+    Equals the counterclockwise loop around the cut in the limit of
     vanishing clearance.  w_mid is the branch value at the segment midpoint
     approached from the right-hand side of the direction p1->p2 (for the
     classical cut on the real axis this is the side "just below the cut").

@@ -257,8 +257,7 @@ class _Workspace:
         radius = 0.5 * min(abs(s - pole) for s in others)
         start = pole + radius
         path = self.path_to(start)
-        return br.Contour(kind="circle", center=pole, radius=radius,
-                          anchor_path=tuple(path))
+        return br.Contour(center=pole, radius=radius, anchor_path=tuple(path))
 
     def pole_value(self, pole):
         contour = self.pole_circle(pole)
@@ -267,7 +266,7 @@ class _Workspace:
     def infinity_value(self):
         """J_GammaR: the large circle |y| = R, counterclockwise."""
         R = self.big_radius
-        contour = br.Contour(kind="circle", center=0j, radius=R,
+        contour = br.Contour(center=0j, radius=R,
                              anchor_path=tuple(self.path_to(R + 0j)))
         return br.contour_integral(contour, self.integrand)
 
@@ -300,16 +299,10 @@ class _Workspace:
         if cut.kind == "classical":
             path = [self.ya, mid]
         else:
-            # travel outside the unit circle to the arc midpoint, then
-            # approach radially from outside (the anchor side)
-            delta = 1e-3
-            seed = (1.0 + delta) * mid
-            ring = 1.3
-            tha = float(np.angle(self.ya))
-            steps = np.linspace(tha, thm, max(4, int(abs(thm - tha) / 0.3) + 2))
-            path = ([self.ya, ring * cmath.exp(1j * tha)]
-                    + [ring * cmath.exp(1j * t) for t in steps[1:]]
-                    + [seed, mid])
+            # Approach the arc midpoint from just outside the unit circle
+            # (the anchor side); as in cut_value, the planner's escape leads
+            # the seed out of the arc's capsule on its own side.
+            path = self.path_to(1.001 * mid) + [mid]
         w_mid = br.continue_along(self.P, self.roots, self.anchor_value, path)
         return br.arc_cut_integral(self.integrand, th1, th2, w_mid)
 

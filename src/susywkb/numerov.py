@@ -68,7 +68,6 @@ class GridSolution:
     psi: np.ndarray
     energy: float
     node_count: int
-    truncation: tuple
     step: float
 
 
@@ -404,7 +403,6 @@ def grid_solution(spec, n, n_points=DEFAULT_POINTS, E_hint=None):
         psi = psi / peak
     nodes = int(np.sum(psi[1:-1] * psi[2:] < 0.0))
     return GridSolution(grid=xg, psi=psi, energy=float(E), node_count=nodes,
-                        truncation=(float(x_min), float(x_max)),
                         step=float(xg[1] - xg[0]))
 
 

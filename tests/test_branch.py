@@ -7,11 +7,11 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import susywkb as sw
-from susywkb import (BranchAmbiguityError, ConvergenceError, DomainError,
-                     Polynomial, branch, contours)
+from susywkb import (BranchAmbiguityError, ConvergenceError, Polynomial,
+                     branch, contours)
 from susywkb.branch import (Contour, PathPlanner, SqrtIntegrand,
-                            contour_integral, continue_along, continue_sqrt,
-                            _unit, cut_segment_integral, track_nodes)
+                            contour_integral, continue_along, _unit,
+                            cut_segment_integral, track_nodes)
 from susywkb.catalog import probe_energy
 from susywkb.cpoly import find_roots
 from susywkb.quadrature import refine_until
@@ -76,7 +76,7 @@ def test_continuation_is_path_independent_off_the_cuts():
 def test_continuation_through_branch_point_raises():
     P = Polynomial([0.0, 1.0])
     with pytest.raises(BranchAmbiguityError):
-        continue_sqrt(P, find_roots(P), 1.0, 1.0, -1.0)   # through z = 0
+        continue_along(P, find_roots(P), 1.0, [1.0, -1.0])   # through z = 0
 
 
 def unit_pole_integrand():
@@ -88,30 +88,15 @@ def unit_pole_integrand():
 
 
 def test_contour_integral_simple_pole():
-    c = Contour(kind="circle", center=0j, radius=1.0,
-                anchor_path=(1.0 + 0j, 1.0 + 0j))
+    c = Contour(center=0j, radius=1.0, anchor_path=(1.0 + 0j, 1.0 + 0j))
     val = contour_integral(c, unit_pole_integrand())
     assert val == pytest.approx(1j, abs=1e-12)
 
 
-def test_contour_integral_orientation():
-    c = Contour(kind="circle", center=0j, radius=1.0, orientation=-1,
-                anchor_path=(1.0 + 0j, 1.0 + 0j))
-    val = contour_integral(c, unit_pole_integrand())
-    assert val == pytest.approx(-1j, abs=1e-12)
-
-
 def test_contour_integral_no_singularity_is_zero():
-    c = Contour(kind="circle", center=5.0 + 0j, radius=1.0,
-                anchor_path=(6.0 + 0j, 6.0 + 0j))
+    c = Contour(center=5.0 + 0j, radius=1.0, anchor_path=(6.0 + 0j, 6.0 + 0j))
     val = contour_integral(c, unit_pole_integrand())
     assert abs(val) < 1e-12
-
-
-def test_contour_integral_rejects_tiny_node_count():
-    c = Contour(kind="circle", center=0j, radius=1.0)
-    with pytest.raises(DomainError):
-        contour_integral(c, unit_pole_integrand(), n_points=8)
 
 
 def test_odd_enclosed_branch_points_detected():
@@ -119,8 +104,7 @@ def test_odd_enclosed_branch_points_detected():
     integrand = SqrtIntegrand(P=P, roots=find_roots(P), den=Polynomial([1.0]),
                               measure=lambda y: np.ones_like(y),
                               anchor_point=1.0 + 0j, anchor_value=1.0 + 0j)
-    c = Contour(kind="circle", center=0j, radius=1.0,
-                anchor_path=(1.0 + 0j, 1.0 + 0j))
+    c = Contour(center=0j, radius=1.0, anchor_path=(1.0 + 0j, 1.0 + 0j))
     with pytest.raises(BranchAmbiguityError):
         contour_integral(c, integrand)
 
@@ -133,28 +117,9 @@ def test_cut_integral_matches_real_axis_quadrature():
     integrand = SqrtIntegrand(P=P, roots=roots, den=Polynomial([1.0]),
                               measure=lambda y: np.ones_like(y),
                               anchor_point=0.0 - 0.01j, anchor_value=1.0 + 0j)
-    w_mid = continue_sqrt(P, roots, 1.0 + 0j, 0.0 - 0.01j, 0.0 + 0j)
+    w_mid = continue_along(P, roots, 1.0 + 0j, [0.0 - 0.01j, 0.0 + 0j])
     val = cut_segment_integral(integrand, -1.0 + 0j, 1.0 + 0j, w_mid)
     assert val == pytest.approx(0.5, abs=1e-10)
-
-
-def test_stadium_contour_equals_cut_integral():
-    P = Polynomial([1.0, 0.0, -1.0])
-    roots = find_roots(P)
-    integrand = SqrtIntegrand(P=P, roots=roots, den=Polynomial([1.0]),
-                              measure=lambda y: np.ones_like(y),
-                              anchor_point=0.0 - 0.01j, anchor_value=1.0 + 0j)
-    # anchor path stays below the cut and ends at the stadium's start node
-    # at p1 - i*clearance
-    stadium = Contour(kind="stadium", p1=-1.0 + 0j, p2=1.0 + 0j,
-                      clearance=0.15,
-                      anchor_path=(0.0 - 0.01j, -1.0 - 0.3j, -1.0 - 0.15j))
-    # trapezoid over the piecewise stadium parametrization is only
-    # low-order accurate, so relax its convergence target
-    loop = contour_integral(stadium, integrand, tol=1e-8)
-    w_mid = continue_sqrt(P, roots, 1.0 + 0j, 0.0 - 0.01j, 0.0 + 0j)
-    chord = cut_segment_integral(integrand, -1.0 + 0j, 1.0 + 0j, w_mid)
-    assert loop == pytest.approx(chord, abs=1e-6)
 
 
 def test_path_planner_avoids_capsule():
@@ -475,38 +440,70 @@ def test_memoized_routes_equal_per_route_search():
     assert kinds["extended"] >= 1, kinds
 
 
-# -- one chain per anchor path against the per-segment loop it replaced -----
+# -- one tracker against the recursive walk it replaced ---------------------
+
+def _walk(P, roots, w0, z0, z1):
+    """Continue w (w^2 = P) from w0 at z0 to z1 along the straight chord by
+    recursive bisection, the tracker that track_nodes replaced: a piece is
+    taken by the closer-root rule, with P evaluated as a scalar, once the
+    exact winding of P over it is at most _PHASE_STEP."""
+
+    def winding(za, zb):
+        num, den = zb - roots, za - roots
+        if np.any(num == 0.0) or np.any(den == 0.0):
+            raise BranchAmbiguityError("sqrt continuation hit a branch point")
+        return float(np.sum(np.angle(num / den)))
+
+    def walk(za, zb, w, depth):
+        if abs(winding(za, zb)) <= branch._PHASE_STEP:
+            pb = complex(P(zb))
+            if pb == 0.0:
+                raise BranchAmbiguityError(
+                    "sqrt continuation hit a branch point")
+            s = np.sqrt(pb)
+            return s if abs(s - w) <= abs(-s - w) else -s
+        if depth >= branch._MAX_HALVE:
+            raise BranchAmbiguityError("ambiguous sqrt continuation")
+        zm = 0.5 * (za + zb)
+        return walk(zm, zb, walk(za, zm, w, depth + 1), depth + 1)
+
+    return walk(complex(z0), complex(z1), complex(w0), 0)
+
 
 def _continue_along_per_segment(P, roots, w0, points):
-    """Continuation along a polyline, one continue_sqrt walk per chord, as
-    continue_along did before it tracked the polyline as one chain."""
+    """Continuation along a polyline, one recursive walk per chord."""
     w = complex(w0)
     pts = [complex(p) for p in points]
     for a, b in zip(pts[:-1], pts[1:]):
-        w = continue_sqrt(P, roots, w, a, b)
+        w = _walk(P, roots, w, a, b)
     return w
 
 
-# Measured: 1 fallback over the 18 workspaces' anchor paths.  It is on
-# scarf2's large-circle path at E = 8, whose last chord (length 56) passes
-# 0.043 from a branch point and so is cut at the cap of 1024 pieces.
-CHAIN_FALLBACKS_MAX = 1
+def _counting(P, counts):
+    """P, adding the chords of every chain it is evaluated on to counts[0]:
+    track_nodes evaluates P once, on the chain its halvings refined."""
+
+    def at(z):
+        if np.ndim(z):
+            counts[0] += len(z) - 1
+        return P(z)
+
+    return at
+
+
+# Measured: 1390 refined chords over the 18 workspaces' anchor paths, whose
+# polylines have 558 chords.
+CHAIN_CHORDS_MAX = 1390
 
 
 def test_chain_continuation_equals_per_segment_loop(monkeypatch):
     # Every anchor path of a decomposition: the pole circles, the large
     # circle and the cut seeds, classical and other.
-    along, sqrt_walk = branch.continue_along, branch.continue_sqrt
+    along = branch.continue_along
     calls = []
     monkeypatch.setattr(branch, "continue_along", lambda *a: calls.append(a)
                         or along(*a))
-    fallbacks = 0
-
-    def counted_walk(*a):
-        nonlocal fallbacks
-        fallbacks += 1
-        return sqrt_walk(*a)
-
+    chords = [0]
     kinds = set()
     for ws in _probe_workspaces():
         calls.clear()
@@ -515,12 +512,42 @@ def test_chain_continuation_equals_per_segment_loop(monkeypatch):
         kinds.update(c.kind for c in ws.cuts)
         for P, roots, w0, points in calls:
             want = _continue_along_per_segment(P, roots, w0, points)
-            monkeypatch.setattr(branch, "continue_sqrt", counted_walk)
-            got = along(P, roots, w0, points)
-            monkeypatch.setattr(branch, "continue_sqrt", sqrt_walk)
-            assert got == want
+            assert along(_counting(P, chords), roots, w0, points) == want
     assert {"classical", "mirror", "other"} <= kinds
-    assert fallbacks <= CHAIN_FALLBACKS_MAX
+    assert chords[0] <= CHAIN_CHORDS_MAX
+
+
+def test_long_chord_close_to_a_root_equals_the_walk():
+    # Length 56, passing 0.043 below the branch points at -1 and 1: the
+    # chord needs about eleven halvings next to each.
+    P = Polynomial([-1.0, 0.0, 1.0])
+    roots = find_roots(P)
+    path = [-27.0 - 0.043j, 29.0 - 0.043j]
+    w0 = complex(np.sqrt(P(path[0])))
+    chords = [0]
+    got = continue_along(_counting(P, chords), roots, w0, path)
+    assert got == _continue_along_per_segment(P, roots, w0, path)
+    assert 20 <= chords[0] <= 60
+
+
+def test_chord_through_a_root_raises():
+    # the second halving of -1 -> 1 puts a node on the root at 0.5
+    P = Polynomial([-0.5, 1.0])
+    with pytest.raises(BranchAmbiguityError, match="hit a branch point"):
+        track_nodes(P, np.array([0.5 + 0j]), 1j, [-1.0, 1.0])
+
+
+def test_chord_grazing_a_root_raises_when_the_halvings_run_out():
+    # _MAX_HALVE passes cut a chord of length 4 to pieces of 3.5e-18: enough
+    # to pass a root at 1e-12, not one at 1e-20.
+    P = Polynomial([-1.0, 0.0, 1.0])
+    roots = np.array([-1.0 + 0j, 1.0 + 0j])
+    path = [2.0 - 1e-12j, -2.0 - 1e-12j]
+    w0 = complex(np.sqrt(P(path[0])))
+    assert (continue_along(P, roots, w0, path)
+            == _continue_along_per_segment(P, roots, w0, path))
+    with pytest.raises(BranchAmbiguityError, match="too close"):
+        track_nodes(P, roots, w0, [2.0 - 1e-20j, -2.0 - 1e-20j])
 
 
 def test_circle_quadratures_converge_by_128_nodes(monkeypatch):
@@ -549,9 +576,12 @@ def test_circle_quadratures_converge_by_128_nodes(monkeypatch):
     assert circles >= 40
 
 
-# -- vectorized closer-root chain against the loop it replaced --------------
+# -- vectorized closer-root chain against the node-by-node loop -------------
 
 def _track_nodes_loop(P, roots, w0, zs):
+    """The closer-root rule node by node.  Over a chord that winds P by more
+    than _PHASE_STEP the sheet is the recursive walk's, and the value is
+    still the vector s[k]."""
     from susywkb.branch import _PHASE_STEP
     zs = np.asarray(zs, dtype=complex)
     p = npoly.polyval(zs, P.coeffs).astype(complex)
@@ -567,10 +597,9 @@ def _track_nodes_loop(P, roots, w0, zs):
     ws[0] = w0
     for k in range(1, len(zs)):
         prev = ws[k - 1]
-        if ok[k - 1]:
-            ws[k] = s[k] if abs(s[k] - prev) <= abs(-s[k] - prev) else -s[k]
-        else:
-            ws[k] = continue_sqrt(P, roots, prev, zs[k - 1], zs[k])
+        if not ok[k - 1]:
+            prev = _walk(P, roots, prev, zs[k - 1], zs[k])
+        ws[k] = s[k] if abs(s[k] - prev) <= abs(-s[k] - prev) else -s[k]
     return ws
 
 
@@ -581,7 +610,7 @@ def _chains():
     th = np.linspace(0.0, 2.0 * np.pi, 201)
     yield (Polynomial([-1.0, 0.0, 1.0]), complex(np.sqrt(complex(8.0))),
            3.0 * np.exp(1j * th))
-    # long chords passing 0.01 below both branch points force fallbacks
+    # long chords passing 0.01 below both branch points need halvings
     yield (Polynomial([-1.0, 0.0, 1.0]), complex(np.sqrt(complex(3.0))),
            np.concatenate([np.linspace(2.0, -2.0, 9) - 0.01j,
                            np.linspace(-2.0, 2.0, 300) - 0.5j]))
