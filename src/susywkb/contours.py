@@ -11,8 +11,15 @@ misses its quantized value.  That offset need not vanish: for nonexact2 at
 E_1 the budget reads 0.005636 = 0.010446 - 0.004810.  defect_report measures
 J_OBC both directly and indirectly.
 
-All branch choices descend from a single anchor just below the classical
-cut, where sqrt(E - omega^2) is taken with positive real part.
+The workspace pairs the branch points into cuts: the classical one between
+the turning points, the rest by minimum-weight matching, as chords or, for
+the trigonometric mapping, as arcs of the unit circle.  On the plane cut
+along them sqrt(P) is the closed-form sheet of branch.Sheet, fixed by a
+single anchor just below the classical cut, where sqrt(E - omega^2) is taken
+with positive real part.  The integrand is single-valued off the cuts, so
+each pole term is a residue, J_gamma = i Res; J_GammaR is a trapezoid rule on
+the large circle, and each cut term is a Gauss-Legendre rule on one lip of
+its cut.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -33,7 +40,10 @@ from .errors import ConvergenceError, DomainError
 from .swkb import (QuantizationResult, _bracket, _energy_numerator,
                    _unbound_level, swkb_integral, turning_points)
 
-DELTA_BRANCH_FRACTION = 1e-3   # delta_branch = this x branch-point spread
+MULTIPLE_POLE_TOL = 1e-6   # p is a multiple zero of den where |den'(p)| is
+                           # below this x sum k|c_k| max(|p|, 1)^(k-1)
+                           # (find_roots splits an isolated double root by
+                           # about sqrt(eps))
 BIG_RADIUS_FACTOR = 4.0
 IMAG_TOL = 1e-10
 
@@ -110,32 +120,15 @@ class _Workspace:
         bps = np.asarray(self.branch_points)
         self.spread = float(max(np.abs(bps[:, None] - bps[None, :]).max(),
                                 1e-30))
-        self.delta_branch = DELTA_BRANCH_FRACTION * self.spread
-        # 0.35 of the smallest singularity gap must cap the clearance even
-        # when the branch spread is huge (e.g. near a continuum threshold
-        # one turning point runs away while poles stay at unit scale).
-        self.clearance = min(max(self.delta_branch, 0.05 * self.spread),
-                             0.35 * self._min_gap())
         self.cuts = self._pair_cuts()
-        self.capsules = self._build_capsules()
         self.big_radius = BIG_RADIUS_FACTOR * max(
             max(abs(b) for b in self.branch_points),
             max((abs(p) for p in self.poles), default=0.0), 1e-6)
-        self.integrand = br.SqrtIntegrand(
-            P=self.P, roots=self.roots, den=den, measure=self.measure,
-            anchor_point=self.ya, anchor_value=self.anchor_value)
+        self.sheet = br.Sheet.anchored(self.cuts, self.ya, self.anchor_value)
+        self.integrand = br.SqrtIntegrand(sheet=self.sheet, den=den,
+                                          measure=self.measure)
 
     # -- geometry ----------------------------------------------------------
-
-    def _min_gap(self):
-        sing = list(self.branch_points) + list(self.poles)
-        gap = math.inf
-        for i in range(len(sing)):
-            for j in range(i + 1, len(sing)):
-                d = abs(sing[i] - sing[j])
-                if d > 1e-12:
-                    gap = min(gap, d)
-        return gap if math.isfinite(gap) else 1.0
 
     def _pair_cuts(self):
         bps = list(self.branch_points)
@@ -195,116 +188,38 @@ class _Workspace:
             return (cmath.exp(1j * cut.p1), cmath.exp(1j * cut.p2))
         return (cut.p1, cut.p2)
 
-    def _build_capsules(self):
-        caps = {}
-        for cut in self.cuts:
-            r = self._capsule_radius(cut)
-            caps[cut] = tuple((a, b, r) for a, b in self._cut_polyline(cut))
-        return caps
-
-    def _cut_polyline(self, cut):
-        if cut.arc:
-            ths = np.linspace(cut.p1, cut.p2, 17)
-            pts = np.exp(1j * ths)
-            return [(complex(pts[k]), complex(pts[k + 1]))
-                    for k in range(len(pts) - 1)]
-        return [(complex(cut.p1), complex(cut.p2))]
-
-    def _capsule_radius(self, cut):
-        """Thickness of a cut's keep-out capsule: a fraction of the distance
-        to the nearest foreign singularity or foreign cut segment, so that
-        capsules of distinct cuts can never overlap."""
-        us, vs = np.array(self._cut_polyline(cut), dtype=complex).T
-        a, b = self.cut_endpoints(cut)
-        mine = {self._key(a), self._key(b)}
-        foreign = [s for s in self.branch_points + self.poles
-                   if self._key(s) not in mine]
-        dists = list(br._point_segment(
-            np.array(foreign, dtype=complex)[:, None], us, vs)[0].min(axis=1))
-        for other in self.cuts:
-            if other is cut:
-                continue
-            ps, qs = np.array(self._cut_polyline(other), dtype=complex).T
-            dists.append(br._segment_segment_dist(
-                us[:, None], vs[:, None], ps, qs).min())
-        if not dists:
-            return 0.45 * abs(b - a)
-        # No floor here: the capsule must stay clear of foreign
-        # singularities and foreign cuts no matter how thin that makes it.
-        return 0.45 * min(dists)
-
-    @staticmethod
-    def _key(z):
-        return (round(complex(z).real, 9), round(complex(z).imag, 9))
-
-    @cached_property
-    def planner(self):
-        return br.PathPlanner(
-            points=self.branch_points, clearance=self.clearance,
-            capsules=[c for caps in self.capsules.values() for c in caps])
-
-    def path_to(self, target):
-        return self.planner.route(self.ya, target)
-
     # -- contour values ----------------------------------------------------
 
-    def pole_circle(self, pole):
-        others = [s for s in list(self.branch_points) + list(self.poles)
-                  if abs(s - pole) > 1e-9]
-        # Half the distance to the nearest other singularity: the floor
-        # delta_branch must never win, or the circle could swallow a
-        # nearby branch point.
-        radius = 0.5 * min(abs(s - pole) for s in others)
-        start = pole + radius
-        path = self.path_to(start)
-        return br.Contour(center=pole, radius=radius, anchor_path=tuple(path))
-
     def pole_value(self, pole):
-        contour = self.pole_circle(pole)
-        return br.contour_integral(contour, self.integrand)
+        """J_gamma = i * Res f at one fixed pole p.  At a zero of den that is
+        w(p) measure(p)/den'(p); at the mapping pole y = 0 of the exponential
+        mappings, where measure = 1/(k y) with dy/dx = k y, it is
+        w(0)/(den(0) k): the same rule with y den and y measure."""
+        pole = complex(pole)
+        den = self.den.coeffs
+        if self.spec.mapping in ("exp", "exp_i") and abs(pole) < 1e-9:
+            den = npoly.polymulx(den)
+            measure = 1.0 / complex(self.spec.dydx(1.0))
+        else:
+            measure = complex(self.measure(pole))
+        d1 = npoly.polyder(den)
+        slope = complex(npoly.polyval(pole, d1))
+        if abs(slope) <= MULTIPLE_POLE_TOL * npoly.polyval(
+                max(abs(pole), 1.0), np.abs(d1)):
+            raise DomainError(
+                f"the pole y = {pole:.6g} of {self.spec.id} is a multiple "
+                "pole of the integrand")
+        return 1j * complex(self.sheet(pole)) * measure / slope
 
     def infinity_value(self):
         """J_GammaR: the large circle |y| = R, counterclockwise."""
-        R = self.big_radius
-        contour = br.Contour(center=0j, radius=R,
-                             anchor_path=tuple(self.path_to(R + 0j)))
-        return br.contour_integral(contour, self.integrand)
+        return br.contour_integral(self.integrand, self.big_radius)
 
-    def cut_value(self, cut):
-        if cut.arc:
-            return self._arc_cut_value(cut)
-        p1, p2 = cut.p1, cut.p2
-        d = p2 - p1
-        e = d / abs(d)
-        a, b, rcap = self.capsules[cut][0]
-        delta = min(1e-3 * abs(d), 0.5 * rcap)
-        mid = 0.5 * (p1 + p2)
-        seed = mid - 1j * e * delta
-        if cut.kind == "classical":
-            path = [self.ya, seed]
-        else:
-            # All capsules stay active: the planner's escape step leads the
-            # seed out perpendicular to the cut on the seed's own side, so
-            # the anchor path can never cross the cut it is seeding and the
-            # continued value lands on the globally consistent sheet.
-            path = self.path_to(seed)
-        w_mid = br.continue_along(self.P, self.roots, self.anchor_value,
-                                  path + [mid])
-        return br.cut_segment_integral(self.integrand, p1, p2, w_mid)
-
-    def _arc_cut_value(self, cut):
-        th1, th2 = cut.p1, cut.p2
-        thm = 0.5 * (th1 + th2)
-        mid = cmath.exp(1j * thm)
-        if cut.kind == "classical":
-            path = [self.ya, mid]
-        else:
-            # Approach the arc midpoint from just outside the unit circle
-            # (the anchor side); as in cut_value, the planner's escape leads
-            # the seed out of the arc's capsule on its own side.
-            path = self.path_to(1.001 * mid) + [mid]
-        w_mid = br.continue_along(self.P, self.roots, self.anchor_value, path)
-        return br.arc_cut_integral(self.integrand, th1, th2, w_mid)
+    def cut_value(self, k):
+        """The integral along cut k, on the lip to the right of p1 -> p2."""
+        rule = br.arc_cut_integral if self.cuts[k].arc \
+            else br.cut_segment_integral
+        return rule(self.integrand, k)
 
 
 def _min_weight_matching(pts):
@@ -373,8 +288,8 @@ def _decompose(ws):
     J_GammaR = ws.infinity_value()
     J_classical = J_mirror = 0.0 + 0j
     others = []
-    for cut in ws.cuts:
-        val = ws.cut_value(cut)
+    for k, cut in enumerate(ws.cuts):
+        val = ws.cut_value(k)
         if cut.kind == "classical":
             J_classical = val
         elif cut.kind == "mirror":

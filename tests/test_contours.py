@@ -1,12 +1,13 @@
 """Contour engine: census, residues, closure, quantization, defect."""
 
+import dataclasses
 import math
 
 import pytest
 
 import susywkb as sw
-from susywkb import (DomainError, UnboundEnergyError, catalog, contours,
-                     cpoly, swkb)
+from susywkb import (DomainError, RationalFunction, UnboundEnergyError,
+                     catalog, contours, cpoly, swkb)
 from susywkb.swkb import swkb_integral
 
 from conftest import decompose_of, mid_spectrum_energy, spec_of
@@ -140,8 +141,6 @@ def test_quantize_by_contours_evaluates_each_energy_once(monkeypatch):
 
 
 def test_quantize_by_contours_scarf1_level_nine():
-    # At the bracket probe E = 64 the anchor's escape tip sees no graph
-    # node within the visibility march; the last-resort march finds one.
     spec = spec_of("scarf1")
     E = sw.quantize_by_contours(spec, 9).energy
     assert E == pytest.approx(99.0, rel=1e-12)
@@ -196,10 +195,42 @@ def test_nonexact1_defect_two_ways():
 
 def test_pole_circle_deformation_invariance():
     # same pole, two different probe energies that move branch points around:
-    # the residue of the y=+1 pole stays A/alpha = 1
+    # the pole term at y = +1 stays A/alpha = 1
     spec = spec_of("eckart")
     for E in (100.0, 189.0):
         assert sw.pole_contribution(spec, E, 1.0) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("E", [16.0, 100.0])
+def test_nonexact1_pole_terms_next_to_other_cuts(E):
+    # At E = 100 other cuts pass 9e-4 from the poles at +-i and +-sqrt(2) i:
+    # a circle of half the distance to the nearest branch point (0.047)
+    # would cross them.
+    spec = spec_of("nonexact1")
+    want = {1j * SQ2: 1.0, -1j * SQ2: 1.0, 1j: -1.0, -1j: -1.0, 0j: 1.5}
+    for pole, value in want.items():
+        assert abs(sw.pole_contribution(spec, E, pole) - value) <= 1e-12
+
+
+def _with_omega(spec, num, den, mapping):
+    return dataclasses.replace(spec, omega_y=RationalFunction(num, den),
+                               mapping=mapping)
+
+
+@pytest.mark.parametrize("spec, pole", [
+    # omega = y + 0.1 y/(y^2 + 1)^2: den has double zeros at +-i
+    (_with_omega(sw.get_spec("nonexact3"),
+                 [0.0, 1.1, 0.0, 2.0, 0.0, 1.0], [1.0, 0.0, 2.0, 0.0, 1.0],
+                 "identity"), 1j),
+    # Morse, omega = 2 - 3/y with y = e^x: den(0) = 0 at the mapping pole
+    (_with_omega(sw.get_spec("scarf2"), [-3.0, 2.0], [0.0, 1.0], "exp"),
+     0j),
+])
+def test_multiple_pole_raises(spec, pole):
+    with pytest.raises(DomainError, match="multiple"):
+        sw.pole_contribution(spec, 1.0, pole)
+    with pytest.raises(DomainError, match="multiple"):
+        sw.decompose(spec, 1.0)
 
 
 @pytest.mark.parametrize("pot_id, n", [("genpt", 2), ("eckart", 3)])
