@@ -17,10 +17,15 @@ and no finite threshold) it prints:
   whole   sweeps that also count nodes past the matching point, which only
           the node-count fallback asks for.
 
-and for the level its CPU time and eigenvalue.  On the h and h/2 grids
-sweeps = brack + root; the sweeps of the upper-energy search are neither.
-A sweep that stops at the matching point takes N - 1 steps on an N-point
-grid.
+and for the level its eigenvalue and two CPU times:
+
+  cpu_s    the whole numerov_eigenvalue call;
+  sweep_s  of that, the time inside numerov._shoot, summed over all grids.
+
+cpu_s - sweep_s is the set-up: growing the box and evaluating V_- on each
+grid.  On the h and h/2 grids sweeps = brack + root; the sweeps of the
+upper-energy search are neither.  A sweep that stops at the matching point
+takes N - 1 steps on an N-point grid.
 
     PYTHONPATH=src python scripts/oracle_sweeps.py [--json PATH] [ids ...]
 """
@@ -38,11 +43,13 @@ COLUMNS = ("sweeps", "brack", "root", "steps", "whole")
 
 
 class Counts:
-    """Wraps numerov._shoot and numerov._recur to count per grid size, and
-    the bracket searches and brentq to tell which of them a sweep serves."""
+    """Wraps numerov._shoot and numerov._recur to count per grid size and
+    to time the sweeps, and the bracket searches and brentq to tell which
+    of them a sweep serves."""
 
     def __init__(self):
         self.counts = {c: Counter() for c in COLUMNS}
+        self.sweep_s = 0.0
         self._grid = None
         self._phase = None
         shoot, recur = numerov._shoot, numerov._recur
@@ -53,7 +60,11 @@ class Counts:
             if self._phase is not None:
                 self.counts[self._phase][N] += 1
             self.counts["whole"][N] += bool(whole)
-            return shoot(spec, Vg, xg, ics, E, whole)
+            t0 = time.process_time()
+            try:
+                return shoot(spec, Vg, xg, ics, E, whole)
+            finally:
+                self.sweep_s += time.process_time() - t0
 
         def counted_recur(p0, p1, c, t_back, t_next):
             self.counts["steps"][self._grid] += len(c)
@@ -76,13 +87,14 @@ class Counts:
         return wrapped
 
     def take(self):
-        """Counts since the last call, per grid: {N: (sweeps, brack, root,
-        steps, whole)}."""
+        """Counts since the last call, per grid, {N: (sweeps, brack, root,
+        steps, whole)}, and the CPU seconds of the sweeps."""
         out = {N: tuple(self.counts[c][N] for c in COLUMNS)
                for N in sorted(self.counts["sweeps"])}
         for c in self.counts.values():
             c.clear()
-        return out
+        sweep_s, self.sweep_s = self.sweep_s, 0.0
+        return out, sweep_s
 
 
 def cases(ids):
@@ -104,22 +116,22 @@ def main():
     args = ap.parse_args()
     counts = Counts()
     rows = []
-    print(f"{'id':12s} {'n':>2s} {'hint':>4s} {'cpu_s':>6s} {'E':>22s}  "
-          "per grid -- points: sweeps brack root steps whole")
+    print(f"{'id':12s} {'n':>2s} {'hint':>4s} {'cpu_s':>6s} {'sweep_s':>7s} "
+          f"{'E':>22s}  per grid -- points: sweeps brack root steps whole")
     for spec, n, hint in cases(args.ids):
         t0 = time.process_time()
         E = sw.numerov_eigenvalue(spec, n, E_hint=hint)
         cpu = time.process_time() - t0
-        grids = counts.take()
+        grids, sweep_s = counts.take()
         rows.append({"entry": spec.id, "n": n, "E_hint": hint, "E": E,
-                     "cpu_s": cpu,
+                     "cpu_s": cpu, "sweep_s": sweep_s,
                      "grids": {N: dict(zip(COLUMNS, v))
                                for N, v in grids.items()}})
         hinted = "yes" if hint is not None else "no"
         per_grid = "  ".join(f"{N:6d}: {a:3d} {b:3d} {r:3d} {s:8d} {w:3d}"
                              for N, (a, b, r, s, w) in grids.items())
-        print(f"{spec.id:12s} {n:2d} {hinted:>4s} {cpu:6.3f} {E!r:>22s}  "
-              f"{per_grid}")
+        print(f"{spec.id:12s} {n:2d} {hinted:>4s} {cpu:6.3f} {sweep_s:7.3f} "
+              f"{E!r:>22s}  {per_grid}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(rows, fh, indent=1)

@@ -18,8 +18,8 @@ from .contours import (ContourDecomposition, DefectReport, SingularityCensus,
                        infinity_contribution, pole_contribution,
                        quantize_by_contours)
 from .cpoly import Polynomial, RationalFunction, find_roots
-from .errors import (BranchAmbiguityError, ConvergenceError, DomainError,
-                     SusyWkbError, UnboundEnergyError)
+from .errors import (ConvergenceError, DomainError, SusyWkbError,
+                     UnboundEnergyError)
 from .numerov import (GridSolution, dump_wavefunction, grid_solution,
                       numerov_eigenvalue, qhj_residual, quantum_action)
 from .swkb import (QuantizationResult, TurningPoints, solve_level,
@@ -28,8 +28,8 @@ from .swkb import (QuantizationResult, TurningPoints, solve_level,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchAmbiguityError", "CATALOG_IDS", "ContourDecomposition",
-    "ConvergenceError", "DefectReport", "DomainError", "EXACT_IDS",
+    "CATALOG_IDS", "ContourDecomposition", "ConvergenceError",
+    "DefectReport", "DomainError", "EXACT_IDS",
     "GridSolution", "NONEXACT_IDS", "Polynomial", "PotentialSpec",
     "QuantizationResult", "RationalFunction", "SingularityCensus",
     "SusyWkbError", "TurningPoints", "UnboundEnergyError",

@@ -20,6 +20,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .cpoly import Polynomial, RationalFunction, find_roots
 from .errors import DomainError
@@ -95,8 +96,7 @@ class PotentialSpec:
         """Superpotential in the physical coordinate."""
         self._check_domain(x)
         val = self.omega_y(self.y_of_x(x))
-        return np.real_if_close(val, tol=1e6).real if self.mapping == "exp_i" \
-            else np.asarray(val).real
+        return np.asarray(val).real
 
     @cached_property
     def omega_prime_y(self):
@@ -117,9 +117,39 @@ class PotentialSpec:
         val = self.omega_prime_y(y) * self.dydx(y)
         return np.asarray(val).real
 
+    @cached_property
+    def _real_coeffs(self):
+        """float64 coefficients of the numerators and denominators of omega
+        and omega_prime_y, or None where y or a coefficient is complex."""
+        if self.mapping == "exp_i":
+            return None
+        cs = [p.coeffs for r in (self.omega_y, self.omega_prime_y)
+              for p in (r.num, r.den)]
+        if any(np.any(c.imag) for c in cs):
+            return None
+        return tuple(c.real.copy() for c in cs)
+
     def v_minus(self, x):
-        """Partner potential omega^2 - hbar * omega'."""
-        return self.omega_x(x) ** 2 - self.hbar * self.omega_prime_x(x)
+        """Partner potential omega^2 - hbar * omega', with the domain checked
+        and x mapped to y once.  Under the identity and exp mappings y and
+        omega's coefficients are real, and omega and d omega/dy are
+        evaluated in float64; under exp_i in complex arithmetic, as
+        omega_x and omega_prime_x do."""
+        self._check_domain(x)
+        real = self._real_coeffs
+        if real is None:
+            y = self.y_of_x(x)
+            om = np.asarray(self.omega_y(y)).real
+            dom = np.asarray(self.omega_prime_y(y) * self.dydx(y)).real
+        else:
+            num, den, dnum, dden = real
+            y, dydx = np.asarray(x, dtype=float), 1.0
+            if self.mapping == "exp":
+                y = np.exp(self.alpha * y)
+                dydx = self.alpha * y
+            om = npoly.polyval(y, num) / npoly.polyval(y, den)
+            dom = npoly.polyval(y, dnum) / npoly.polyval(y, dden) * dydx
+        return om ** 2 - self.hbar * dom
 
     def is_y_symmetric(self):
         """True when omega^2(-y) = omega^2(y) in the mapped plane."""

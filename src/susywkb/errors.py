@@ -19,7 +19,3 @@ class ConvergenceError(SusyWkbError):
     def __init__(self, msg, residuals=None):
         super().__init__(msg)
         self.residuals = residuals
-
-
-class BranchAmbiguityError(ConvergenceError):
-    """Analytic continuation of a square root could not pick a sheet."""

@@ -36,9 +36,13 @@ Endpoint handling
 * singular finite ends: the local Laurent behaviour of omega gives
   V ~ c2/t^2 + c1/t + c0 near the wall; integration starts one inset inside
   with the Frobenius series psi = t^s (1 + b1 t + b2 t^2).
-* infinite ends: the box is grown until the WKB decay integral past the
-  outer turning point is large enough, and integration starts from the
-  asymptotic decay e^(-kappa x).
+* infinite ends: the box is grown past the outer turning point, in steps
+  dx = 0.05*(1 + |x|), until the WKB decay integral is large enough, and
+  integration starts from the asymptotic decay e^(-kappa x).  V_- is
+  evaluated on BOX_BLOCK steps per call and the integral runs over each
+  block step by step, so the edge is the one a step-by-step loop finds.
+  Floating-point warnings are off for these evaluations: the last block
+  reaches past the edge, where V_- can overflow.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .swkb import turning_points
 DEFAULT_POINTS = 20001
 INSET_FRACTION = 1e-3       # inset of singular walls, in units of 1/alpha
 DECAY_BUDGET = 38.0         # required WKB decay integral past the box edge
+BOX_BLOCK = 64              # steps of the box growth per V_- evaluation
 OVERFLOW = 1e200
 W_SCALE = 2.0 ** -664       # about 1/OVERFLOW, and exact
 W_RTOL = 3e-13              # relative tolerance of the Wronskian root
@@ -105,21 +110,30 @@ def _series_ic(t0, t1, s, c1h, c0h, E, hbar):
 
 
 def _grow_box(spec, x_start, side, E):
-    """Extend past the outer turning point until the accumulated WKB decay
-    integral reaches DECAY_BUDGET."""
+    """Extend past the outer turning point, in steps dx = 0.05*(1 + |x|),
+    until the accumulated WKB decay integral reaches DECAY_BUDGET.  V_- is
+    evaluated on BOX_BLOCK steps at a time; the integral runs step by step
+    over each block and starts again wherever V_- <= E or is NaN."""
     h = spec.hbar
     x = x_start
     acc = 0.0
-    for _ in range(200000):
-        dx = 0.05 * (1.0 + abs(x))
-        x += side * dx
-        v = spec.v_minus(np.array([x]))[0]
-        if v > E:
-            acc += math.sqrt(v - E) / h * dx
-            if acc >= DECAY_BUDGET:
-                return x
-        else:
-            acc = 0.0
+    for _ in range(200000 // BOX_BLOCK):
+        xs, dxs = [], []
+        for _ in range(BOX_BLOCK):
+            dx = 0.05 * (1.0 + abs(x))
+            x += side * dx
+            xs.append(x)
+            dxs.append(dx)
+        # the block may reach far past the edge, where V_- can overflow
+        with np.errstate(all="ignore"):
+            vs = spec.v_minus(np.array(xs)).tolist()
+        for xk, dx, v in zip(xs, dxs, vs):
+            if v > E:
+                acc += math.sqrt(v - E) / h * dx
+                if acc >= DECAY_BUDGET:
+                    return xk
+            else:
+                acc = 0.0
     raise ConvergenceError("could not find a decaying region for the box")
 
 

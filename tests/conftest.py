@@ -2,6 +2,8 @@
 
 from functools import lru_cache
 
+import numpy as np
+
 import susywkb as sw
 from susywkb.catalog import probe_energy
 
@@ -9,6 +11,18 @@ from susywkb.catalog import probe_energy
 @lru_cache(maxsize=None)
 def spec_of(pot_id):
     return sw.get_spec(pot_id)
+
+
+@lru_cache(maxsize=None)
+def drawn_spec(pot_id, seed):
+    """The entry with each default parameter and hbar multiplied by an
+    independent factor exp(U(-0.1, 0.1)) drawn from seed, which keeps it
+    inside every builder's valid domain."""
+    rng = np.random.default_rng(seed)
+    defaults = sw.get_spec(pot_id).params
+    f = np.exp(rng.uniform(-0.1, 0.1, size=len(defaults) + 1))
+    params = {k: float(v * g) for (k, v), g in zip(defaults.items(), f)}
+    return sw.get_spec(pot_id, params=params, hbar=float(f[-1]))
 
 
 @lru_cache(maxsize=None)

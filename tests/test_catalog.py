@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import susywkb as sw
-from susywkb import DomainError
+from susywkb import DomainError, numerov
+
+from conftest import drawn_spec
 
 
 def test_catalog_has_nine_entries():
@@ -58,6 +60,27 @@ def test_v_minus_matches_numeric_derivative(pot_id):
         dom = (spec.omega_x(x + h) - spec.omega_x(x - h)) / (2.0 * h)
         assert spec.v_minus(x) == pytest.approx(om * om - spec.hbar * dom,
                                                 abs=1e-6 * (1 + abs(om) ** 2))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("pot_id", sw.CATALOG_IDS)
+def test_v_minus_matches_omega_x(pot_id, seed):
+    spec = sw.get_spec(pot_id) if seed is None else drawn_spec(pot_id, seed)
+    # the h/2 grid of the level-1 oracle
+    hint = spec.spectrum(1) if spec.spectrum else None
+    _, _, _, x_min, x_max, _ = numerov._prepare(spec, 1, hint)
+    xs = np.linspace(x_min, x_max, 40001)
+    om, dom = spec.omega_x(xs), spec.omega_prime_x(xs)
+    ref = om ** 2 - spec.hbar * dom
+    v = spec.v_minus(xs)
+    if spec.mapping == "exp_i":
+        assert np.array_equal(v, ref)
+    else:
+        # float64 in place of complex arithmetic: 2.7e-14 on genpt
+        assert np.all(np.abs(v - ref)
+                      <= 1e-13 * (om ** 2 + spec.hbar * np.abs(dom)))
+    x = float(xs[20000])
+    assert spec.v_minus(x) == pytest.approx(v[20000], rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("pot_id", sw.EXACT_IDS)

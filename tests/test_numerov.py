@@ -1,6 +1,8 @@
 """Numerov oracle: eigenvalues, node counts, quantum action, QHJ residual."""
 
 import gc
+import math
+import warnings
 import weakref
 from collections import Counter
 
@@ -12,7 +14,7 @@ from susywkb import DomainError, numerov
 from susywkb.numerov import OVERFLOW, grid_solution
 from susywkb.swkb import turning_points
 
-from conftest import numerov_of, spec_of
+from conftest import drawn_spec, numerov_of, spec_of
 
 
 def test_eckart_ground_state_is_zero():
@@ -397,3 +399,62 @@ def test_grid_arrays_are_freed_on_return():
         assert alive() is None
     finally:
         gc.enable()
+
+
+def _scalar_grow_box(spec, x_start, side, E):
+    """The box growth as a loop that evaluates V_- one step at a time, kept
+    as a reference for the growth by blocks."""
+    h = spec.hbar
+    x = x_start
+    acc = 0.0
+    for _ in range(200000):
+        dx = 0.05 * (1.0 + abs(x))
+        x += side * dx
+        v = spec.v_minus(np.array([x]))[0]
+        if v > E:
+            acc += math.sqrt(v - E) / h * dx
+            if acc >= numerov.DECAY_BUDGET:
+                return x
+        else:
+            acc = 0.0
+    raise AssertionError("no decaying region")
+
+
+INFINITE_END_IDS = [pot_id for pot_id in sw.CATALOG_IDS
+                    if not all(map(math.isfinite, spec_of(pot_id).domain))]
+
+
+def _oracle_box(spec, n):
+    """(x_min, x_max) of the level-n oracle, or the DomainError that the
+    growth raises when V_- overflows before the decay budget is met and x
+    runs to infinity."""
+    hint = spec.spectrum(n) if spec.spectrum else None
+    try:
+        return numerov._prepare(spec, n, hint)[3:5]
+    except DomainError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("pot_id", INFINITE_END_IDS)
+def test_box_by_blocks_equals_the_scalar_box(pot_id, seed, monkeypatch):
+    spec = spec_of(pot_id) if seed is None else drawn_spec(pot_id, seed)
+    for n in (1, 2, 3):
+        if not spec.n_is_bound(n):
+            continue
+        box = _oracle_box(spec, n)
+        with monkeypatch.context() as m, np.errstate(all="ignore"):
+            m.setattr(numerov, "_grow_box", _scalar_grow_box)
+            assert box == _oracle_box(spec, n)
+
+
+@pytest.mark.parametrize("pot_id", sw.CATALOG_IDS)
+def test_box_growth_raises_no_warning(pot_id):
+    # the blocks run past the edge, where V_- overflows on scarf2 n = 2
+    spec = spec_of(pot_id)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 2, 3):
+            if spec.n_is_bound(n):
+                hint = spec.spectrum(n) if spec.spectrum else None
+                numerov._prepare(spec, n, hint)
