@@ -18,11 +18,12 @@ linear factors (times a constant for an arc), is analytic off its own cut,
 and grows like y at infinity, so w is analytic off the union of the cuts and
 jumps in sign across each.  C is fixed once by one anchor value.
 
-On a cut the own factor is taken on one lip in closed form, so the cut rules
-(sine-substituted Gauss-Legendre) evaluate only the other cuts' factors.
-The large circle is an equispaced trapezoid rule.  Both refine from
-ORDER_START = 64 nodes.  The pole terms are residues on this sheet (see
-contours).
+On a cut the own factor is taken on one lip in closed form: it is
+sqrt(1 - t^2) times a smooth function of a parameter t in [-1, 1], so one
+Gauss-Chebyshev rule of the second kind serves chords and arcs and evaluates
+only the other cuts' factors.  The large circle is an equispaced trapezoid
+rule.  Both refine from ORDER_START = 64 nodes.  The pole terms are residues
+on this sheet (see contours).
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .cpoly import Polynomial
-from .quadrature import (GL_ORDER_MAX, ORDER_START, gauss_legendre,
-                         refine_until)
+from .quadrature import ORDER_START, refine_until
 
 QUAD_TOL = 1e-11      # successive-refinement agreement for every quadrature
 MAX_NODES = 1 << 17
@@ -116,68 +116,40 @@ def contour_integral(integrand: SqrtIntegrand, radius):
 # cut integrals (vanishing-clearance limit of a counterclockwise loop)
 # ---------------------------------------------------------------------------
 
-def cut_segment_integral(integrand: SqrtIntegrand, k):
-    """(1/pi) * integral of f along the chord cut k, p1 -> p2, on the lip to
-    the right of that direction (for the classical cut on the real axis,
-    just below the cut).
+def cut_integral(integrand: SqrtIntegrand, k):
+    """(1/pi) * integral of f along cut k, p1 -> p2, on the lip to the right
+    of that direction: just below the classical cut on the real axis, just
+    outside the unit circle for an arc.
 
     Equals the counterclockwise loop around the cut in the limit of
-    vanishing clearance.  With y = m + h s, h = (p2 - p1)/2, the cut's own
-    factor on that lip is -i h sqrt(1 - s^2); the sine substitution
-    s = sin(pi u/2) turns the square-root end behaviour into cos^2, so the
-    Gauss-Legendre rule in u is spectrally accurate.
+    vanishing clearance.  Each cut maps onto t in [-1, 1] so that its own
+    factor on that lip times dy/dt is sqrt(1 - t^2) r(t), r smooth:
+
+    * chord, y = m + h t with m, h = (p1 + p2)/2, (p2 - p1)/2: r = -i h^2;
+    * arc, the Cayley map theta = thm + 2 arctan(tau t), y = exp(i theta),
+      with thm = (p1 + p2)/2 and tau = tan((p2 - p1)/4):
+      r = -4i tau^2 y exp(i (theta + thm)/2) / (1 + tau^2 t^2)^(3/2).
+
+    sqrt(1 - t^2) is the Gauss-Chebyshev weight of the second kind: n - 1
+    nodes cos(j pi/n) with weights (pi/n) sin^2(j pi/n).
     """
     sheet = integrand.sheet
     cut = sheet.cuts[k]
-    m, h = 0.5 * (cut.p1 + cut.p2), 0.5 * (cut.p2 - cut.p1)
+    mid, half = 0.5 * (cut.p1 + cut.p2), 0.5 * (cut.p2 - cut.p1)
 
-    def at_order(order):
-        u, wt = gauss_legendre(order)
-        th = u * np.pi / 2.0
-        ys = m + h * np.sin(th)
+    def at(n):
+        a = np.pi * np.arange(1, n) / n
+        t = np.cos(a)
+        if cut.arc:
+            tau = np.tan(0.5 * half)
+            th = mid + 2.0 * np.arctan(tau * t)
+            ys = np.exp(1j * th)
+            r = (-4j * tau * tau * ys * np.exp(0.5j * (th + mid))
+                 / (1.0 + (tau * t) ** 2) ** 1.5)
+        else:
+            ys = mid + half * t
+            r = -1j * half * half
         g = sheet.others(k, ys) * integrand.weight(ys)
-        # (1/pi) w dy = (1/pi) (-i h cos th) g (h pi/2 cos th) du
-        return -0.5j * h * h * np.sum(wt * np.cos(th) ** 2 * g)
+        return np.sum(np.sin(a) ** 2 * r * g) / n
 
-    return refine_until(at_order, ORDER_START, GL_ORDER_MAX, QUAD_TOL,
-                        "cut quadrature")
-
-
-def arc_cut_integral(integrand: SqrtIntegrand, k):
-    """(1/pi) * integral of f along the unit-circle arc cut k,
-    y = exp(i theta), theta from theta1 to theta2, on the lip just outside
-    the circle (the right-hand side of increasing theta).
-
-    Used for trigonometric mappings, where branch cuts lie on the unit
-    circle.  On that lip w = i*phi*h*g with phi(theta) =
-    sqrt((theta-th1)(th2-theta)) and g = i C prod(other F_k) /
-    cos((th2 - th1)/4).  With y_k = exp(i th_k) the end factor is in closed
-    form, (y - y1)(y - y2)/phi^2 = exp(i(theta + thm)) sinc(a) sinc(b),
-    where a, b = (theta - th1)/2, (th2 - theta)/2, sinc u = sin(u)/u and
-    thm is the arc's mid angle; h is its square root exp(i(theta + thm)/2)
-    sqrt(sinc(a) sinc(b)), continuous along arcs shorter than 2 pi.
-    """
-    sheet = integrand.sheet
-    cut = sheet.cuts[k]
-    th1, th2 = float(cut.p1), float(cut.p2)
-    thm, thh = 0.5 * (th1 + th2), 0.5 * (th2 - th1)
-
-    def h(th):
-        # np.sinc(x) = sin(pi x)/(pi x)
-        return np.exp(0.5j * (th + thm)) * np.sqrt(
-            np.sinc((th - th1) / (2.0 * np.pi))
-            * np.sinc((th2 - th) / (2.0 * np.pi)))
-
-    def at_order(order):
-        u, wt = gauss_legendre(order)
-        th = thm + thh * np.sin(u * np.pi / 2.0)
-        ys = np.exp(1j * th)
-        g = 1j * sheet.others(k, ys) / np.cos(0.5 * thh)
-        f = g * h(th) * integrand.weight(ys)
-        # per-theta integrand w/den*measure*(i y): with w = i*phi*h*g the
-        # two factors of i combine to -1.
-        vals = -f * ys * thh * thh * np.cos(u * np.pi / 2.0) ** 2
-        return 0.5 * np.sum(wt * vals)
-
-    return refine_until(at_order, ORDER_START, GL_ORDER_MAX, QUAD_TOL,
-                        "arc cut quadrature")
+    return refine_until(at, ORDER_START, MAX_NODES, QUAD_TOL, "cut quadrature")

@@ -18,7 +18,7 @@ along them sqrt(P) is the closed-form sheet of branch.Sheet, fixed by a
 single anchor just below the classical cut, where sqrt(E - omega^2) is taken
 with positive real part.  The integrand is single-valued off the cuts, so
 each pole term is a residue, J_gamma = i Res; J_GammaR is a trapezoid rule on
-the large circle, and each cut term is a Gauss-Legendre rule on one lip of
+the large circle, and each cut term is a Gauss-Chebyshev rule on one lip of
 its cut.
 """
 
@@ -217,9 +217,7 @@ class _Workspace:
 
     def cut_value(self, k):
         """The integral along cut k, on the lip to the right of p1 -> p2."""
-        rule = br.arc_cut_integral if self.cuts[k].arc \
-            else br.cut_segment_integral
-        return rule(self.integrand, k)
+        return br.cut_integral(self.integrand, k)
 
 
 def _min_weight_matching(pts):

@@ -1,4 +1,5 @@
-"""Refinement by doubling, and the Gauss-Legendre rules it refines over."""
+"""Refinement by doubling, and the Gauss-Legendre rule that the real-axis
+SWKB quadrature refines over."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-ORDER_START = 64      # first Gauss-Legendre order or trapezoid node count
+ORDER_START = 64      # first order or node count of every refined rule
 GL_ORDER_MAX = 4096
 
 

@@ -6,8 +6,7 @@ from numpy.polynomial import polynomial as npoly
 
 import susywkb as sw
 from susywkb import Polynomial, branch, contours
-from susywkb.branch import (Sheet, SqrtIntegrand, arc_cut_integral,
-                            contour_integral, cut_segment_integral)
+from susywkb.branch import Sheet, SqrtIntegrand, contour_integral, cut_integral
 from susywkb.catalog import probe_energy
 from susywkb.contours import Cut
 from susywkb.quadrature import refine_until
@@ -221,7 +220,7 @@ def test_cut_integral_matches_real_axis_quadrature():
                            np.sqrt(1.0 - (0.0 - 0.01j) ** 2))
     integrand = SqrtIntegrand(sheet=sheet, den=Polynomial([1.0]),
                               measure=lambda y: np.ones_like(y))
-    assert cut_segment_integral(integrand, 0) == pytest.approx(0.5, abs=1e-12)
+    assert cut_integral(integrand, 0) == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("cuts", [TWO_CHORDS, TWO_ARCS])
@@ -231,26 +230,30 @@ def test_cut_rules_close_against_the_large_circle(cuts):
     sheet, _ = anchored(cuts, 3.0 + 0j)
     integrand = SqrtIntegrand(sheet=sheet, den=Polynomial([1.0]),
                               measure=lambda y: np.ones_like(y))
-    rule = arc_cut_integral if cuts[0].arc else cut_segment_integral
-    total = sum(rule(integrand, k) for k in range(len(cuts)))
+    total = sum(cut_integral(integrand, k) for k in range(len(cuts)))
     assert contour_integral(integrand, 10.0) == pytest.approx(total, abs=1e-12)
 
 
 def test_circle_quadratures_converge_by_128_nodes(monkeypatch):
+    # The large circle and every cut of the probe workspaces: the node count
+    # that sets the cost of a decomposition.
     seen = []
 
     def recording(fn, n0, nmax, tol, what):
         val = refine_until(fn, n0, nmax, tol, what)
-        if what == "contour quadrature":
-            seen.append((fn, val))
+        seen.append((what, fn, val))
         return val
 
     monkeypatch.setattr(branch, "refine_until", recording)
     for ws in _probe_workspaces():
         seen.clear()
         ws.infinity_value()
-        (fn, val), = seen
-        J = fn(1024)
-        assert val == fn(128)
-        assert abs(val - fn(64)) < branch.QUAD_TOL
-        assert abs(val - J) <= 1e-13 * (1.0 + abs(J))
+        for k in range(len(ws.cuts)):
+            ws.cut_value(k)
+        assert [what for what, _, _ in seen] == (
+            ["contour quadrature"] + ["cut quadrature"] * len(ws.cuts))
+        for what, fn, val in seen:
+            J = fn(1024) if what == "contour quadrature" else fn(4096)
+            assert val == fn(128)
+            assert abs(val - fn(64)) < branch.QUAD_TOL
+            assert abs(val - J) <= 1e-13 * (1.0 + abs(J))

@@ -10,7 +10,7 @@ from susywkb import (DomainError, RationalFunction, UnboundEnergyError,
                      catalog, contours, cpoly, swkb)
 from susywkb.swkb import swkb_integral
 
-from conftest import decompose_of, mid_spectrum_energy, spec_of
+from conftest import decompose_of, drawn_spec, mid_spectrum_energy, spec_of
 
 
 SQ2 = math.sqrt(2.0)
@@ -90,17 +90,28 @@ def test_classical_cut_matches_real_axis_swkb(pot_id):
     assert abs(dec.J_classical_cut.imag) <= 1e-12
 
 
-# nonexact2's first four excited levels from the Numerov oracle, and two
-# nonexact1 energies whose cuts reach far from the origin
+# nonexact2's first four excited levels from the Numerov oracle, and four
+# nonexact1 energies whose cuts reach far from the origin; at E = 100 and
+# 200 a fixed pole lies close to each short other cut
 @pytest.mark.parametrize("pot_id, E", [
     ("nonexact2", 0.03491466653630712), ("nonexact2", 0.046984278187708145),
     ("nonexact2", 0.0525626674541024), ("nonexact2", 0.05559395214891046),
-    ("nonexact1", 4.0), ("nonexact1", 16.0)])
+    ("nonexact1", 4.0), ("nonexact1", 16.0), ("nonexact1", 100.0),
+    ("nonexact1", 200.0)])
 def test_closure_on_the_non_exact_cuts(pot_id, E):
     dec = decompose_of(pot_id, E)
     assert dec.closure_residual <= 1e-12
     assert abs(dec.J_classical_cut
                - swkb_integral(spec_of(pot_id), E)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("pot_id", sw.CATALOG_IDS)
+def test_closure_across_parameter_space(pot_id, seed):
+    spec = drawn_spec(pot_id, seed)
+    for n in (1, 2):
+        dec = sw.decompose(spec, catalog.probe_energy(spec, n))
+        assert dec.closure_residual <= 1e-12
 
 
 @pytest.mark.parametrize("pot_id", ["scarf1", "rosenmorse1"])
