@@ -21,9 +21,10 @@ jumps in sign across each.  C is fixed once by one anchor value.
 On a cut the own factor is taken on one lip in closed form: it is
 sqrt(1 - t^2) times a smooth function of a parameter t in [-1, 1], so one
 Gauss-Chebyshev rule of the second kind serves chords and arcs and evaluates
-only the other cuts' factors.  The large circle is an equispaced trapezoid
-rule.  Both refine from ORDER_START = 64 nodes.  The pole terms are residues
-on this sheet (see contours).
+only the other cuts' factors.  It refines from ORDER_START = 64 nodes, and
+each doubling evaluates only the new nodes.  No circle takes a quadrature:
+at infinity the sheet is a power series in 1/y (Sheet.at_infinity), and
+the pole terms are residues on it (see contours).
 """
 
 from __future__ import annotations
@@ -82,6 +83,32 @@ class Sheet:
     def __call__(self, y):
         return self.others(None, y)
 
+    def at_infinity(self, order):
+        """The coefficients of z^0 .. z^order in w(y)/y^K as a power series
+        in z = 1/y, K the number of cuts.
+
+        Outside every cut each factor is F = s y sqrt((1 - a z)(1 - b z)),
+        a and b the cut's ends (e^{i p1}, e^{i p2} on an arc), with the root
+        that tends to 1: s = 1 for a chord, -sec((p2 - p1)/4) for an arc.
+        So w/y^K = C prod(s) S(z), S^2 = prod (1 - a z)(1 - b z), S(0) = 1.
+        """
+        ends, scale = [], self.C
+        for cut in self.cuts:
+            if cut.arc:
+                ends += [np.exp(1j * cut.p1), np.exp(1j * cut.p2)]
+                scale = scale * (-1.0 / np.cos(0.25 * (cut.p2 - cut.p1)))
+            else:
+                ends += [cut.p1, cut.p2]
+        q = np.zeros(order + 1, dtype=complex)
+        q[0] = 1.0
+        for a in ends:
+            q[1:] = q[1:] - a * q[:-1]
+        S = np.zeros(order + 1, dtype=complex)
+        S[0] = 1.0
+        for k in range(1, order + 1):
+            S[k] = 0.5 * (q[k] - np.dot(S[1:k], S[k - 1:0:-1]))
+        return scale * S
+
 
 @dataclass(frozen=True)
 class SqrtIntegrand:
@@ -95,21 +122,6 @@ class SqrtIntegrand:
         """measure/den: what multiplies w in f."""
         y = np.asarray(y, dtype=complex)
         return self.measure(y) / npoly.polyval(y, self.den.coeffs)
-
-
-def contour_integral(integrand: SqrtIntegrand, radius):
-    """(1/2pi) * integral of f counterclockwise around |y| = radius.
-
-    Equispaced trapezoidal quadrature in the angle, doubling n from
-    ORDER_START until two results agree within QUAD_TOL; the circle must
-    enclose every cut and pole.
-    """
-    def at(n):
-        ys = radius * np.exp(2j * np.pi * np.arange(n) / n)
-        return np.mean(integrand.sheet(ys) * integrand.weight(ys) * 1j * ys)
-
-    return refine_until(at, ORDER_START, MAX_NODES, QUAD_TOL,
-                        "contour quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +143,22 @@ def cut_integral(integrand: SqrtIntegrand, k):
       r = -4i tau^2 y exp(i (theta + thm)/2) / (1 + tau^2 t^2)^(3/2).
 
     sqrt(1 - t^2) is the Gauss-Chebyshev weight of the second kind: n - 1
-    nodes cos(j pi/n) with weights (pi/n) sin^2(j pi/n).
+    nodes cos(j pi/n) with weights (pi/n) sin^2(j pi/n).  The rule of order
+    2n holds every node of order n, so each doubling adds half of the old
+    sum to the odd-j terms alone.
     """
     sheet = integrand.sheet
     cut = sheet.cuts[k]
     mid, half = 0.5 * (cut.p1 + cut.p2), 0.5 * (cut.p2 - cut.p1)
+    sums = {}
 
     def at(n):
-        a = np.pi * np.arange(1, n) / n
+        # the nodes of order n/2 are those of order n at even j, with twice
+        # the weight: past ORDER_START only the odd j are evaluated
+        if n in sums:
+            return sums[n]
+        nested = n > ORDER_START and n % 2 == 0
+        a = np.pi * np.arange(1, n, 2 if nested else 1) / n
         t = np.cos(a)
         if cut.arc:
             tau = np.tan(0.5 * half)
@@ -150,6 +170,8 @@ def cut_integral(integrand: SqrtIntegrand, k):
             ys = mid + half * t
             r = -1j * half * half
         g = sheet.others(k, ys) * integrand.weight(ys)
-        return np.sum(np.sin(a) ** 2 * r * g) / n
+        val = np.sum(np.sin(a) ** 2 * r * g) / n
+        sums[n] = 0.5 * at(n // 2) + val if nested else val
+        return sums[n]
 
     return refine_until(at, ORDER_START, MAX_NODES, QUAD_TOL, "cut quadrature")

@@ -26,6 +26,10 @@ from .cpoly import Polynomial, RationalFunction, find_roots
 from .errors import DomainError
 
 MAPPINGS = ("identity", "exp", "exp_i")
+MULTIPLE_POLE_TOL = 1e-6   # p is a multiple zero of den where |den'(p)| is
+                           # below this x sum k|c_k| max(|p|, 1)^(k-1)
+                           # (find_roots splits an isolated double root by
+                           # about sqrt(eps))
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,67 @@ class PotentialSpec:
         den = self.omega_y.den
         return tuple(find_roots(den)) if den.degree else ()
 
+    @cached_property
+    def fixed_poles_y(self):
+        """The finite fixed poles of the contour integrand, sorted: the
+        poles of omega, and the mapping pole y = 0 of the exponential
+        mappings."""
+        poles = list(self.omega_poles_y)
+        if self.mapping in ("exp", "exp_i"):
+            if not any(abs(p) < 1e-9 for p in poles):
+                poles.append(0.0 + 0j)
+        return tuple(sorted(poles, key=lambda z: (z.real, z.imag)))
+
+    @cached_property
+    def residue_weights(self):
+        """measure(p)/den'(p) at each fixed pole p, the factor that turns
+        w(p) into the residue of w measure/den there.  At the mapping pole
+        y = 0 of the exponential mappings, where measure = 1/(k y) with
+        dy/dx = k y, it is 1/(k den(0)): the same rule with y den and
+        y measure.  None at a multiple pole, where no such factor exists."""
+        weights = {}
+        for pole in self.fixed_poles_y:
+            den = self.omega_y.den.coeffs
+            if self.mapping in ("exp", "exp_i") and abs(pole) < 1e-9:
+                den = np.concatenate(([0.0], den))
+                measure = 1.0 / complex(self.dydx(1.0))
+            else:
+                measure = complex(self.measure(pole))
+            d1 = den[1:] * np.arange(1, len(den))
+            slope = complex(npoly.polyval(pole, d1))
+            multiple = abs(slope) <= MULTIPLE_POLE_TOL * npoly.polyval(
+                max(abs(pole), 1.0), np.abs(d1))
+            weights[pole] = None if multiple else measure / slope
+        return weights
+
+    @cached_property
+    def weight_at_infinity(self):
+        """(s, U) with measure/den = y^-s sum_j U_j y^-j at infinity, U_j up
+        to j = deg(E den^2 - num^2)/2 + 1, as far as the 1/y coefficient of
+        w measure/den needs.  With measure = mu y^-e (mu, e = 1, 0 under the
+        identity mapping, 1/k, 1 where dy/dx = k y) and den = y^D r(1/y),
+        s = e + D and U is the power series of mu/r."""
+        e = 0 if self.mapping == "identity" else 1
+        r = self.omega_y.den.coeffs[::-1]
+        U = np.zeros(len(self.num_squared_y) // 2 + 2, dtype=complex)
+        U[0] = complex(self.measure(1.0)) / r[0]
+        for k in range(1, len(U)):
+            j = np.arange(1, min(k, len(r) - 1) + 1)
+            U[k] = -np.dot(r[j], U[k - j]) / r[0]
+        U.flags.writeable = False
+        return e + len(r) - 1, U
+
+    @cached_property
+    def num_squared_y(self):
+        """num^2 of omega as a read-only coefficient array, padded to the
+        length of den^2 where that is longer: E den^2 - num^2 is the
+        numerator of E - omega^2."""
+        n2 = (self.omega_y.num * self.omega_y.num).coeffs
+        m = 2 * len(self.omega_y.den.coeffs) - 1
+        n2 = np.pad(n2, (0, max(m - len(n2), 0)))
+        n2.flags.writeable = False
+        return n2
+
     def omega_prime_x(self, x):
         """Exact d omega/dx via the rational derivative and the chain rule."""
         self._check_domain(x)
@@ -153,6 +218,10 @@ class PotentialSpec:
 
     def is_y_symmetric(self):
         """True when omega^2(-y) = omega^2(y) in the mapped plane."""
+        return self._y_symmetric
+
+    @cached_property
+    def _y_symmetric(self):
         n, d = self.omega_y.num, self.omega_y.den
         nm = Polynomial(n.coeffs * (-1.0) ** np.arange(len(n.coeffs)))
         dm = Polynomial(d.coeffs * (-1.0) ** np.arange(len(d.coeffs)))

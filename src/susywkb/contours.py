@@ -17,9 +17,13 @@ the trigonometric mapping, as arcs of the unit circle.  On the plane cut
 along them sqrt(P) is the closed-form sheet of branch.Sheet, fixed by a
 single anchor just below the classical cut, where sqrt(E - omega^2) is taken
 with positive real part.  The integrand is single-valued off the cuts, so
-each pole term is a residue, J_gamma = i Res; J_GammaR is a trapezoid rule on
-the large circle, and each cut term is a Gauss-Chebyshev rule on one lip of
-its cut.
+each pole term is a residue, J_gamma = i Res, and J_GammaR is i times the
+1/y coefficient of the integrand's Laurent series at infinity: both are
+algebraic, and no circle takes a quadrature.  Each cut term is a
+Gauss-Chebyshev rule on one lip of its cut.  What depends on the spec alone
+(the fixed poles and their residue weights, the measure over den at
+infinity, num^2, the symmetry flag) is built once per spec
+(catalog.PotentialSpec).
 """
 
 from __future__ import annotations
@@ -40,11 +44,6 @@ from .errors import ConvergenceError, DomainError
 from .swkb import (QuantizationResult, _bracket, _energy_numerator,
                    _unbound_level, swkb_integral, turning_points)
 
-MULTIPLE_POLE_TOL = 1e-6   # p is a multiple zero of den where |den'(p)| is
-                           # below this x sum k|c_k| max(|p|, 1)^(k-1)
-                           # (find_roots splits an isolated double root by
-                           # about sqrt(eps))
-BIG_RADIUS_FACTOR = 4.0
 IMAG_TOL = 1e-10
 
 
@@ -99,11 +98,7 @@ class _Workspace:
         self.P = _energy_numerator(spec, self.E)
         self.roots = find_roots(self.P)
         self.branch_points = tuple(self.roots)
-        poles = list(spec.omega_poles_y)
-        if spec.mapping in ("exp", "exp_i"):
-            if not any(abs(p) < 1e-9 for p in poles):
-                poles.append(0.0 + 0j)
-        self.poles = tuple(sorted(poles, key=lambda z: (z.real, z.imag)))
+        self.poles = spec.fixed_poles_y
         self.measure = spec.measure
         tp = turning_points(spec, self.E, self.branch_points)
         self.x1, self.x2 = tp.x1, tp.x2
@@ -121,9 +116,6 @@ class _Workspace:
         self.spread = float(max(np.abs(bps[:, None] - bps[None, :]).max(),
                                 1e-30))
         self.cuts = self._pair_cuts()
-        self.big_radius = BIG_RADIUS_FACTOR * max(
-            max(abs(b) for b in self.branch_points),
-            max((abs(p) for p in self.poles), default=0.0), 1e-6)
         self.sheet = br.Sheet.anchored(self.cuts, self.ya, self.anchor_value)
         self.integrand = br.SqrtIntegrand(sheet=self.sheet, den=den,
                                           measure=self.measure)
@@ -191,29 +183,28 @@ class _Workspace:
     # -- contour values ----------------------------------------------------
 
     def pole_value(self, pole):
-        """J_gamma = i * Res f at one fixed pole p.  At a zero of den that is
-        w(p) measure(p)/den'(p); at the mapping pole y = 0 of the exponential
-        mappings, where measure = 1/(k y) with dy/dx = k y, it is
-        w(0)/(den(0) k): the same rule with y den and y measure."""
-        pole = complex(pole)
-        den = self.den.coeffs
-        if self.spec.mapping in ("exp", "exp_i") and abs(pole) < 1e-9:
-            den = npoly.polymulx(den)
-            measure = 1.0 / complex(self.spec.dydx(1.0))
-        else:
-            measure = complex(self.measure(pole))
-        d1 = npoly.polyder(den)
-        slope = complex(npoly.polyval(pole, d1))
-        if abs(slope) <= MULTIPLE_POLE_TOL * npoly.polyval(
-                max(abs(pole), 1.0), np.abs(d1)):
+        """J_gamma = i * Res f at one fixed pole p of the spec: i w(p) times
+        the pole's residue weight (catalog.PotentialSpec.residue_weights)."""
+        weight = self.spec.residue_weights[pole]
+        if weight is None:
             raise DomainError(
-                f"the pole y = {pole:.6g} of {self.spec.id} is a multiple "
-                "pole of the integrand")
-        return 1j * complex(self.sheet(pole)) * measure / slope
+                f"the pole y = {complex(pole):.6g} of {self.spec.id} is a "
+                "multiple pole of the integrand")
+        return 1j * complex(self.sheet(pole)) * weight
 
     def infinity_value(self):
-        """J_GammaR: the large circle |y| = R, counterclockwise."""
-        return br.contour_integral(self.integrand, self.big_radius)
+        """J_GammaR, the counterclockwise circle |y| = R outside every cut
+        and pole: i a_{-1}, a_{-1} the 1/y coefficient of f at infinity.
+
+        There w = y^K W(1/y) with K cuts (branch.Sheet.at_infinity), and
+        measure/den = y^-s U(1/y) (catalog.PotentialSpec.weight_at_infinity),
+        so a_{-1} = [W U]_m with m = K - s + 1, and J_GammaR = 0 when
+        m < 0."""
+        s, U = self.spec.weight_at_infinity
+        m = len(self.cuts) - s + 1
+        if m < 0:
+            return 0j
+        return 1j * complex(np.dot(self.sheet.at_infinity(m), U[m::-1]))
 
     def cut_value(self, k):
         """The integral along cut k, on the lip to the right of p1 -> p2."""

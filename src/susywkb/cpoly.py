@@ -112,7 +112,7 @@ def find_roots(p: Polynomial):
     if n == 0:
         return np.zeros(0, dtype=complex)
     z = npoly.polyroots(c)
-    dc, ac = npoly.polyder(c), np.abs(c)
+    dc, ac = c[1:] * np.arange(1, n + 1), np.abs(c)
     rounding = ROUNDING_STOP * n * EPS
     for _ in range(MAX_ITER):
         pv = npoly.polyval(z, c)
@@ -161,7 +161,7 @@ def _aberth_step(z, pv, dv):
 def _newton_polish(c, z, steps=3, descent=False):
     """A few Newton steps on the polynomial with coefficients c; with
     ``descent`` a step is kept only where it lowers |c(z)|."""
-    dc = npoly.polyder(c)
+    dc = c[1:] * np.arange(1, len(c))
     for _ in range(steps):
         pv = npoly.polyval(z, c)
         dv = npoly.polyval(z, dc)

@@ -40,8 +40,14 @@ class QuantizationResult:
 def _energy_numerator(spec, E):
     """Polynomial P(y) = E*den^2 - num^2 whose roots are the branch points
     of sqrt(E - omega^2) in the mapped plane."""
-    num, den = spec.omega_y.num, spec.omega_y.den
-    return Polynomial(E) * den * den - num * num
+    d = spec.omega_y.den.coeffs
+    # (E den) den, rounded as Polynomial products round it: E (den den)
+    # rounds otherwise, which moves the roots at the rounding level and can
+    # swap the order in which the eigensolver returns a conjugate pair
+    Ed2 = np.convolve(E * d, d)
+    P = -spec.num_squared_y
+    P[:len(Ed2)] += Ed2
+    return Polynomial(P)
 
 
 def turning_points(spec, E, roots=None):

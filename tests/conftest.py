@@ -1,10 +1,12 @@
 """Shared fixtures and cached heavy computations for the test suite."""
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
 
 import susywkb as sw
+from susywkb import RationalFunction
 from susywkb.catalog import probe_energy
 
 
@@ -45,3 +47,36 @@ def mid_spectrum_energy(pot_id):
     if pot_id == "nonexact2":
         return numerov_of("nonexact2", 1)
     return probe_energy(spec_of(pot_id), 2)
+
+
+def reference_radius(ws):
+    """Four times the modulus of the farthest branch point or fixed pole of
+    a contours._Workspace: the circle of that radius encloses every cut and
+    pole."""
+    return 4.0 * max(max(abs(b) for b in ws.branch_points),
+                     max((abs(p) for p in ws.poles), default=0.0), 1e-6)
+
+
+def reference_circle(integrand, radius, n=1024):
+    """(1/2pi) times the integral of a branch.SqrtIntegrand counterclockwise
+    around |y| = radius, by the n-node trapezoid rule in the angle: the
+    independent reference for the algebraic J_GammaR."""
+    ys = radius * np.exp(2j * np.pi * np.arange(n) / n)
+    return np.mean(integrand.sheet(ys) * integrand.weight(ys) * 1j * ys)
+
+
+def _with_omega(spec, num, den, mapping):
+    return dataclasses.replace(spec, omega_y=RationalFunction(num, den),
+                               mapping=mapping)
+
+
+# Specs with a multiple fixed pole, and that pole.
+MULTIPLE_POLE_SPECS = [
+    # omega = y + 0.1 y/(y^2 + 1)^2: den has double zeros at +-i
+    (_with_omega(sw.get_spec("nonexact3"),
+                 [0.0, 1.1, 0.0, 2.0, 0.0, 1.0], [1.0, 0.0, 2.0, 0.0, 1.0],
+                 "identity"), 1j),
+    # Morse, omega = 2 - 3/y with y = e^x: den(0) = 0 at the mapping pole
+    (_with_omega(sw.get_spec("scarf2"), [-3.0, 2.0], [0.0, 1.0], "exp"),
+     0j),
+]

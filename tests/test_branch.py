@@ -6,10 +6,12 @@ from numpy.polynomial import polynomial as npoly
 
 import susywkb as sw
 from susywkb import Polynomial, branch, contours
-from susywkb.branch import Sheet, SqrtIntegrand, contour_integral, cut_integral
+from susywkb.branch import Sheet, SqrtIntegrand, cut_integral
 from susywkb.catalog import probe_energy
 from susywkb.contours import Cut
 from susywkb.quadrature import refine_until
+
+from conftest import drawn_spec, reference_circle, reference_radius
 
 
 def brute_continue(Pc, w0, path, nsub=20000):
@@ -66,7 +68,7 @@ def _probe_workspaces():
 def all_sheets():
     yield from synthetic_sheets()
     for ws in _probe_workspaces():
-        yield ws.sheet, ws.P, ws.big_radius / 2.0
+        yield ws.sheet, ws.P, reference_radius(ws) / 2.0
 
 
 def distance_to_cut(cut, y):
@@ -138,7 +140,7 @@ def test_sheet_agrees_with_fine_step_continuation():
             assert sheet(path[-1]) == pytest.approx(want, rel=1e-9)
     # once around each catalog workspace's large circle
     for ws in _probe_workspaces():
-        R = ws.big_radius
+        R = reference_radius(ws)
         loop = list(R * np.exp(2j * np.pi * np.arange(17) / 16))
         w0 = ws.sheet(loop[0])
         for k in (4, 8, 16):
@@ -204,12 +206,12 @@ def unit_integrand(den):
 
 
 def test_contour_integral_simple_pole():
-    val = contour_integral(unit_integrand([0.0, 1.0]), 1.0)     # f = 1/y
+    val = reference_circle(unit_integrand([0.0, 1.0]), 1.0)     # f = 1/y
     assert val == pytest.approx(1j, abs=1e-12)
 
 
 def test_contour_integral_no_singularity_is_zero():
-    val = contour_integral(unit_integrand([-5.0, 1.0]), 1.0)   # f = 1/(y - 5)
+    val = reference_circle(unit_integrand([-5.0, 1.0]), 1.0)   # f = 1/(y - 5)
     assert abs(val) < 1e-12
 
 
@@ -231,12 +233,12 @@ def test_cut_rules_close_against_the_large_circle(cuts):
     integrand = SqrtIntegrand(sheet=sheet, den=Polynomial([1.0]),
                               measure=lambda y: np.ones_like(y))
     total = sum(cut_integral(integrand, k) for k in range(len(cuts)))
-    assert contour_integral(integrand, 10.0) == pytest.approx(total, abs=1e-12)
+    assert reference_circle(integrand, 10.0) == pytest.approx(total, abs=1e-12)
 
 
 def test_circle_quadratures_converge_by_128_nodes(monkeypatch):
-    # The large circle and every cut of the probe workspaces: the node count
-    # that sets the cost of a decomposition.
+    # Every cut of the probe workspaces: the node count that sets the cost
+    # of a decomposition.  J_GammaR takes no quadrature.
     seen = []
 
     def recording(fn, n0, nmax, tol, what):
@@ -247,13 +249,72 @@ def test_circle_quadratures_converge_by_128_nodes(monkeypatch):
     monkeypatch.setattr(branch, "refine_until", recording)
     for ws in _probe_workspaces():
         seen.clear()
-        ws.infinity_value()
         for k in range(len(ws.cuts)):
             ws.cut_value(k)
         assert [what for what, _, _ in seen] == (
-            ["contour quadrature"] + ["cut quadrature"] * len(ws.cuts))
+            ["cut quadrature"] * len(ws.cuts))
         for what, fn, val in seen:
-            J = fn(1024) if what == "contour quadrature" else fn(4096)
+            J = fn(4096)
             assert val == fn(128)
             assert abs(val - fn(64)) < branch.QUAD_TOL
             assert abs(val - J) <= 1e-13 * (1.0 + abs(J))
+
+
+@pytest.mark.parametrize("cuts", [
+    TWO_CHORDS, TWO_ARCS, arcs((0.3, 1.2)),
+    chords((-2.0 - 0.5j, -0.5 + 0.3j)) + arcs((2.5, 4.0))])
+def test_sheet_series_at_infinity(cuts):
+    # The coefficient of 1/y^j in w/y^K is the residue of w y^(j - K - 1)
+    # at infinity; an odd number of arcs leaves the sign of their factors.
+    sheet, _ = anchored(cuts, 3.0 + 0j)
+    K = len(cuts)
+    ys = 3.0 * np.exp(2j * np.pi * np.arange(1024) / 1024)
+    w = sheet(ys)
+    for j, got in enumerate(sheet.at_infinity(4)):
+        want = np.mean(w * ys ** (j - K))
+        assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
+
+
+def _infinity_workspaces():
+    """The probe workspaces, every entry at conftest.drawn_spec seeds 1-3 at
+    probe_energy n = 1, 2, and nonexact1 where its cuts reach far out."""
+    yield from _probe_workspaces()
+    for pot_id in sw.CATALOG_IDS:
+        for seed in (1, 2, 3):
+            spec = drawn_spec(pot_id, seed)
+            for n in (1, 2):
+                yield contours._Workspace(spec, probe_energy(spec, n))
+    for E in (100.0, 200.0, 400.0):
+        yield contours._Workspace(sw.get_spec("nonexact1"), E)
+
+
+def test_infinity_term_matches_the_reference_circle():
+    # J_GammaR is a Laurent coefficient at infinity; the trapezoid rule on a
+    # circle outside every cut and pole is its independent reference.
+    count = 0
+    for ws in _infinity_workspaces():
+        want = reference_circle(ws.integrand, reference_radius(ws))
+        assert abs(ws.infinity_value() - want) <= 1e-13 * (1.0 + abs(want))
+        count += 1
+    assert count == 75
+
+
+def test_cut_rule_evaluates_each_node_once(monkeypatch):
+    # The nodes cos(j pi/n) of one order hold those of the order before, so
+    # a cut that converges at n nodes evaluates its integrand at n - 1
+    # points: nonexact1's short cuts at E = 400 converge at 32768.
+    ws = contours._Workspace(sw.get_spec("nonexact1"), 400.0)
+    evaluated = []
+    others = Sheet.others
+
+    def counted(self, k, y):
+        evaluated.append(np.size(y))
+        return others(self, k, y)
+
+    monkeypatch.setattr(Sheet, "others", counted)
+    short = [k for k, cut in enumerate(ws.cuts) if cut.kind == "other"]
+    assert len(short) == 4
+    for k in short:
+        evaluated.clear()
+        ws.cut_value(k)
+        assert sum(evaluated) == 32767

@@ -1,15 +1,17 @@
 """Potential catalog: definitions, mappings, spectra, serialization."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 import susywkb as sw
-from susywkb import DomainError, numerov
+from susywkb import DomainError, numerov, swkb
 
-from conftest import drawn_spec
+from conftest import MULTIPLE_POLE_SPECS, drawn_spec
 
 
 def test_catalog_has_nine_entries():
@@ -165,6 +167,41 @@ def test_json_round_trip():
 def test_y_symmetry_detection():
     assert sw.get_spec("eckart").is_y_symmetric()
     assert not sw.get_spec("scarf2").is_y_symmetric()
+
+
+def test_spec_caches_equal_what_they_replace():
+    # each value built once per spec, against the same value computed afresh
+    rng = np.random.default_rng(3)
+    ys = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    for spec in sw.catalog_list():
+        num, den = spec.omega_y.num, spec.omega_y.den
+        # the symmetry flag: omega^2 at -y against omega^2 at y
+        w2, m2 = spec.omega_y(ys) ** 2, spec.omega_y(-ys) ** 2
+        assert spec.is_y_symmetric() == bool(
+            np.all(np.abs(m2 - w2) <= 1e-12 * (1.0 + np.abs(w2))))
+        # E den^2 - num^2, bit for bit
+        for E in (0.5, 3.0, 189.0):
+            want = (sw.Polynomial(E) * den * den - num * num).coeffs
+            assert np.array_equal(swkb._energy_numerator(spec, E).coeffs,
+                                  want)
+        # the residue weights: measure(p)/den'(p) by numpy's polyder, on
+        # y den and with y measure at the mapping pole
+        assert tuple(spec.residue_weights) == spec.fixed_poles_y
+        for pole, weight in spec.residue_weights.items():
+            if spec.mapping != "identity" and abs(pole) < 1e-9:
+                d = npoly.polymulx(den.coeffs)
+                measure = 1.0 / complex(spec.dydx(1.0))
+            else:
+                d, measure = den.coeffs, complex(spec.measure(pole))
+            slope = complex(npoly.polyval(pole, npoly.polyder(d)))
+            assert weight == pytest.approx(measure / slope, rel=1e-15)
+    # a spec with a multiple pole builds, with its caches, and the pole is
+    # marked; it raises only where a contour term needs it
+    # (test_contours.test_multiple_pole_raises)
+    for spec, pole in MULTIPLE_POLE_SPECS:
+        fresh = dataclasses.replace(spec)
+        near = [p for p in fresh.fixed_poles_y if abs(p - pole) < 1e-6]
+        assert near and all(fresh.residue_weights[p] is None for p in near)
 
 
 def test_nonexact3_flagged_partial():

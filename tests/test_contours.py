@@ -1,16 +1,16 @@
 """Contour engine: census, residues, closure, quantization, defect."""
 
-import dataclasses
 import math
 
 import pytest
 
 import susywkb as sw
-from susywkb import (DomainError, RationalFunction, UnboundEnergyError,
-                     catalog, contours, cpoly, swkb)
+from susywkb import (DomainError, UnboundEnergyError, catalog, contours,
+                     cpoly, swkb)
 from susywkb.swkb import swkb_integral
 
-from conftest import decompose_of, drawn_spec, mid_spectrum_energy, spec_of
+from conftest import (MULTIPLE_POLE_SPECS, decompose_of, drawn_spec,
+                      mid_spectrum_energy, spec_of)
 
 
 SQ2 = math.sqrt(2.0)
@@ -223,20 +223,22 @@ def test_nonexact1_pole_terms_next_to_other_cuts(E):
         assert abs(sw.pole_contribution(spec, E, pole) - value) <= 1e-12
 
 
-def _with_omega(spec, num, den, mapping):
-    return dataclasses.replace(spec, omega_y=RationalFunction(num, den),
-                               mapping=mapping)
+def _pole_sum(spec, E):
+    ws = contours._Workspace(spec, E)
+    return ws.infinity_value() - sum(ws.pole_value(p) for p in ws.poles)
 
 
-@pytest.mark.parametrize("spec, pole", [
-    # omega = y + 0.1 y/(y^2 + 1)^2: den has double zeros at +-i
-    (_with_omega(sw.get_spec("nonexact3"),
-                 [0.0, 1.1, 0.0, 2.0, 0.0, 1.0], [1.0, 0.0, 2.0, 0.0, 1.0],
-                 "identity"), 1j),
-    # Morse, omega = 2 - 3/y with y = e^x: den(0) = 0 at the mapping pole
-    (_with_omega(sw.get_spec("scarf2"), [-3.0, 2.0], [0.0, 1.0], "exp"),
-     0j),
-])
+@pytest.mark.parametrize("E", [4.0, 16.0, 100.0, 400.0])
+def test_nonexact1_pole_sum_is_half_the_energy(E):
+    assert abs(_pole_sum(spec_of("nonexact1"), E) - 0.5 * E) <= 1e-13 * E
+
+
+@pytest.mark.parametrize("E", [0.5, 1.0, 2.0, 3.0])
+def test_nonexact3_pole_sum_vanishes(E):
+    assert abs(_pole_sum(spec_of("nonexact3"), E)) <= 1e-13
+
+
+@pytest.mark.parametrize("spec, pole", MULTIPLE_POLE_SPECS)
 def test_multiple_pole_raises(spec, pole):
     with pytest.raises(DomainError, match="multiple"):
         sw.pole_contribution(spec, 1.0, pole)
