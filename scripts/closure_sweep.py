@@ -45,7 +45,7 @@ def main():
     for spec, E in cases():
         dec = sw.decompose(spec, E)
         print(f"== {spec.id}  (E = {E:.6g}) ==")
-        for pole in sorted(dec.J_gamma, key=lambda z: (z.real, z.imag)):
+        for pole in sorted(dec.J_gamma, key=sw.catalog.plane_key):
             print(f"  pole {fmt(pole):>22s} : {fmt(dec.J_gamma[pole])}")
         print(f"  infinity (Laurent)     : {fmt(dec.J_GammaR)}")
         print(f"  classical cut          : {fmt(dec.J_classical_cut)}")

@@ -1,15 +1,11 @@
 #!/usr/bin/env python3
-"""Count the root finder's work per level.
+"""Count the root finder's calls per level.
 
 For each catalog entry and bound level n = 1..4 this solves the SWKB level
 (solve_level), and for one entry of each contour mapping (eckart: exp,
 scarf1: exp_i) one contour level (quantize_by_contours, n = 1).  For each
-level it prints:
-
-  calls   calls of cpoly.find_roots, a deflated quotient's call included;
-  steps   a histogram of Aberth steps per call, {steps: calls};
-
-and the level's CPU time and energy.
+level it prints the calls of cpoly.find_roots (a deflated quotient's call
+included), the level's CPU time and its energy.
 
     PYTHONPATH=src python scripts/root_steps.py [--json PATH] [ids ...]
 """
@@ -18,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from collections import Counter
 
 import susywkb as sw
 from susywkb import contours, cpoly
@@ -27,34 +22,24 @@ CONTOUR_LEVELS = (("eckart", 1), ("scarf1", 1))
 
 
 class Counts:
-    """Wraps cpoly.find_roots, wherever it is bound, and cpoly._aberth_step
-    to record the steps of each call."""
+    """Wraps cpoly.find_roots, wherever it is bound, to count its calls."""
 
     def __init__(self):
-        self.per_call = []
-        open_calls = []
-        find, step = cpoly.find_roots, cpoly._aberth_step
+        self.calls = 0
+        find = cpoly.find_roots
 
         def counted_find(p):
-            open_calls.append(0)
-            try:
-                return find(p)
-            finally:
-                self.per_call.append(open_calls.pop())
-
-        def counted_step(z, pv, dv):
-            open_calls[-1] += 1
-            return step(z, pv, dv)
+            self.calls += 1
+            return find(p)
 
         for mod in list(sys.modules.values()):
             if (getattr(mod, "__name__", "").startswith("susywkb")
                     and getattr(mod, "find_roots", None) is find):
                 mod.find_roots = counted_find
-        cpoly._aberth_step = counted_step
 
     def take(self):
-        """Steps per call since the last call of take."""
-        out, self.per_call = self.per_call, []
+        """Calls since the last call of take."""
+        out, self.calls = self.calls, 0
         return out
 
 
@@ -80,18 +65,16 @@ def main():
     counts = Counts()
     rows = []
     print(f"{'id':12s} {'n':>2s} {'route':>7s} {'cpu_s':>6s} {'E':>22s} "
-          f"{'calls':>5s}  steps: calls")
+          f"{'calls':>5s}")
     for spec, n, route in cases(args.ids):
         t0 = time.process_time()
         E = solvers[route](spec, n).energy
         cpu = time.process_time() - t0
-        hist = dict(sorted(Counter(counts.take()).items()))
-        calls = sum(hist.values())
+        calls = counts.take()
         rows.append({"entry": spec.id, "n": n, "route": route, "E": E,
-                     "cpu_s": cpu, "calls": calls, "steps": hist})
-        shown = " ".join(f"{k}:{v}" for k, v in hist.items())
+                     "cpu_s": cpu, "calls": calls})
         print(f"{spec.id:12s} {n:2d} {route:>7s} {cpu:6.3f} {E!r:>22s} "
-              f"{calls:5d}  {shown}")
+              f"{calls:5d}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(rows, fh, indent=1)

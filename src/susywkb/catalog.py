@@ -32,6 +32,13 @@ MULTIPLE_POLE_TOL = 1e-6   # p is a multiple zero of den where |den'(p)| is
                            # about sqrt(eps))
 
 
+def plane_key(z):
+    """Sort key of a point of the plane, (Re z, Im z) rounded to 9
+    decimals: a conjugate pair whose real parts differ by rounding noise
+    (1e-30 against -1e-44) keeps its order."""
+    return (round(z.real, 9), round(z.imag, 9))
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """One catalog entry."""
@@ -123,7 +130,7 @@ class PotentialSpec:
         if self.mapping in ("exp", "exp_i"):
             if not any(abs(p) < 1e-9 for p in poles):
                 poles.append(0.0 + 0j)
-        return tuple(sorted(poles, key=lambda z: (z.real, z.imag)))
+        return tuple(sorted(poles, key=plane_key))
 
     @cached_property
     def residue_weights(self):

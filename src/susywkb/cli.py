@@ -157,8 +157,7 @@ def _cmd_spectrum(args):
 
 def _cmd_compare(args):
     spec = _load_spec(args)
-    cen = contours.census(spec, catalog.probe_energy(spec))
-    two_cut = len(cen.branch_cuts) <= 2
+    two_cut = contours.cut_count(spec, catalog.probe_energy(spec)) <= 2
     rows = []
     for n in _bound_levels(spec, args.levels):
         vals = {}
@@ -188,7 +187,7 @@ def _cmd_contours(args):
     spec = _load_spec(args)
     dec = contours.decompose(spec, args.energy)
     rows = []
-    for pole in sorted(dec.J_gamma, key=lambda z: (z.real, z.imag)):
+    for pole in sorted(dec.J_gamma, key=catalog.plane_key):
         rows.append({"term": "pole", "location": complex(pole),
                      "value": complex(dec.J_gamma[pole]),
                      "residual": dec.closure_residual})
@@ -216,7 +215,7 @@ def _cmd_census(args):
         loc = "infinity" if isinstance(p, str) else complex(p)
         rows.append({"kind": "fixed_pole", "location": loc,
                      "partner": "", "classification": ""})
-    for b in sorted(cen.branch_points, key=lambda z: (z.real, z.imag)):
+    for b in sorted(cen.branch_points, key=catalog.plane_key):
         rows.append({"kind": "branch_point", "location": complex(b),
                      "partner": "", "classification": ""})
     for cut in cen.branch_cuts:

@@ -38,7 +38,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.optimize import brentq
 
 from . import branch as br
-from .catalog import probe_energy
+from .catalog import plane_key, probe_energy
 from .cpoly import find_roots
 from .errors import ConvergenceError, DomainError
 from .swkb import (QuantizationResult, _bracket, _energy_numerator,
@@ -140,10 +140,9 @@ class _Workspace:
         others = pairs[1:]
         mirror_idx = None
         if self.spec.is_y_symmetric():
-            target = sorted((-pairs[0][0], -pairs[0][1]),
-                            key=lambda z: (z.real, z.imag))
+            target = sorted((-pairs[0][0], -pairs[0][1]), key=plane_key)
             for k, (a, b) in enumerate(others):
-                got = sorted((a, b), key=lambda z: (z.real, z.imag))
+                got = sorted((a, b), key=plane_key)
                 if (abs(got[0] - target[0]) < 1e-6 * self.spread
                         and abs(got[1] - target[1]) < 1e-6 * self.spread):
                     mirror_idx = k
@@ -243,6 +242,12 @@ def _min_weight_matching(pts):
 # public operations
 # ---------------------------------------------------------------------------
 
+def cut_count(spec, E):
+    """The number of branch cuts at energy E: the workspace pairs every
+    root of E den^2 - num^2, so half its degree."""
+    return _energy_numerator(spec, E).degree // 2
+
+
 def census(spec, E):
     """Fixed poles, branch points, and paired branch cuts at energy E."""
     ws = _Workspace(spec, E)
@@ -315,10 +320,10 @@ def quantize_by_contours(spec, n):
         raise DomainError("n must be non-negative")
     if not spec.n_is_bound(n):
         raise _unbound_level(spec, n)
-    cen = census(spec, probe_energy(spec, n))
-    if len(cen.branch_cuts) > 2:
+    cuts = cut_count(spec, probe_energy(spec, n))
+    if cuts > 2:
         raise DomainError(
-            f"{spec.id} has {len(cen.branch_cuts)} branch cuts; the "
+            f"{spec.id} has {cuts} branch cuts; the "
             "two-cut contour condition does not close — use defect_report "
             "to quantify the other-cut content")
     if n == 0:

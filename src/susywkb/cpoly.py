@@ -2,11 +2,10 @@
 
 Coefficients are stored ascending in degree, matching
 ``numpy.polynomial.polynomial`` conventions.  Degrees in this package stay
-small (at most 12).  The root finder starts from the companion-matrix
-eigenvalues, which are backward stable, and refines them by simultaneous
-(Aberth) iteration only until the residuals reach rounding level; most
-calls take no step at all.  Its roots meet the 1e-10 relative tolerance
-required of turning-point and branch-point computations.
+small (at most 12).  The root finder takes the companion-matrix
+eigenvalues, which are backward stable, and refines them by Newton steps
+that are kept only where they lower |p|.  Its roots meet the 1e-10 relative
+tolerance required of turning-point and branch-point computations.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from numpy.polynomial import polynomial as npoly
 from .errors import ConvergenceError, DomainError
 
 ROOT_TOL = 1e-10      # relative residual bound for accepted roots
-MAX_ITER = 200        # cap on Aberth steps per call
-ROUNDING_STOP = 4.0   # multiple of deg*eps times sum |c_k||z|^k under which
-                      # a residual is rounding and the iteration stops
 GCD_TOL = 1e-9        # common-root tolerance when reducing rational functions
 EPS = np.finfo(float).eps
 CLUSTER_RADIUS = 0.1  # relative reach within which roots may form a cluster
@@ -94,16 +90,14 @@ def _as_coeffs(p):
 def find_roots(p: Polynomial):
     """All complex roots of ``p``, repeated per multiplicity.
 
-    Aberth-Ehrlich simultaneous iteration started from the eigenvalues of
-    the companion matrix (backward stable, so each start is already the
-    exact root of a nearby polynomial).  The iteration stops once every
-    iterate's residual is within ROUNDING_STOP * deg * eps of its rounding
-    bound, sum_k |c_k| |z|^k, or once its steps stop moving the iterates.
-    It stalls near a multiple root, so each cluster of iterates is checked
-    for one (see _multiple_roots); multiple roots found are divided out and
-    the quotient's roots are found afresh.  The returned roots satisfy
-    |p(r)| <= ROOT_TOL * max|coeff| * scale; failing that a
-    ConvergenceError carrying the residuals is raised.
+    The eigenvalues of the companion matrix (backward stable, so each is
+    already the exact root of a nearby polynomial), refined by Newton steps
+    on p that are kept only where they lower |p| (_newton_polish).  Near an
+    m-fold root the eigenvalues spread by about eps^(1/m), so each cluster
+    of them is checked for one (see _multiple_roots); multiple roots found
+    are divided out and the quotient's roots are found afresh.  The
+    returned roots satisfy |p(r)| <= ROOT_TOL * max|coeff| * scale; failing
+    that a ConvergenceError carrying the residuals is raised.
     """
     if p.is_zero:
         raise DomainError("cannot take roots of the zero polynomial")
@@ -111,34 +105,20 @@ def find_roots(p: Polynomial):
     n = len(c) - 1
     if n == 0:
         return np.zeros(0, dtype=complex)
-    z = npoly.polyroots(c)
-    dc, ac = c[1:] * np.arange(1, n + 1), np.abs(c)
-    rounding = ROUNDING_STOP * n * EPS
-    for _ in range(MAX_ITER):
-        pv = npoly.polyval(z, c)
-        if np.all(np.abs(pv) <= rounding * npoly.polyval(np.abs(z), ac)):
-            break
-        step = _aberth_step(z, pv, npoly.polyval(z, dc))
-        z = z - step
-        if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(z))):
-            break
-    scale = np.abs(p.coeffs).max()
     oc = p.coeffs
-    z = _newton_polish(oc, z)
+    z = _newton_polish(oc, npoly.polyroots(c))
     multiple = _multiple_roots(oc, z)
     if multiple:
         q = p
         for r, m in multiple:
             for _ in range(m):
                 q = _deflate(q, r)
-        # the quotient inherits the error of each r; polish its roots on p,
-        # but only where that lowers |p|, since Newton on p is noise at a
-        # multiple root the quotient may still hold
-        rest = _newton_polish(oc, find_roots(q), descent=True)
+        # the quotient inherits the error of each r; polish its roots on p
+        rest = _newton_polish(oc, find_roots(q))
         z = np.concatenate([np.repeat([r for r, _ in multiple],
                                       [m for _, m in multiple]), rest])
     res = np.abs(npoly.polyval(z, oc))
-    bound = ROOT_TOL * scale * np.maximum(1.0, np.abs(z)) ** n
+    bound = ROOT_TOL * np.abs(oc).max() * np.maximum(1.0, np.abs(z)) ** n
     if np.any(res > bound):
         raise ConvergenceError(
             "root finder did not converge", residuals=res.tolist()
@@ -146,42 +126,32 @@ def find_roots(p: Polynomial):
     return z
 
 
-def _aberth_step(z, pv, dv):
-    """One Aberth-Ehrlich correction for the iterates z, given the
-    polynomial's values pv and derivative values dv there."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulse = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * repulse
-        return np.where(np.abs(denom) > 1e-300, newton / denom, newton)
-
-
-def _newton_polish(c, z, steps=3, descent=False):
-    """A few Newton steps on the polynomial with coefficients c; with
-    ``descent`` a step is kept only where it lowers |c(z)|."""
+def _newton_polish(c, z):
+    """Three Newton steps on the polynomial with coefficients c, each kept
+    only where it lowers |c(z)|: at a multiple root, or a pair of roots
+    closer than rounding resolves, p/p' is noise and a step can throw the
+    point far off."""
     dc = c[1:] * np.arange(1, len(c))
-    for _ in range(steps):
-        pv = npoly.polyval(z, c)
+    pv = npoly.polyval(z, c)
+    for _ in range(3):
         dv = npoly.polyval(z, dc)
         good = np.abs(dv) > 1e-300
         new = np.where(good, z - pv / np.where(good, dv, 1), z)
-        if descent:
-            new = np.where(np.abs(npoly.polyval(new, c)) < np.abs(pv), new, z)
-        z = new
+        pn = npoly.polyval(new, c)
+        lower = np.abs(pn) < np.abs(pv)
+        z, pv = np.where(lower, new, z), np.where(lower, pn, pv)
     return z
 
 
 def _multiple_roots(c, z):
     """(root, multiplicity) for each multiple root of c next to which the
-    iterates z cluster.
+    approximate roots z cluster.
 
-    Near an m-fold root simultaneous iteration stalls at a spread of order
+    Near an m-fold root the companion eigenvalues spread by about
     eps^(1/m), and the cluster mean is off as well.  An isolated double root
-    it still resolves to about sqrt(eps), while an isolated pair of simple
+    they still resolve to about sqrt(eps), while an isolated pair of simple
     roots that close (branch points coalescing as E -> 0+) is a double root
-    to rounding; so only clusters of three or more iterates are searched.
+    to rounding; so only clusters of three or more points are searched.
     The m-fold root is a simple root of the (m-1)-th derivative, so Newton
     on that derivative, seeded from a cluster member, finds it to working
     precision (_multiple_root).  The largest m for which this works wins,
@@ -202,7 +172,7 @@ def _multiple_roots(c, z):
             for seed in seeds:
                 r = _multiple_root(c, seed, m)
                 # Newton may run off to another cluster's root, or to one
-                # already found; an m-fold root needs m free iterates near
+                # already found; an m-fold root needs m free points near
                 if r is not None and np.count_nonzero(
                         free & (np.abs(z - r) <= reach)) >= m and all(
                         abs(r - s) > SAME_ROOT_TOL * (1.0 + abs(s))
@@ -220,7 +190,7 @@ def _multiple_roots(c, z):
                     break
                 r, m = lower, m - 1
             found.append((r, m))
-            # the m free iterates nearest r stand for it and seed no
+            # the m free points nearest r stand for it and seed no
             # further search
             dist = np.where(free, np.abs(z - r), np.inf)
             free[np.argsort(dist, kind="stable")[:m]] = False

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import susywkb
+from susywkb import catalog
 from susywkb.cli import main
 
 # the child process imports the same susywkb as this one, installed or not
@@ -20,6 +21,19 @@ def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "susywkb.cli", *args],
                           capture_output=True, text=True, env=CHILD_ENV)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+# closure_sweep.py exits 1 when a closure residual exceeds 1e-12
+@pytest.mark.parametrize("script, args", [
+    ("root_steps.py", ["eckart", "scarf1"]), ("closure_sweep.py", []),
+])
+def test_script_exits_cleanly(script, args):
+    scripts = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                           "scripts")
+    proc = subprocess.run([sys.executable, os.path.join(scripts, script),
+                           *args], capture_output=True, text=True,
+                          env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_list_has_nine_rows():
@@ -56,6 +70,23 @@ def test_census_counts():
     kinds = [r.split(",")[0] for r in rows]
     assert kinds.count("branch_point") == 12
     assert kinds.count("branch_cut") == 6
+
+
+def parse_cell(cell):
+    return complex(cell.strip('"').replace("i", "j"))
+
+
+@pytest.mark.parametrize("pot_id, E", [("nonexact1", "4"),
+                                       ("nonexact2", "0.03125")])
+def test_census_rows_ignore_rounding_noise(pot_id, E, capsys):
+    # of conjugate poles and branch points whose real parts differ only by
+    # rounding noise (1.8e-30 against -1.3e-44) the lower one comes first
+    assert main(["census", pot_id, "--energy", E]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
+    for kind in ("fixed_pole", "branch_point"):
+        points = [parse_cell(r[1]) for r in rows
+                  if r[0] == kind and r[1] != "infinity"]
+        assert points == sorted(points, key=catalog.plane_key)
 
 
 def test_contours_table():

@@ -143,12 +143,22 @@ def test_quantize_by_contours_evaluates_each_energy_once(monkeypatch):
     def unexpected(P):
         raise AssertionError("the workspace solved P twice")
 
+    solved = []
+    find = contours.find_roots
+
+    def counted_find(P):
+        solved.append(P)
+        return find(P)
+
     monkeypatch.setattr(contours, "_condition_value", counted)
     # each workspace hands its branch points to turning_points
     monkeypatch.setattr(swkb, "find_roots", unexpected)
+    # the cut count takes the degree of P, not its roots
+    monkeypatch.setattr(contours, "find_roots", counted_find)
     r = sw.quantize_by_contours(spec_of("eckart"), 1)
     assert len(energies) == len(set(energies)) >= 4
     assert r.energy in energies
+    assert len(solved) == len(energies)
 
 
 def test_quantize_by_contours_scarf1_level_nine():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import susywkb as sw
@@ -39,41 +39,40 @@ def test_constant_polynomial_has_no_roots():
     assert len(find_roots(Polynomial([3.0]))) == 0
 
 
-@pytest.fixture
-def aberth_steps(monkeypatch):
-    """Calls of the Aberth step, each recorded by its number of iterates."""
-    steps = []
-    step = cpoly._aberth_step
+# a double root whose companion eigenvalues lie within 1.2e-16 of it, where
+# an undamped Newton step divides rounding by rounding
+DOUBLE_ROOT = 0.48266893566123503 * (1 + 1j)
 
-    def counted(z, pv, dv):
-        steps.append(len(z))
-        return step(z, pv, dv)
 
-    monkeypatch.setattr(cpoly, "_aberth_step", counted)
-    return steps
+def smallest_gap(z):
+    gaps = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return gaps.min()
 
 
 # the lower bracket end of a level solve, 1e-9 of the threshold (or 1e-9):
-# there pairs of branch points lie 4e-6 to 6e-5 apart, so an iterate can
-# resolve them only to about eps/distance and a step never falls under
-# 1e-14; from a ring start the iteration ran to its cap of 200 steps
+# there pairs of branch points lie 4e-6 to 6e-5 apart, so rounding resolves
+# them only to about eps/distance; the refinement must neither leave the
+# residual above ROOT_TOL nor merge a close pair
 @pytest.mark.parametrize("pot_id, E", [
     ("eckart", 2.25e-7), ("scarf1", 1e-9),
     ("nonexact1", 1e-9), ("nonexact2", 6.25e-11),
 ])
-def test_close_branch_points_stop_at_the_rounding_level(pot_id, E,
-                                                        aberth_steps):
+def test_close_branch_points_stop_at_the_rounding_level(pot_id, E):
     P = _energy_numerator(sw.get_spec(pot_id), E)
     roots = find_roots(P)
     assert len(roots) == P.degree
-    assert len(aberth_steps) <= 2
     res = np.abs(P(roots))
     bound = (cpoly.ROOT_TOL * np.abs(P.coeffs).max()
              * np.maximum(1.0, np.abs(roots)) ** P.degree)
     assert np.all(res <= bound)
+    eigenvalues = np.polynomial.polynomial.polyroots(P.monic().coeffs)
+    assert smallest_gap(roots) == pytest.approx(smallest_gap(eigenvalues),
+                                                rel=1e-3)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(roots=[DOUBLE_ROOT, DOUBLE_ROOT])
 @given(st.lists(st.complex_numbers(max_magnitude=3.0, min_magnitude=0.01,
                                    allow_nan=False, allow_infinity=False),
                 min_size=1, max_size=6))
@@ -89,6 +88,7 @@ def test_roots_recovered_from_factored_form(roots):
 
 
 @pytest.mark.parametrize("roots", [
+    [DOUBLE_ROOT] * 2,
     [1 + 1j] * 2, [1 + 1j] * 3, [1 + 1j] * 4, [1 + 1j] * 5, [1 + 1j] * 6,
     [0.01, 0.01, 1 + 1j, 1 + 1j, -0.01j, -0.01j, -0.01j],
     [1j, 1j, 1j + 2.0 ** -14],            # double root beside a simple one
