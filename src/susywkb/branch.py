@@ -20,9 +20,9 @@ jumps in sign across each.  C is fixed once by one anchor value.
 
 On a cut the own factor is taken on one lip in closed form: it is
 sqrt(1 - t^2) times a smooth function of a parameter t in [-1, 1], so one
-Gauss-Chebyshev rule of the second kind serves chords and arcs and evaluates
-only the other cuts' factors.  It refines from ORDER_START = 64 nodes, and
-each doubling evaluates only the new nodes.  No circle takes a quadrature:
+Gauss-Chebyshev rule of the second kind, quadrature.gauss_chebyshev, serves
+chords and arcs and evaluates only the other cuts' factors (the real-axis
+SWKB integral takes the same rule).  No circle takes a quadrature:
 at infinity the sheet is a power series in 1/y (Sheet.at_infinity), and
 the pole terms are residues on it (see contours).
 """
@@ -36,10 +36,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .cpoly import Polynomial
-from .quadrature import ORDER_START, refine_until
-
-QUAD_TOL = 1e-11      # successive-refinement agreement for every quadrature
-MAX_NODES = 1 << 17
+from .quadrature import gauss_chebyshev
 
 
 def _factor(cut, y):
@@ -143,22 +140,14 @@ def cut_integral(integrand: SqrtIntegrand, k):
       r = -4i tau^2 y exp(i (theta + thm)/2) / (1 + tau^2 t^2)^(3/2).
 
     sqrt(1 - t^2) is the Gauss-Chebyshev weight of the second kind: n - 1
-    nodes cos(j pi/n) with weights (pi/n) sin^2(j pi/n).  The rule of order
-    2n holds every node of order n, so each doubling adds half of the old
-    sum to the odd-j terms alone.
+    nodes cos(j pi/n) with weights (pi/n) sin^2(j pi/n), refined by
+    quadrature.gauss_chebyshev.
     """
     sheet = integrand.sheet
     cut = sheet.cuts[k]
     mid, half = 0.5 * (cut.p1 + cut.p2), 0.5 * (cut.p2 - cut.p1)
-    sums = {}
 
-    def at(n):
-        # the nodes of order n/2 are those of order n at even j, with twice
-        # the weight: past ORDER_START only the odd j are evaluated
-        if n in sums:
-            return sums[n]
-        nested = n > ORDER_START and n % 2 == 0
-        a = np.pi * np.arange(1, n, 2 if nested else 1) / n
+    def term(a):
         t = np.cos(a)
         if cut.arc:
             tau = np.tan(0.5 * half)
@@ -170,8 +159,6 @@ def cut_integral(integrand: SqrtIntegrand, k):
             ys = mid + half * t
             r = -1j * half * half
         g = sheet.others(k, ys) * integrand.weight(ys)
-        val = np.sum(np.sin(a) ** 2 * r * g) / n
-        sums[n] = 0.5 * at(n // 2) + val if nested else val
-        return sums[n]
+        return np.sin(a) ** 2 * r * g
 
-    return refine_until(at, ORDER_START, MAX_NODES, QUAD_TOL, "cut quadrature")
+    return gauss_chebyshev(term, "cut quadrature")

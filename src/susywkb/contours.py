@@ -41,6 +41,7 @@ from . import branch as br
 from .catalog import plane_key, probe_energy
 from .cpoly import find_roots
 from .errors import ConvergenceError, DomainError
+from .quadrature import QUAD_TOL
 from .swkb import (QuantizationResult, _bracket, _energy_numerator,
                    _unbound_level, swkb_integral, turning_points)
 
@@ -303,7 +304,7 @@ def _condition_value(spec, E):
     """Real value of J_GammaR - sum(J_gamma) at energy E."""
     ws = _Workspace(spec, E)
     total = ws.infinity_value() - sum(ws.pole_value(p) for p in ws.poles)
-    if abs(total.imag) > 10.0 * max(br.QUAD_TOL, IMAG_TOL * abs(total)):
+    if abs(total.imag) > 10.0 * max(QUAD_TOL, IMAG_TOL * abs(total)):
         raise ConvergenceError(
             f"contour condition is not real (imag = {total.imag})",
             residuals=[abs(total.imag)])

@@ -139,7 +139,7 @@ def _grow_box(spec, x_start, side, E):
 
 def _build_box(spec, E_hi):
     """Truncated integration interval and endpoint IC builders for energies
-    up to E_hi."""
+    up to E_hi, the box grown from the turning points to 12 decimals."""
     lo, hi = spec.domain
     E_box = E_hi
     if math.isfinite(spec.threshold):
@@ -151,14 +151,14 @@ def _build_box(spec, E_hi):
         s, c1h, c0h = _laurent_end(spec, lo, +1.0)
         ics["left"] = ("series", lo, +1.0, s, c1h, c0h)
     else:
-        x_min = _grow_box(spec, tp.x1, -1.0, E_box)
+        x_min = _grow_box(spec, round(tp.x1, 12), -1.0, E_box)
         ics["left"] = ("decay",)
     if math.isfinite(hi):
         x_max = hi - INSET_FRACTION / spec.alpha
         s, c1h, c0h = _laurent_end(spec, hi, -1.0)
         ics["right"] = ("series", hi, -1.0, s, c1h, c0h)
     else:
-        x_max = _grow_box(spec, tp.x2, +1.0, E_box)
+        x_max = _grow_box(spec, round(tp.x2, 12), +1.0, E_box)
         ics["right"] = ("decay",)
     return x_min, x_max, ics
 

@@ -1,16 +1,19 @@
-"""Refinement by doubling, and the Gauss-Legendre rule that the real-axis
-SWKB quadrature refines over."""
+"""Refinement by doubling, and the one quadrature rule of the package.
+
+The real-axis SWKB integral (swkb.swkb_integral) and the integral along a
+cut (branch.cut_integral) are both integrals of sqrt(1 - t^2) times a
+smooth function of t in [-1, 1], so both take the nested Gauss-Chebyshev
+rule of the second kind in t = cos(a), gauss_chebyshev."""
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-ORDER_START = 64      # first order or node count of every refined rule
-GL_ORDER_MAX = 4096
+ORDER_START = 64      # first node count of every refined rule
+MAX_NODES = 1 << 17
+QUAD_TOL = 1e-11      # successive-refinement agreement for every quadrature
 
 
 def refine_until(fn, n0, nmax, tol, what):
@@ -29,11 +32,20 @@ def refine_until(fn, n0, nmax, tol, what):
     raise ConvergenceError(f"{what} did not converge", residuals=[diff])
 
 
-@lru_cache(maxsize=None)
-def gauss_legendre(order):
-    """Read-only Gauss-Legendre nodes and weights; refinement doubles the
-    order from ORDER_START, so the cache holds a few rules at most."""
-    u, wt = np.polynomial.legendre.leggauss(order)
-    u.flags.writeable = False
-    wt.flags.writeable = False
-    return u, wt
+def gauss_chebyshev(term, what, tol=QUAD_TOL):
+    """(1/n) * sum_{j=1}^{n-1} term(j pi/n) for term on arrays of angles,
+    refined from ORDER_START up to MAX_NODES nodes within tol.  The nodes
+    of order n/2 are those of order n at even j, so past ORDER_START the
+    sum is half the old sum plus the new odd-j terms over n."""
+    sums = {}
+
+    def at(n):
+        if n in sums:
+            return sums[n]
+        nested = n > ORDER_START and n % 2 == 0
+        a = np.pi * np.arange(1, n, 2 if nested else 1) / n
+        val = np.sum(term(a)) / n
+        sums[n] = 0.5 * at(n // 2) + val if nested else val
+        return sums[n]
+
+    return refine_until(at, ORDER_START, MAX_NODES, tol, what)

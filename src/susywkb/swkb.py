@@ -16,10 +16,8 @@ from scipy.optimize import brentq
 
 from .cpoly import Polynomial, find_roots
 from .errors import ConvergenceError, DomainError, UnboundEnergyError
-from .quadrature import (GL_ORDER_MAX, ORDER_START, gauss_legendre,
-                         refine_until)
+from .quadrature import QUAD_TOL, gauss_chebyshev
 
-TAU_SWKB = 1e-11     # quadrature self-consistency target
 TAU_LEVEL = 1e-10    # |J/hbar - n| tolerance for solved levels
 
 
@@ -53,7 +51,16 @@ def _energy_numerator(spec, E):
 def turning_points(spec, E, roots=None):
     """The unique pair of real turning points of E - omega^2 in the domain.
     roots, the roots of _energy_numerator(spec, E) when the caller holds
-    them already, spares solving for them again."""
+    them already, spares solving for them again.
+
+    The ends are the roots as solved, rounded to 12 decimals only to drop
+    duplicates: swkb_integral converges like 1/n on rounded ends.  The
+    midpoint alone decides that the gap is classically allowed.  Every real
+    zero of P = E*den^2 - num^2 in the domain is a turning point, so P has
+    none strictly between x1 and x2; E - omega^2 = P/den^2 has the sign of P
+    where den != 0, and P = -num^2 < 0 where den = 0.  So one sign holds on
+    the whole gap.
+    """
     if not (E > 0):
         raise UnboundEnergyError(f"E={E} must be positive")
     if E >= spec.threshold:
@@ -63,49 +70,41 @@ def turning_points(spec, E, roots=None):
     if roots is None:
         roots = find_roots(_energy_numerator(spec, E))
     lo, hi = spec.domain
-    xs = []
+    xs = {}
     for r in roots:
         x = spec.x_of_y(r)
         if x is not None and lo < x < hi:
-            xs.append(x)
-    xs = sorted(set(round(x, 12) for x in xs))
+            xs.setdefault(round(x, 12), x)
     if len(xs) != 2:
         raise UnboundEnergyError(
             f"E={E}: found {len(xs)} real turning points in the domain of "
             f"{spec.id}, expected exactly 2")
-    x1, x2 = xs
-    # sanity: classically allowed in between
-    mid = spec.omega_x(np.linspace(x1, x2, 21)[1:-1]) ** 2
-    if np.any(mid >= E):
+    x1, x2 = (xs[key] for key in sorted(xs))
+    if not spec.omega_x(0.5 * (x1 + x2)) ** 2 < E:
         raise UnboundEnergyError(
             f"E={E}: region between turning points is not classically "
             f"allowed for {spec.id}")
     return TurningPoints(x1, x2)
 
 
-def swkb_integral(spec, E, tol=TAU_SWKB):
+def swkb_integral(spec, E, tol=QUAD_TOL):
     """(1/pi) * integral of sqrt(E - omega^2) over the classical region.
 
-    The substitution x = x_mid + x_half*sin(theta) removes the inverse-
-    square-root turning-point behavior, after which Gauss-Legendre
-    quadrature converges exponentially; the order is doubled until two
-    successive results agree within tol.
+    With x = x_mid + x_half*cos(a), J = (x_half/n) * sum_j sin(j pi/n) *
+    sqrt(E - omega^2(x_j)) in the rule of quadrature.gauss_chebyshev, which
+    converges exponentially between the true turning points; the node
+    count doubles until two successive results agree within tol.
     """
     if E == 0.0:
         return 0.0
     tp = turning_points(spec, E)
     xm, xh = 0.5 * (tp.x1 + tp.x2), 0.5 * (tp.x2 - tp.x1)
 
-    def at_order(order):
-        t, wt = gauss_legendre(order)
-        th = t * np.pi / 2.0
-        xs = xm + xh * np.sin(th)
-        om2 = spec.omega_x(xs) ** 2
-        integ = np.sqrt(np.maximum(E - om2, 0.0)) * xh * np.cos(th) * np.pi / 2.0
-        return float(np.sum(wt * integ) / np.pi)
+    def term(a):
+        om2 = spec.omega_x(xm + xh * np.cos(a)) ** 2
+        return xh * np.sin(a) * np.sqrt(np.maximum(E - om2, 0.0))
 
-    return refine_until(at_order, ORDER_START, GL_ORDER_MAX, tol,
-                        "SWKB quadrature")
+    return float(gauss_chebyshev(term, "SWKB quadrature", tol))
 
 
 def solve_level(spec, n, tol=TAU_LEVEL):

@@ -4,9 +4,10 @@ import dataclasses
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
 import susywkb as sw
-from susywkb import RationalFunction
+from susywkb import RationalFunction, quadrature
 from susywkb.catalog import probe_energy
 
 
@@ -25,6 +26,29 @@ def drawn_spec(pot_id, seed):
     f = np.exp(rng.uniform(-0.1, 0.1, size=len(defaults) + 1))
     params = {k: float(v * g) for (k, v), g in zip(defaults.items(), f)}
     return sw.get_spec(pot_id, params=params, hbar=float(f[-1]))
+
+
+@pytest.fixture
+def quadratures(monkeypatch):
+    """Every Gauss-Chebyshev quadrature the test runs, as (what, fn, value,
+    nodes): fn(n) is the rule's sum at n nodes, and nodes the count at which
+    it converged to value."""
+    seen = []
+    refine_until = quadrature.refine_until
+
+    def recording(fn, n0, nmax, tol, what):
+        counts = []
+
+        def counted(n):
+            counts.append(n)
+            return fn(n)
+
+        val = refine_until(counted, n0, nmax, tol, what)
+        seen.append((what, fn, val, counts[-1]))
+        return val
+
+    monkeypatch.setattr(quadrature, "refine_until", recording)
+    return seen
 
 
 @lru_cache(maxsize=None)

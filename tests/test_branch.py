@@ -5,11 +5,11 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import susywkb as sw
-from susywkb import Polynomial, branch, contours
+from susywkb import Polynomial, contours, swkb
 from susywkb.branch import Sheet, SqrtIntegrand, cut_integral
 from susywkb.catalog import probe_energy
 from susywkb.contours import Cut
-from susywkb.quadrature import refine_until
+from susywkb.quadrature import QUAD_TOL
 
 from conftest import drawn_spec, reference_circle, reference_radius
 
@@ -236,28 +236,33 @@ def test_cut_rules_close_against_the_large_circle(cuts):
     assert reference_circle(integrand, 10.0) == pytest.approx(total, abs=1e-12)
 
 
-def test_circle_quadratures_converge_by_128_nodes(monkeypatch):
-    # Every cut of the probe workspaces: the node count that sets the cost
-    # of a decomposition.  J_GammaR takes no quadrature.
-    seen = []
-
-    def recording(fn, n0, nmax, tol, what):
-        val = refine_until(fn, n0, nmax, tol, what)
-        seen.append((what, fn, val))
-        return val
-
-    monkeypatch.setattr(branch, "refine_until", recording)
+def test_cut_quadratures_converge_by_128_nodes(quadratures):
+    # Every cut of the probe workspaces, the node count that sets the cost
+    # of a decomposition, and the same rule on the real axis at the 27 bound
+    # levels n = 1-4 of the catalog.  J_GammaR takes no quadrature.
+    levels = [(spec, swkb.solve_level(spec, n).energy)
+              for spec in map(sw.get_spec, sw.CATALOG_IDS)
+              for n in range(1, 5) if spec.n_is_bound(n)]
+    assert len(levels) == 27
+    runs = []
     for ws in _probe_workspaces():
-        seen.clear()
+        quadratures.clear()
         for k in range(len(ws.cuts)):
             ws.cut_value(k)
-        assert [what for what, _, _ in seen] == (
+        assert [q[0] for q in quadratures] == (
             ["cut quadrature"] * len(ws.cuts))
-        for what, fn, val in seen:
-            J = fn(4096)
-            assert val == fn(128)
-            assert abs(val - fn(64)) < branch.QUAD_TOL
-            assert abs(val - J) <= 1e-13 * (1.0 + abs(J))
+        runs += quadratures
+    for spec, E in levels:
+        quadratures.clear()
+        swkb.swkb_integral(spec, E)
+        assert [q[0] for q in quadratures] == ["SWKB quadrature"]
+        runs += quadratures
+    for what, fn, val, nodes in runs:
+        J = fn(4096)
+        assert nodes == 128
+        assert val == fn(128)
+        assert abs(val - fn(64)) < QUAD_TOL
+        assert abs(val - J) <= 1e-13 * (1.0 + abs(J))
 
 
 @pytest.mark.parametrize("cuts", [

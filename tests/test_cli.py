@@ -23,9 +23,11 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-# closure_sweep.py exits 1 when a closure residual exceeds 1e-12
+# closure_sweep.py exits 1 when a closure residual exceeds 1e-12;
+# defect_scan.py takes both quadratures at nonexact2's oracle level
 @pytest.mark.parametrize("script, args", [
     ("root_steps.py", ["eckart", "scarf1"]), ("closure_sweep.py", []),
+    ("defect_scan.py", []),
 ])
 def test_script_exits_cleanly(script, args):
     scripts = os.path.join(os.path.dirname(os.path.dirname(__file__)),

@@ -1,5 +1,6 @@
 """Real-axis SWKB engine: turning points, action integral, level solving."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import susywkb as sw
-from susywkb import ConvergenceError, UnboundEnergyError, swkb
-from susywkb.quadrature import gauss_legendre, refine_until
+from susywkb import (ConvergenceError, RationalFunction, UnboundEnergyError,
+                     swkb)
+from susywkb.quadrature import QUAD_TOL, refine_until
 from susywkb.swkb import solve_level, swkb_integral, turning_points
 
 
@@ -19,8 +21,8 @@ def test_eckart_turning_points_analytic():
     tp = turning_points(spec, 189.0)
     # coth(x) = 16 -+ sqrt(189) at the turning points
     r = math.sqrt(189.0)
-    assert tp.x1 == pytest.approx(math.atanh(1.0 / (16.0 + r)), abs=1e-9)
-    assert tp.x2 == pytest.approx(math.atanh(1.0 / (16.0 - r)), abs=1e-9)
+    assert tp.x1 == pytest.approx(math.atanh(1.0 / (16.0 + r)), abs=1e-14)
+    assert tp.x2 == pytest.approx(math.atanh(1.0 / (16.0 - r)), abs=1e-14)
 
 
 def test_turning_points_coalesce_at_low_energy():
@@ -38,6 +40,17 @@ def test_unbound_energy_rejected():
         turning_points(spec, 300.0)    # above threshold (B/A - A)^2 = 225
     with pytest.raises(UnboundEnergyError):
         turning_points(spec, -1.0)
+
+
+def test_forbidden_gap_between_turning_points_rejected():
+    # omega = x^2 - 1: omega^2 = 1/4 at x^2 = 1/2 and 3/2, and only the
+    # inner pair +-0.707 lies in (-1.1, 1.1); omega^2(0) = 1 > E between.
+    spec = dataclasses.replace(
+        sw.get_spec("nonexact3"), omega_y=RationalFunction([-1.0, 0.0, 1.0],
+                                                           [1.0]),
+        mapping="identity", domain=(-1.1, 1.1))
+    with pytest.raises(UnboundEnergyError, match="not classically allowed"):
+        turning_points(spec, 0.25)
 
 
 def test_classically_allowed_between_turning_points():
@@ -83,7 +96,7 @@ def test_solve_level_eckart():
 def test_solve_level_integrates_each_energy_once(pot_id, n, monkeypatch):
     energies = []
 
-    def counted(spec, E, tol=swkb.TAU_SWKB):
+    def counted(spec, E, tol=QUAD_TOL):
         energies.append(E)
         return swkb_integral(spec, E, tol)
 
@@ -94,34 +107,39 @@ def test_solve_level_integrates_each_energy_once(pot_id, n, monkeypatch):
 
 
 # every bound level n <= 4 of the entries with a solvable SWKB level but
-# nonexact3, as the ring-started root finder gave them, bit for bit
-@pytest.mark.parametrize("pot_id, n, energy", [
-    ("eckart", 1, 189.00000000000037),
-    ("eckart", 2, 219.55555555555574),
-    ("scarf2", 1, 5.000000000000026),
-    ("scarf2", 2, 8.000000000000023),
-    ("rosenmorse2", 1, 6.805555555555592),
-    ("rosenmorse2", 2, 11.250000000000037),
-    ("genpt", 1, 3.0000000000000133),
-    ("scarf1", 1, 3.0000000000000253),
-    ("scarf1", 2, 8.000000000000078),
-    ("scarf1", 3, 15.000000000000147),
-    ("scarf1", 4, 24.00000000000026),
-    ("rosenmorse1", 1, 3.750000000000026),
-    ("rosenmorse1", 2, 8.888888888888966),
-    ("rosenmorse1", 3, 15.937500000000155),
-    ("rosenmorse1", 4, 24.960000000000253),
-    ("nonexact1", 1, 4.023584266821277),
-    ("nonexact1", 2, 8.01945170523656),
-    ("nonexact1", 3, 12.015433524121505),
-    ("nonexact1", 4, 16.01246610620455),
-    ("nonexact2", 1, 0.034810637272040916),
-    ("nonexact2", 2, 0.04693630890314296),
-    ("nonexact2", 3, 0.05253761280342268),
-    ("nonexact2", 4, 0.055579349182735466),
-])
-def test_solve_level_energy_is_pinned(pot_id, n, energy):
-    assert solve_level(sw.get_spec(pot_id), n).energy == energy
+# nonexact3, as the Gauss-Chebyshev rule on unrounded turning points gives
+# them, bit for bit
+PINNED_LEVELS = {
+    ("eckart", 1): 189.0,
+    ("eckart", 2): 219.55555555555557,
+    ("scarf2", 1): 5.0,
+    ("scarf2", 2): 8.0,
+    ("rosenmorse2", 1): 6.805555555555555,
+    ("rosenmorse2", 2): 11.25,
+    ("genpt", 1): 3.0,
+    ("scarf1", 1): 2.9999999999999996,
+    ("scarf1", 2): 8.0,
+    ("scarf1", 3): 15.000000000000004,
+    ("scarf1", 4): 23.999999999999996,
+    ("rosenmorse1", 1): 3.75,
+    ("rosenmorse1", 2): 8.888888888888888,
+    ("rosenmorse1", 3): 15.937499999999998,
+    ("rosenmorse1", 4): 24.96,
+    ("nonexact1", 1): 4.023584266821251,
+    ("nonexact1", 2): 8.01945170523651,
+    ("nonexact1", 3): 12.015433524121429,
+    ("nonexact1", 4): 16.01246610620445,
+    ("nonexact2", 1): 0.034810637272040805,
+    ("nonexact2", 2): 0.04693630890314286,
+    ("nonexact2", 3): 0.05253761280342261,
+    ("nonexact2", 4): 0.0555793491827354,
+}
+
+
+@pytest.mark.parametrize("pot_id, n", list(PINNED_LEVELS))
+def test_solve_level_energy_is_pinned(pot_id, n):
+    energy = solve_level(sw.get_spec(pot_id), n).energy
+    assert energy == PINNED_LEVELS[pot_id, n]
 
 
 def test_solve_level_zero_is_exact():
@@ -167,20 +185,18 @@ def test_nonexact3_level_above_the_inner_wells(n):
     assert abs(J / math.pi / spec.hbar - n) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_nonexact2_level_below_the_threshold(n, monkeypatch):
+@pytest.mark.parametrize("n", [1, 2, 3, 62, 80])
+def test_nonexact2_level_below_the_threshold(n, quadratures):
     # omega rises from -inf at x = 0 to 1/4 as x -> inf, so x2 runs away as
     # E approaches the threshold 1/16; the bracket must not probe there.
-    orders = []
-
-    def recording_rule(order):
-        orders.append(order)
-        return gauss_legendre(order)
-
-    monkeypatch.setattr(swkb, "gauss_legendre", recording_rule)
     spec = sw.get_spec("nonexact2")
     E = solve_level(spec, n).energy
-    assert max(orders) <= 512
+    # The farthest x2 of a solve, and its largest node count, is at the
+    # bracket end: thr (1 - 1e-3), x2 = 1.6e4 and 2048 nodes, where
+    # J = 61.2; above that, as at n = 62 and 80, thr (1 - 1e-5), x2 = 1.6e6
+    # and 65536 nodes.
+    assert max(nodes for *_, nodes in quadratures) <= (
+        2048 if n <= 61 else 65536)
 
     num = [-192.0, -240.0, -108.0, -56.0, -16.0, 0.0, 1.0]
     den = [0.0, 192.0, 320.0, 272.0, 120.0, 32.0, 4.0]
