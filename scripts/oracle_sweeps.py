@@ -3,19 +3,18 @@
 
 For each catalog entry and level n = 1, 2 (where bound) this solves
 numerov_eigenvalue without a hint and, where the entry has a closed form,
-again with E_n as the hint.  For each grid the level uses (h, h/2, and
+again with E_n as the hint.  Without a hint the entry's closed form is
+dropped too, so the oracle brackets the level from its energy window as it
+does for an entry that has none.  For each grid the level uses (h, h/2, and
 the 4001-point search for an upper energy where there is no closed form
 and no finite threshold) it prints:
 
   sweeps  calls of numerov._shoot;
-  brack   of those, the sweeps of the bracket search (numerov._hint_bracket,
-          or numerov._transition_bracket when there is no hint or the hint
-          bracket is refused);
+  brack   of those, the sweeps of the bracket search
+          (numerov._level_bracket);
   root    of those, the sweeps of the Wronskian root search (the brentq
           call in numerov._solve_on_grid);
-  steps   iterations of the Numerov recurrence (numerov._recur), summed;
-  whole   sweeps that also count nodes past the matching point, which only
-          the node-count fallback asks for.
+  steps   iterations of the Numerov recurrence (numerov._recur), summed.
 
 and for the level its eigenvalue and two CPU times:
 
@@ -24,13 +23,14 @@ and for the level its eigenvalue and two CPU times:
 
 cpu_s - sweep_s is the set-up: growing the box and evaluating V_- on each
 grid.  On the h and h/2 grids sweeps = brack + root; the sweeps of the
-upper-energy search are neither.  A sweep that stops at the matching point
-takes N - 1 steps on an N-point grid.
+upper-energy search are neither.  A sweep takes N - 1 steps on an N-point
+grid.
 
     PYTHONPATH=src python scripts/oracle_sweeps.py [--json PATH] [ids ...]
 """
 
 import argparse
+import dataclasses
 import json
 import time
 from collections import Counter
@@ -39,7 +39,7 @@ import susywkb as sw
 from susywkb import numerov
 
 
-COLUMNS = ("sweeps", "brack", "root", "steps", "whole")
+COLUMNS = ("sweeps", "brack", "root", "steps")
 
 
 class Counts:
@@ -54,15 +54,14 @@ class Counts:
         self._phase = None
         shoot, recur = numerov._shoot, numerov._recur
 
-        def counted_shoot(spec, Vg, xg, ics, E, whole=False):
+        def counted_shoot(spec, Vg, xg, ics, E):
             N = self._grid = len(xg)
             self.counts["sweeps"][N] += 1
             if self._phase is not None:
                 self.counts[self._phase][N] += 1
-            self.counts["whole"][N] += bool(whole)
             t0 = time.process_time()
             try:
-                return shoot(spec, Vg, xg, ics, E, whole)
+                return shoot(spec, Vg, xg, ics, E)
             finally:
                 self.sweep_s += time.process_time() - t0
 
@@ -71,9 +70,7 @@ class Counts:
             return recur(p0, p1, c, t_back, t_next)
 
         numerov._shoot, numerov._recur = counted_shoot, counted_recur
-        for name, phase in (("_hint_bracket", "brack"),
-                            ("_transition_bracket", "brack"),
-                            ("brentq", "root")):
+        for name, phase in (("_level_bracket", "brack"), ("brentq", "root")):
             setattr(numerov, name, self._in_phase(getattr(numerov, name),
                                                   phase))
 
@@ -88,7 +85,7 @@ class Counts:
 
     def take(self):
         """Counts since the last call, per grid, {N: (sweeps, brack, root,
-        steps, whole)}, and the CPU seconds of the sweeps."""
+        steps)}, and the CPU seconds of the sweeps."""
         out = {N: tuple(self.counts[c][N] for c in COLUMNS)
                for N in sorted(self.counts["sweeps"])}
         for c in self.counts.values():
@@ -103,7 +100,7 @@ def cases(ids):
         for n in (1, 2):
             if not spec.n_is_bound(n):
                 continue
-            yield spec, n, None
+            yield dataclasses.replace(spec, spectrum=None), n, None
             if spec.spectrum is not None:
                 yield spec, n, spec.spectrum(n)
 
@@ -117,7 +114,7 @@ def main():
     counts = Counts()
     rows = []
     print(f"{'id':12s} {'n':>2s} {'hint':>4s} {'cpu_s':>6s} {'sweep_s':>7s} "
-          f"{'E':>22s}  per grid -- points: sweeps brack root steps whole")
+          f"{'E':>22s}  per grid -- points: sweeps brack root steps")
     for spec, n, hint in cases(args.ids):
         t0 = time.process_time()
         E = sw.numerov_eigenvalue(spec, n, E_hint=hint)
@@ -128,8 +125,8 @@ def main():
                      "grids": {N: dict(zip(COLUMNS, v))
                                for N, v in grids.items()}})
         hinted = "yes" if hint is not None else "no"
-        per_grid = "  ".join(f"{N:6d}: {a:3d} {b:3d} {r:3d} {s:8d} {w:3d}"
-                             for N, (a, b, r, s, w) in grids.items())
+        per_grid = "  ".join(f"{N:6d}: {a:3d} {b:3d} {r:3d} {s:8d}"
+                             for N, (a, b, r, s) in grids.items())
         print(f"{spec.id:12s} {n:2d} {hinted:>4s} {cpu:6.3f} {sweep_s:7.3f} "
               f"{E!r:>22s}  {per_grid}")
     if args.json:

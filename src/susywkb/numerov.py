@@ -17,19 +17,20 @@ relative.  The two recurrences meet at the matching point m: the left one
 runs up to m + 1 and the right one down to m - 1, N - 1 steps in all on an
 N-point grid, which is all the Wronskian and the node count up to m read.
 On each grid one memo of sweeps, keyed by energy, serves the bracket and
-the Wronskian root search.  The h grid brackets the root around the
-reference energy (E_hint, else the closed form) and the h/2 grid around the
-h-grid eigenvalue (see _hint_bracket), in 2-6 sweeps.  Without a hint, or
-when the node counts refuse the bracket, the grid bisects [E_lo, E_hi] for
-the node-count transitions t_{n-1} and t_n instead, at 40-90 sweeps; only
-these sweeps continue the left recurrence to the end of the grid, for the
-whole-grid node count.  The root search then takes 2-24 sweeps: a hinted
-level takes 4-26 sweeps a grid.  It stops at a relative width of W_RTOL,
-about the rounding floor of W's root: rounding the recurrence differently
-(multiplying by a rounded 1/t_next instead of dividing by t_next, or fusing
-multiply and add) moves the extrapolated levels at n = 1 by 1e-14 to 2e-10
-relative, and narrower brackets only follow rounding noise.  The absolute
-width 1e-14 keeps levels near E = 0 at their floor.
+the Wronskian root search.  One rule, on the node count up to m and the
+sign of W, tells whether an energy lies below the level (see
+_level_bracket).  The h grid brackets the root around the reference energy
+(E_hint, else the closed form) and the h/2 grid around the h-grid
+eigenvalue, in 2-6 sweeps.  Without a hint, or when no pair around it
+holds the level, the grid brackets it in the energy window [E_lo, E_hi]
+instead, in 5-12 sweeps.  The root search then takes 2-24 sweeps: a level
+takes 4-26 sweeps a grid with a hint and 13-26 on the h grid without.  It
+stops at a relative width of W_RTOL, about the rounding floor of W's root:
+rounding the recurrence differently (multiplying by a rounded 1/t_next
+instead of dividing by t_next, or fusing multiply and add) moves the
+extrapolated levels at n = 1 by 1e-14 to 2e-10 relative, and narrower
+brackets only follow rounding noise.  The absolute width 1e-14 keeps
+levels near E = 0 at their floor.
 
 Endpoint handling
 -----------------
@@ -215,19 +216,11 @@ def _recur(p0, p1, c, t_back, t_next):
     return p
 
 
-def _sign_changes(p):
-    """Number of sign changes between neighbours of p."""
-    return int(np.count_nonzero(np.sign(p[:-1]) * np.sign(p[1:]) < 0.0))
-
-
-def _shoot(spec, Vg, xg, ics, E, whole=False):
+def _shoot(spec, Vg, xg, ics, E):
     """One bidirectional Numerov sweep that meets at the matching point m:
     the left solution runs up to m + 1 and the right one down to m - 1.
-    Returns (node count of the left solution on the whole grid, or None,
-    node count up to m, normalized matching Wronskian, pL[:m + 2],
-    pR[m - 1:], m).  With whole, the left recurrence continues from
-    (pL[m], pL[m + 1]) to the end of the grid to count the rest of the
-    nodes."""
+    Returns (node count of the left solution up to m, normalized matching
+    Wronskian, pL[:m + 2], pR[m - 1:], m)."""
     hbar = spec.hbar
     N = len(xg)
     h = float(xg[1] - xg[0])
@@ -241,11 +234,6 @@ def _shoot(spec, Vg, xg, ics, E, whole=False):
                 c[1:m + 1], t[:m], t[2:m + 2])
     pR = _recur(*_end_ic(spec, ics, "right", xg, Vg, E),
                 c[N - 2:m - 1:-1], t[N - 1:m:-1], t[N - 3:m - 2:-1])[::-1]
-    inner = _sign_changes(pL[1:m + 1])
-    nodes = None
-    if whole:
-        tail = _recur(pL[m], pL[m + 1], c[m + 1:N - 1], t[m:N - 2], t[m + 2:])
-        nodes = inner + _sign_changes(tail)
     pl, pr = pL[m - 1:].tolist(), pR[:3].tolist()
     if abs(pl[1] * pr[1]) > OVERFLOW:
         # both halves end near OVERFLOW, and the products below could
@@ -255,92 +243,63 @@ def _shoot(spec, Vg, xg, ics, E, whole=False):
     dL = (pl[2] - pl[0]) / (2.0 * h)
     dR = (pr[2] - pr[0]) / (2.0 * h)
     W = (dL * pr[1] - dR * pl[1]) / (abs(pl[1] * pr[1]) + 1e-300)
-    return nodes, inner, W, pL, pR, m
+    nodes = np.count_nonzero(np.sign(pL[1:m]) * np.sign(pL[2:m + 1]) < 0.0)
+    return int(nodes), W, pL, pR, m
 
 
-def _node_transition(sweep, k, E_lo, E_hi):
-    """Energy where the node count steps from <= k to > k, by bisection of
-    [E_lo, E_hi] down to a relative width of 1e-9."""
-    lo, hi = E_lo, E_hi
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if sweep(mid, whole=True)[0] <= k:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-9 * (1.0 + abs(hi)):
+def _level_bracket(sweep, n, E_lo, E_hi, hint):
+    """Bracket of level n whose ends both have n nodes up to the matching
+    point and on which W changes sign.
+
+    E lies below E_n exactly when the left solution has fewer than n nodes
+    up to the matching point m, or n nodes and (-1)^n W > 0.  That count
+    never falls as E rises (Sturm), and with n nodes sign pL(m) = (-1)^n and
+    sign pR(m) = +, so (-1)^n W = pL'/pL - pR'/pR, which falls through 0 at
+    E_n.  Of the pairs [hint - d, hint + d], d = 1e-7*(1 + |hint|) * 8^k for
+    k < 7 (up to 2.6e-2*(1 + |hint|)), then [E_lo, E_hi], the first that
+    straddles E_n is kept and bisected by the same rule until both ends
+    have n nodes."""
+    def below(E):
+        nodes, W = sweep(E)
+        return nodes < n or (nodes == n and (-1) ** n * W > 0.0)
+
+    pairs = []
+    if hint is not None:
+        d = 1e-7 * (1.0 + abs(hint))
+        pairs = [(hint - d * 8.0 ** k, hint + d * 8.0 ** k) for k in range(7)]
+    for a, b in pairs + [(E_lo, E_hi)]:
+        if below(a) and not below(b):
             break
-    return lo, hi
-
-
-def _hint_bracket(sweep, n, hint):
-    """[hint - d, hint + d] for the first d = 1e-7*(1 + |hint|) * 8^k, k < 7
-    (up to 2.6e-2*(1 + |hint|)), where the matching Wronskian changes sign.
-    The pair is accepted only when the left solution has n nodes up to the
-    matching point at both ends.  That count does not fall as E rises and
-    reads k near E_k, and W keeps its sign where pL or pR vanishes at the
-    matching point, so E_n is then the one eigenvalue inside.  None when
-    widening cannot give such a pair."""
-    d = 1e-7 * (1.0 + abs(hint))
-    for _ in range(7):
-        a, b = hint - d, hint + d
-        (_, na, wa), (_, nb, wb) = sweep(a), sweep(b)
-        if wa * wb < 0.0:
-            return (a, b) if na == nb == n else None
-        if na < n or nb > n:
-            return None
-        d *= 8.0
-    return None
-
-
-def _transition_bracket(sweep, n, E_lo, E_hi):
-    """Bracket of level n between the node-count transitions of the whole
-    grid.  The transition t_k satisfies E_k <= t_k < E_{k+1} (a node can
-    enter the truncated grid somewhat above the eigenvalue when it drifts in
-    through the decay tail), so the n-th eigenvalue is the unique zero of
-    the matching Wronskian in (t_{n-1}, t_n]."""
-    _, t_n = _node_transition(sweep, n, E_lo, E_hi)
-    if n == 0:
-        a = E_lo
     else:
-        _, t_prev = _node_transition(sweep, n - 1, E_lo, E_hi)
-        a = t_prev + 1e-9 * (1.0 + abs(t_prev))
-    b = t_n + 1e-9 * (1.0 + abs(t_n))
-    wa, wb = _wronskian(a, sweep), _wronskian(b, sweep)
-    if wa * wb > 0.0:
-        # endpoints too close to a zero, or the transition estimate is off
-        # by a hair: scan the interval for the sign change
-        es = np.linspace(a, b, 129)
-        ws = [wa] + [_wronskian(E, sweep) for E in es[1:-1]] + [wb]
-        for i in range(len(es) - 1):
-            if ws[i] * ws[i + 1] < 0.0:
-                return es[i], es[i + 1]
         raise ConvergenceError(
-            f"could not bracket the matching condition for n={n}",
-            residuals=[wa, wb])
+            f"no bracket of level n={n} in [{E_lo}, {E_hi}]")
+    while sweep(a)[0] != n or sweep(b)[0] != n:
+        mid = 0.5 * (a + b)
+        if mid in (a, b):
+            raise ConvergenceError(f"node counts never reach n={n} near "
+                                   f"the level, in [{a}, {b}]")
+        a, b = (mid, b) if below(mid) else (a, mid)
     return a, b
 
 
 def _wronskian(E, sweep):
-    return sweep(E)[2]
+    return sweep(E)[1]
 
 
 def _solve_on_grid(spec, xg, ics, n, E_lo, E_hi, hint):
-    """Level n on one grid: the root of the matching Wronskian, bracketed
-    around hint when there is one, else between node-count transitions."""
+    """Level n on one grid: the root of the matching Wronskian in the
+    bracket of _level_bracket, found around hint when there is one."""
     Vg = spec.v_minus(xg)
-    # energy -> (whole-grid nodes, or None until a search needs them,
-    # inner nodes, W), shared by all searches
+    # energy -> (nodes up to m, W), shared by the bracket and the root
     sweeps = {}
 
-    def sweep(E, whole=False):
+    def sweep(E):
         s = sweeps.get(E)
-        if s is None or (whole and s[0] is None):
-            s = sweeps[E] = _shoot(spec, Vg, xg, ics, E, whole)[:3]
+        if s is None:
+            s = sweeps[E] = _shoot(spec, Vg, xg, ics, E)[:2]
         return s
 
-    bracket = None if hint is None else _hint_bracket(sweep, n, hint)
-    a, b = bracket or _transition_bracket(sweep, n, E_lo, E_hi)
+    a, b = _level_bracket(sweep, n, E_lo, E_hi, hint)
     # brentq keeps its objective in a reference cycle (scipy's NaN guard
     # refers to itself).  Passing sweep as an argument keeps this grid's
     # arrays out of that cycle, so they are freed on return and not left to
@@ -365,7 +324,7 @@ def _prepare(spec, n, E_hint=None):
             x_min, x_max, ics = _build_box(spec, E_hi)
             xg = np.linspace(x_min, x_max, 4001)
             Vg = spec.v_minus(xg)
-            if _shoot(spec, Vg, xg, ics, E_hi, whole=True)[0] > n:
+            if _shoot(spec, Vg, xg, ics, E_hi)[0] > n:
                 break
             E_hi *= 2.0
             if E_hi > 2.0 ** 40:
@@ -407,7 +366,7 @@ def grid_solution(spec, n, n_points=DEFAULT_POINTS, E_hint=None):
     xg = np.linspace(x_min, x_max, n_points)
     E = _solve_on_grid(spec, xg, ics, n, E_lo, E_hi, ref)
     Vg = spec.v_minus(xg)
-    _, _, _, pL, pR, m = _shoot(spec, Vg, xg, ics, E)
+    _, _, pL, pR, m = _shoot(spec, Vg, xg, ics, E)
     psi = np.empty_like(xg)
     scale = pL[m] / pR[1] if pR[1] != 0.0 else 1.0     # pR[1] is at m
     psi[:m + 1] = pL[:m + 1]

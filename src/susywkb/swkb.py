@@ -124,7 +124,10 @@ def solve_level(spec, n, tol=TAU_LEVEL):
         return J(E) - target
 
     lo, hi = _bracket(spec, g, n)
-    E = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    # a relative width only: near nonexact2's threshold 1/16, where J is
+    # steep, an absolute width of 1e-14 is 1440 ulps of E and leaves
+    # residuals above TAU_LEVEL
+    E = brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16)
     resid = abs(J(E) / hbar - n)
     if resid > tol:
         raise ConvergenceError(

@@ -24,10 +24,11 @@ def run_cli(*args):
 
 
 # closure_sweep.py exits 1 when a closure residual exceeds 1e-12;
-# defect_scan.py takes both quadratures at nonexact2's oracle level
+# defect_scan.py takes both quadratures at nonexact2's oracle level;
+# oracle_sweeps.py wraps the oracle's bracket search by name
 @pytest.mark.parametrize("script, args", [
     ("root_steps.py", ["eckart", "scarf1"]), ("closure_sweep.py", []),
-    ("defect_scan.py", []),
+    ("defect_scan.py", []), ("oracle_sweeps.py", ["nonexact2"]),
 ])
 def test_script_exits_cleanly(script, args):
     scripts = os.path.join(os.path.dirname(os.path.dirname(__file__)),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import susywkb as sw
-from susywkb import DomainError, numerov
+from susywkb import ConvergenceError, DomainError, numerov
 from susywkb.numerov import OVERFLOW, grid_solution
 from susywkb.swkb import turning_points
 
@@ -103,13 +103,11 @@ def test_dump_wavefunction(tmp_path):
     assert len(lines) == len(sol.grid) + 1
 
 
-def _numpy_shoot(spec, Vg, xg, ics, E, stop=True):
+def _numpy_shoot(spec, Vg, xg, ics, E):
     """The sweep as a loop over numpy scalars, kept as a reference for the
-    banded-solve sweep.  With stop, the left solution runs up to m + 1
-    and the right one down to m - 1; without, both run over the whole grid
-    and the whole-grid node count is taken.  Returns (whole-grid nodes or
-    None, nodes up to m, W, pL, pR, m) and the number of OVERFLOW
-    rescales."""
+    banded-solve sweep: the left solution runs up to m + 1 and the right
+    one down to m - 1.  Returns (nodes up to m, W, pL, pR, m) and the
+    number of OVERFLOW rescales."""
     rescales = 0
     hbar = spec.hbar
     N = len(xg)
@@ -121,26 +119,25 @@ def _numpy_shoot(spec, Vg, xg, ics, E, stop=True):
     m = min(max(m, 2), N - 3)
     pL = np.zeros(N)
     pL[0], pL[1] = numerov._end_ic(spec, ics, "left", xg, Vg, E)
-    for i in range(1, m + 1 if stop else N - 1):
+    for i in range(1, m + 1):
         pL[i + 1] = ((12.0 - 10.0 * t[i]) * pL[i] - t[i - 1] * pL[i - 1]) / t[i + 1]
         if abs(pL[i + 1]) > OVERFLOW:
             pL[:i + 2] *= 1.0 / OVERFLOW
             rescales += 1
     pR = np.zeros(N)
     pR[-1], pR[-2] = numerov._end_ic(spec, ics, "right", xg, Vg, E)
-    for i in range(N - 2, m - 1 if stop else 0, -1):
+    for i in range(N - 2, m - 1, -1):
         pR[i - 1] = ((12.0 - 10.0 * t[i]) * pR[i] - t[i + 1] * pR[i + 1]) / t[i - 1]
         if abs(pR[i - 1]) > OVERFLOW:
             pR[i - 1:] *= 1.0 / OVERFLOW
             rescales += 1
     # signs, not products: a product of two rescaled values can underflow
-    changes = np.sign(pL[1:-1]) * np.sign(pL[2:]) < 0.0
-    nodes = None if stop else int(np.sum(changes))
-    inner = int(np.sum(changes[:m - 1]))
+    changes = np.sign(pL[1:m]) * np.sign(pL[2:m + 1]) < 0.0
+    inner = int(np.sum(changes))
     dL = (pL[m + 1] - pL[m - 1]) / (2.0 * h)
     dR = (pR[m + 1] - pR[m - 1]) / (2.0 * h)
     W = (dL * pR[m] - dR * pL[m]) / (abs(pL[m] * pR[m]) + 1e-300)
-    return (nodes, inner, W, pL, pR, m), rescales
+    return (inner, W, pL, pR, m), rescales
 
 
 def _level_grid(pot_id, n_points):
@@ -175,14 +172,13 @@ def banded_solves(monkeypatch):
 def test_shoot_equals_numpy_sweep(pot_id, E, banded_solves):
     spec, xg, ics, _, _ = _level_grid(pot_id, 20001)
     Vg = spec.v_minus(xg)
-    nodes, inner, W, pL, pR, m = numerov._shoot(spec, Vg, xg, ics, E)
-    (_, inner0, W0, pL0, pR0, m0), rescales = _numpy_shoot(spec, Vg, xg,
-                                                           ics, E)
+    inner, W, pL, pR, m = numerov._shoot(spec, Vg, xg, ics, E)
+    (inner0, W0, pL0, pR0, m0), rescales = _numpy_shoot(spec, Vg, xg, ics, E)
     if E < 0.0:
         assert rescales >= 2
     if E > 0.0:
         assert inner == 1
-    assert (nodes, inner, m) == (None, inner0, m0)
+    assert (inner, m) == (inner0, m0)
     assert banded_solves["dtbsv"] - 2 == rescales
     # the BLAS kernel fuses multiply and add, so the floats differ from the
     # loop's at the rounding level: up to 2.3e-11 of max|p| (scarf1, E = 3)
@@ -196,33 +192,25 @@ def test_sweeps_are_deterministic():
     Vg = spec.v_minus(xg)
     # -1e3 rescales in both halves, 0.03 in none
     for E in (-1e3, 0.03):
-        for whole in (False, True):
-            first = numerov._shoot(spec, Vg, xg, ics, E, whole)
-            again = numerov._shoot(spec, Vg.copy(), xg.copy(), ics, E, whole)
-            assert first[:3] == again[:3] and first[5] == again[5]
-            assert np.array_equal(first[3], again[3])
-            assert np.array_equal(first[4], again[4])
+        first = numerov._shoot(spec, Vg, xg, ics, E)
+        again = numerov._shoot(spec, Vg.copy(), xg.copy(), ics, E)
+        assert first[:2] == again[:2] and first[4] == again[4]
+        assert np.array_equal(first[2], again[2])
+        assert np.array_equal(first[3], again[3])
 
 
-# eckart at E = 60 on 2001 points has a node between m and m + 1, which
-# only the continuation sees
-@pytest.mark.parametrize("pot_id, E, points", [
-    *[(pot_id, E, 20001) for pot_id, E in SWEEP_CASES],
-    ("nonexact2", None, 20001), ("eckart", 60.0, 2001)])
-def test_whole_count_equals_the_full_grid_count(pot_id, E, points):
+# eckart at E = 60 on 2001 points has a node between m and m + 1, which the
+# count up to m leaves out; nonexact2 is counted across its whole window
+@pytest.mark.parametrize("pot_id, points", [("eckart", 2001),
+                                            ("nonexact2", 20001)])
+def test_node_count_equals_the_loop_count(pot_id, points):
     spec, xg, ics, E_lo, E_hi = _level_grid(pot_id, points)
     Vg = spec.v_minus(xg)
-    # nonexact2 has no closed form, so its node-count search runs over the
-    # whole window
-    for E in [E] if E is not None else np.linspace(E_lo, E_hi, 7):
-        nodes, inner, _, pL, _, m = numerov._shoot(spec, Vg, xg, ics, E,
-                                                   whole=True)
-        (nodes0, inner0, *_), _ = _numpy_shoot(spec, Vg, xg, ics, E,
-                                               stop=False)
-        assert (nodes, inner) == (nodes0, inner0)
-        # the sweep up to m + 1 is the same whether or not the count goes on
-        assert np.array_equal(pL, numerov._shoot(spec, Vg, xg, ics, E)[3])
-    if points == 2001:
+    for E in [60.0] if pot_id == "eckart" else np.linspace(E_lo, E_hi, 7):
+        nodes, _, pL, _, m = numerov._shoot(spec, Vg, xg, ics, E)
+        (nodes0, *_, m0), _ = _numpy_shoot(spec, Vg, xg, ics, E)
+        assert (nodes, m) == (nodes0, m0)
+    if pot_id == "eckart":
         assert pL[m] * pL[m + 1] < 0.0
 
 
@@ -232,7 +220,7 @@ def test_wronskian_stays_finite_when_both_halves_overflow():
     h = xg[1] - xg[0]
     # pL[m]*pR[m] passes OVERFLOW at both energies, and overflows at -1e3
     for E, overflows in ((-1e3, True), (-900.0, False)):
-        _, _, W, pL, pR, m = numerov._shoot(spec, Vg, xg, ics, E)
+        _, W, pL, pR, m = numerov._shoot(spec, Vg, xg, ics, E)
         pl, pr = pL[m - 1:].tolist(), pR[:3].tolist()
         assert abs(pl[1] * pr[1]) > OVERFLOW
         assert np.isfinite(pl[1] * pr[1]) != overflows
@@ -252,9 +240,9 @@ def sweeps(monkeypatch):
     counts = Counter()
     shoot = numerov._shoot
 
-    def counted(spec, Vg, xg, ics, E, whole=False):
+    def counted(spec, Vg, xg, ics, E):
         counts[len(xg)] += 1
-        return shoot(spec, Vg, xg, ics, E, whole)
+        return shoot(spec, Vg, xg, ics, E)
 
     monkeypatch.setattr(numerov, "_shoot", counted)
     return counts
@@ -262,42 +250,35 @@ def sweeps(monkeypatch):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Calls of the node-count transition search."""
+    """The levels whose bracket search reached the energy window [E_lo,
+    E_hi]: no hint, or no hint pair straddled the level."""
     calls = []
-    search = numerov._transition_bracket
+    search = numerov._level_bracket
 
-    def counted(sweep, n, E_lo, E_hi):
-        calls.append(n)
-        return search(sweep, n, E_lo, E_hi)
+    def counted(sweep, n, E_lo, E_hi, hint):
+        asked = set()
 
-    monkeypatch.setattr(numerov, "_transition_bracket", counted)
+        def seen(E):
+            asked.add(E)
+            return sweep(E)
+
+        bracket = search(seen, n, E_lo, E_hi, hint)
+        if E_lo in asked:
+            calls.append(n)
+        return bracket
+
+    monkeypatch.setattr(numerov, "_level_bracket", counted)
     return calls
 
 
 def test_sweep_budget_per_grid(sweeps, fallbacks):
-    # Bisecting for the node-count transitions took 83 sweeps on the h grid
-    # and, warm-started, 55 on h/2.  Bracketing the Wronskian root at the
-    # hint takes 4 and 5: two bracket sweeps, then a root search that stops
-    # at W_RTOL.  One sweep of headroom on each.
+    # Bracketing the Wronskian root at the hint takes 4 sweeps on the h grid
+    # and 5 on h/2: two bracket sweeps, then a root search that stops at
+    # W_RTOL.  One sweep of headroom on each.
     sw.numerov_eigenvalue(spec_of("eckart"), 1, E_hint=189.0)
     assert sweeps[20001] <= 5
     assert sweeps[40001] <= 6
     assert fallbacks == []
-
-
-def test_memo_counts_the_whole_grid_when_a_search_asks(monkeypatch):
-    spec, xg, ics, E_lo, E_hi = _level_grid("eckart", 2001)
-    cold = numerov._solve_on_grid(spec, xg, ics, 1, E_lo, E_hi, None)
-
-    def refuse(sweep, n, hint):
-        # sweep, without the whole count, the first energy the node-count
-        # search will ask the whole count of
-        assert sweep(0.5 * (E_lo + E_hi))[0] is None
-        return None
-
-    monkeypatch.setattr(numerov, "_hint_bracket", refuse)
-    got = numerov._solve_on_grid(spec, xg, ics, 1, E_lo, E_hi, spec.spectrum(1))
-    assert got == cold
 
 
 def test_hinted_level_never_runs_the_continuation(sweeps, monkeypatch):
@@ -311,9 +292,14 @@ def test_hinted_level_never_runs_the_continuation(sweeps, monkeypatch):
     monkeypatch.setattr(numerov, "_recur", counted)
     sw.numerov_eigenvalue(spec_of("eckart"), 1, E_hint=189.0)
     # each sweep is two recurrences that meet at the matching point, N - 1
-    # steps in all; the whole-grid continuation would be a third
+    # steps in all, and nothing continues past it
     assert len(lengths) == 2 * sum(sweeps.values())
     assert sum(lengths) == sum((N - 1) * k for N, k in sweeps.items())
+
+
+# sweeps of the hinted search on the 2001- and 4001-point grids, as the
+# hint and node-count brackets took them before one bracket rule served both
+HINTED_SWEEPS = {"eckart": (9, 9), "scarf1": (25, 27)}
 
 
 @pytest.mark.parametrize("pot_id", ["eckart", "scarf1"])
@@ -321,12 +307,12 @@ def test_hinted_solve_gives_the_cold_result(pot_id, sweeps, fallbacks):
     spec, xg, ics, E_lo, E_hi = _level_grid(pot_id, 2001)
     fine = np.linspace(xg[0], xg[-1], 4001)
     hint = spec.spectrum(1)
-    for grid in (xg, fine):
+    for grid, budget in zip((xg, fine), HINTED_SWEEPS[pot_id]):
         cold = numerov._solve_on_grid(spec, grid, ics, 1, E_lo, E_hi, None)
-        n_cold = sweeps.pop(len(grid))
+        assert sweeps.pop(len(grid)) <= 20
         hint = numerov._solve_on_grid(spec, grid, ics, 1, E_lo, E_hi, hint)
         assert abs(hint - cold) <= 1e-12 * (1.0 + abs(cold))
-        assert sweeps[len(grid)] < n_cold
+        assert sweeps[len(grid)] <= budget
     assert fallbacks == [1, 1]          # the two cold searches
 
 
@@ -349,8 +335,49 @@ def test_wrong_hint_falls_back(pot_id, fallbacks):
     assert E == pytest.approx(E1, rel=1e-3)     # a 2001-point grid: 7e-4
 
 
+# n = 0 to 3, both kinds of end, and the two entries without a closed form,
+# each on its own window
+BRACKET_CASES = [("eckart", 0), ("eckart", 2), ("scarf1", 1), ("scarf1", 3),
+                 ("rosenmorse1", 2), ("nonexact2", 1), ("nonexact3", 1)]
+
+
+@pytest.mark.parametrize("pot_id, n", BRACKET_CASES)
+def test_bracket_rule_flips_once_at_the_grid_level(pot_id, n):
+    spec = spec_of(pot_id)
+    hint = spec.spectrum(n) if spec.spectrum else None
+    E_lo, E_hi, _, x_min, x_max, ics = numerov._prepare(spec, n, hint)
+    xg = np.linspace(x_min, x_max, 2001)
+    Vg = spec.v_minus(xg)
+    es = np.linspace(E_lo, E_hi, 101)
+    nodes, below = [], []
+    for E in es:
+        k, W, *_ = numerov._shoot(spec, Vg, xg, ics, E)
+        nodes.append(k)
+        below.append(k < n or (k == n and (-1) ** n * W > 0.0))
+    # the count up to the matching point never falls as E rises, and the
+    # rule holds below the grid's E_n and nowhere above it
+    assert all(np.diff(nodes) >= 0)
+    flip = below.index(False)
+    assert flip > 0 and not any(below[flip:])
+    E_n = numerov._solve_on_grid(spec, xg, ics, n, E_lo, E_hi, None)
+    assert es[flip - 1] < E_n <= es[flip]
+
+
+# On 2001 points these grid levels lie outside their windows: drawn eckart
+# seed 1 has E_3 0.065 below the threshold, and the grid puts it above the
+# top of the window; seed 3 has its grid E_0 near -0.28, below the bottom
+@pytest.mark.parametrize("seed, n", [(1, 3), (3, 0)])
+def test_window_without_the_level_raises_convergence_error(seed, n):
+    spec = drawn_spec("eckart", seed)
+    E_lo, E_hi, _, x_min, x_max, ics = numerov._prepare(spec, n,
+                                                        spec.spectrum(n))
+    xg = np.linspace(x_min, x_max, 2001)
+    with pytest.raises(ConvergenceError, match="no bracket"):
+        numerov._solve_on_grid(spec, xg, ics, n, E_lo, E_hi, None)
+
+
 def test_nonexact2_without_a_hint():
-    # the value the previous node-count search gave, as recorded in
+    # the value the node-count transition search gave, as recorded in
     # perfbench/workloads.py NONEXACT2_LEVELS
     assert numerov_of("nonexact2", 1) == pytest.approx(0.03491466653630712,
                                                        rel=1e-12, abs=0.0)

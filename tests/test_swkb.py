@@ -111,7 +111,7 @@ def test_solve_level_integrates_each_energy_once(pot_id, n, monkeypatch):
 # them, bit for bit
 PINNED_LEVELS = {
     ("eckart", 1): 189.0,
-    ("eckart", 2): 219.55555555555557,
+    ("eckart", 2): 219.55555555555554,
     ("scarf2", 1): 5.0,
     ("scarf2", 2): 8.0,
     ("rosenmorse2", 1): 6.805555555555555,
@@ -119,7 +119,7 @@ PINNED_LEVELS = {
     ("genpt", 1): 3.0,
     ("scarf1", 1): 2.9999999999999996,
     ("scarf1", 2): 8.0,
-    ("scarf1", 3): 15.000000000000004,
+    ("scarf1", 3): 14.999999999999996,
     ("scarf1", 4): 23.999999999999996,
     ("rosenmorse1", 1): 3.75,
     ("rosenmorse1", 2): 8.888888888888888,
@@ -132,7 +132,7 @@ PINNED_LEVELS = {
     ("nonexact2", 1): 0.034810637272040805,
     ("nonexact2", 2): 0.04693630890314286,
     ("nonexact2", 3): 0.05253761280342261,
-    ("nonexact2", 4): 0.0555793491827354,
+    ("nonexact2", 4): 0.05557934918273687,
 }
 
 
@@ -185,7 +185,7 @@ def test_nonexact3_level_above_the_inner_wells(n):
     assert abs(J / math.pi / spec.hbar - n) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 62, 80])
+@pytest.mark.parametrize("n", [1, 2, 3, 37, 62, 80, 120])
 def test_nonexact2_level_below_the_threshold(n, quadratures):
     # omega rises from -inf at x = 0 to 1/4 as x -> inf, so x2 runs away as
     # E approaches the threshold 1/16; the bracket must not probe there.
@@ -193,8 +193,8 @@ def test_nonexact2_level_below_the_threshold(n, quadratures):
     E = solve_level(spec, n).energy
     # The farthest x2 of a solve, and its largest node count, is at the
     # bracket end: thr (1 - 1e-3), x2 = 1.6e4 and 2048 nodes, where
-    # J = 61.2; above that, as at n = 62 and 80, thr (1 - 1e-5), x2 = 1.6e6
-    # and 65536 nodes.
+    # J = 61.2; above that, as at n = 62, 80 and 120, thr (1 - 1e-5),
+    # x2 = 1.6e6 and 65536 nodes.
     assert max(nodes for *_, nodes in quadratures) <= (
         2048 if n <= 61 else 65536)
 
