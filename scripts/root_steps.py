@@ -4,8 +4,8 @@
 For each catalog entry and bound level n = 1..4 this solves the SWKB level
 (solve_level), and for one entry of each contour mapping (eckart: exp,
 scarf1: exp_i) one contour level (quantize_by_contours, n = 1).  For each
-level it prints the calls of cpoly.find_roots (a deflated quotient's call
-included), the level's CPU time and its energy.
+level it prints the calls of cpoly.find_roots, the level's CPU time and its
+energy.
 
     PYTHONPATH=src python scripts/root_steps.py [--json PATH] [ids ...]
 """

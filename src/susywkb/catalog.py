@@ -28,8 +28,9 @@ from .errors import DomainError
 MAPPINGS = ("identity", "exp", "exp_i")
 MULTIPLE_POLE_TOL = 1e-6   # p is a multiple zero of den where |den'(p)| is
                            # below this x sum k|c_k| max(|p|, 1)^(k-1)
-                           # (find_roots splits an isolated double root by
-                           # about sqrt(eps))
+                           # (find_roots splits an m-fold zero by about
+                           # eps^(1/m), so |den'| there is about
+                           # eps^((m-1)/m), 1.5e-8 at m = 2)
 
 
 def plane_key(z):

@@ -97,8 +97,7 @@ class _Workspace:
         self.E = float(E)
         self.den = den = spec.omega_y.den
         self.P = _energy_numerator(spec, self.E)
-        self.roots = find_roots(self.P)
-        self.branch_points = tuple(self.roots)
+        self.branch_points = tuple(find_roots(self.P))
         self.poles = spec.fixed_poles_y
         self.measure = spec.measure
         tp = turning_points(spec, self.E, self.branch_points)
@@ -260,12 +259,17 @@ def census(spec, E):
 
 
 def pole_contribution(spec, E, pole):
-    """(1/2pi) contour integral around one fixed pole, branch anchored."""
+    """(1/2pi) contour integral around one fixed pole, branch anchored.
+
+    ``pole`` names the nearest fixed pole within 1e-3 (1 + |pole|), a
+    radius that holds the eps^(1/m) split of an m-fold zero of den up to
+    m = 4 (find_roots)."""
     ws = _Workspace(spec, E)
-    match = [p for p in ws.poles if abs(p - complex(pole)) < 1e-6]
-    if not match:
+    z = complex(pole)
+    match = min(ws.poles, key=lambda p: abs(p - z), default=None)
+    if match is None or abs(match - z) > 1e-3 * (1.0 + abs(z)):
         raise DomainError(f"{pole} is not a fixed pole of {spec.id}")
-    return ws.pole_value(match[0])
+    return ws.pole_value(match)
 
 
 def infinity_contribution(spec, E):

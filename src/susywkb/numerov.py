@@ -256,9 +256,9 @@ def _level_bracket(sweep, n, E_lo, E_hi, hint):
     never falls as E rises (Sturm), and with n nodes sign pL(m) = (-1)^n and
     sign pR(m) = +, so (-1)^n W = pL'/pL - pR'/pR, which falls through 0 at
     E_n.  Of the pairs [hint - d, hint + d], d = 1e-7*(1 + |hint|) * 8^k for
-    k < 7 (up to 2.6e-2*(1 + |hint|)), then [E_lo, E_hi], the first that
-    straddles E_n is kept and bisected by the same rule until both ends
-    have n nodes."""
+    k < 7 (up to 2.6e-2*(1 + |hint|)), each clipped to [E_lo, E_hi], then
+    [E_lo, E_hi] itself, the first that straddles E_n is kept and bisected
+    by the same rule until both ends have n nodes."""
     def below(E):
         nodes, W = sweep(E)
         return nodes < n or (nodes == n and (-1) ** n * W > 0.0)
@@ -266,7 +266,8 @@ def _level_bracket(sweep, n, E_lo, E_hi, hint):
     pairs = []
     if hint is not None:
         d = 1e-7 * (1.0 + abs(hint))
-        pairs = [(hint - d * 8.0 ** k, hint + d * 8.0 ** k) for k in range(7)]
+        pairs = [(max(hint - d * 8.0 ** k, E_lo),
+                  min(hint + d * 8.0 ** k, E_hi)) for k in range(7)]
     for a, b in pairs + [(E_lo, E_hi)]:
         if below(a) and not below(b):
             break

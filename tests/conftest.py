@@ -103,4 +103,9 @@ MULTIPLE_POLE_SPECS = [
     # Morse, omega = 2 - 3/y with y = e^x: den(0) = 0 at the mapping pole
     (_with_omega(sw.get_spec("scarf2"), [-3.0, 2.0], [0.0, 1.0], "exp"),
      0j),
+    # omega = y + 0.1 y/(y^2 + 1)^3: den has triple zeros at +-i, which
+    # find_roots splits by about eps^(1/3)
+    (_with_omega(sw.get_spec("nonexact3"),
+                 [0.0, 1.1, 0.0, 3.0, 0.0, 3.0, 0.0, 1.0],
+                 [1.0, 0.0, 3.0, 0.0, 3.0, 0.0, 1.0], "identity"), 1j),
 ]

@@ -200,7 +200,9 @@ def test_spec_caches_equal_what_they_replace():
     # (test_contours.test_multiple_pole_raises)
     for spec, pole in MULTIPLE_POLE_SPECS:
         fresh = dataclasses.replace(spec)
-        near = [p for p in fresh.fixed_poles_y if abs(p - pole) < 1e-6]
+        # the lookup radius of contours.pole_contribution
+        near = [p for p in fresh.fixed_poles_y
+                if abs(p - pole) <= 1e-3 * (1.0 + abs(pole))]
         assert near and all(fresh.residue_weights[p] is None for p in near)
 
 
