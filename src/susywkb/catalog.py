@@ -25,7 +25,6 @@ from numpy.polynomial import polynomial as npoly
 from .cpoly import Polynomial, RationalFunction, find_roots
 from .errors import DomainError
 
-MAPPINGS = ("identity", "exp", "exp_i")
 MULTIPLE_POLE_TOL = 1e-6   # p is a multiple zero of den where |den'(p)| is
                            # below this x sum k|c_k| max(|p|, 1)^(k-1)
                            # (find_roots splits an m-fold zero by about

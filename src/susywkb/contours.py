@@ -42,8 +42,9 @@ from .catalog import plane_key, probe_energy
 from .cpoly import find_roots
 from .errors import ConvergenceError, DomainError
 from .quadrature import QUAD_TOL
-from .swkb import (QuantizationResult, _bracket, _energy_numerator,
-                   _unbound_level, swkb_integral, turning_points)
+from .swkb import (TAU_LEVEL, QuantizationResult, _bracket,
+                   _energy_numerator, _unbound_level, swkb_integral,
+                   turning_points)
 
 IMAG_TOL = 1e-10
 
@@ -173,11 +174,6 @@ class _Workspace:
             kind = "mirror" if len(pairs) == 2 else "other"
             cuts.append(Cut(lo, hi, kind, arc=True))
         return tuple(cuts)
-
-    def cut_endpoints(self, cut):
-        if cut.arc:
-            return (cmath.exp(1j * cut.p1), cmath.exp(1j * cut.p2))
-        return (cut.p1, cut.p2)
 
     # -- contour values ----------------------------------------------------
 
@@ -342,6 +338,10 @@ def quantize_by_contours(spec, n):
     lo, hi = _bracket(spec, g, n)
     E = brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16)
     resid = abs(cond(E) / (2.0 * hbar) - n)
+    if resid > TAU_LEVEL:
+        raise ConvergenceError(
+            f"level solve residual {resid} exceeds {TAU_LEVEL}",
+            residuals=[resid])
     return QuantizationResult(n, float(E), "contour", resid)
 
 

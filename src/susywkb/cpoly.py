@@ -1,4 +1,4 @@
-"""Complex polynomials and rational functions.
+"""Complex polynomials and rational functions, each ratio kept as given.
 
 Coefficients are stored ascending in degree, matching
 ``numpy.polynomial.polynomial`` conventions.  Degrees in this package stay
@@ -9,7 +9,7 @@ that are kept only where they lower |p|.  Every root it returns meets the
 computations.  A well separated simple root comes back to about working
 precision; an m-fold root comes back as m points about eps^(1/m) from it,
 the distance to which rounding resolves it.  The catalog's poles and branch
-points are simple or at most double.
+points are simple or at most double, and it builds each omega irreducible.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from numpy.polynomial import polynomial as npoly
 from .errors import ConvergenceError, DomainError
 
 ROOT_TOL = 1e-10      # relative residual bound for accepted roots
-GCD_TOL = 1e-9        # common-root tolerance when reducing rational functions
 
 
 def _trim(coeffs):
@@ -128,18 +127,17 @@ def _newton_polish(c, z):
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """Reduced ratio of two complex polynomials."""
+    """Ratio of two complex polynomials, kept as given: no common root of
+    num and den is cancelled, so each zero of den stays a pole."""
 
     num: Polynomial
     den: Polynomial
 
-    def __init__(self, num, den, reduce=True):
+    def __init__(self, num, den):
         num = num if isinstance(num, Polynomial) else Polynomial(num)
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         if den.is_zero:
             raise DomainError("rational function with zero denominator")
-        if reduce and not num.is_zero:
-            num, den = _cancel_common_roots(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -149,44 +147,4 @@ class RationalFunction:
     def deriv(self):
         """Exact rational derivative (num' den - num den') / den^2."""
         n, d = self.num, self.den
-        return RationalFunction(n.deriv() * d - n * d.deriv(), d * d,
-                                reduce=False)
-
-    def poles(self):
-        if self.den.degree == 0:
-            return np.zeros(0, dtype=complex)
-        return find_roots(self.den)
-
-
-def _cancel_common_roots(num, den):
-    """Deflate roots shared by num and den within GCD_TOL."""
-    if den.degree == 0 or num.degree == 0:
-        return num, den
-    den_roots = find_roots(den)
-    scale_n = np.abs(num.coeffs).max()
-    keep = []
-    for r in den_roots:
-        local = max(1.0, abs(r)) ** num.degree
-        if abs(num(r)) < GCD_TOL * scale_n * local:
-            num = _deflate(num, r)
-        else:
-            keep.append(r)
-    if len(keep) == len(den_roots):
-        return num, den
-    lead = den.coeffs[-1]
-    new_den = Polynomial([lead])
-    for r in keep:
-        new_den = new_den * Polynomial([-r, 1.0])
-    return num, new_den
-
-
-def _deflate(p, root):
-    """Synthetic division of p by (z - root)."""
-    c = p.coeffs
-    n = len(c) - 1
-    out = np.zeros(n, dtype=complex)
-    acc = c[n]
-    for k in range(n - 1, -1, -1):
-        out[k] = acc
-        acc = c[k] + acc * root
-    return Polynomial(out)
+        return RationalFunction(n.deriv() * d - n * d.deriv(), d * d)

@@ -32,11 +32,11 @@ def refine_until(fn, n0, nmax, tol, what):
     raise ConvergenceError(f"{what} did not converge", residuals=[diff])
 
 
-def gauss_chebyshev(term, what, tol=QUAD_TOL):
+def gauss_chebyshev(term, what):
     """(1/n) * sum_{j=1}^{n-1} term(j pi/n) for term on arrays of angles,
-    refined from ORDER_START up to MAX_NODES nodes within tol.  The nodes
-    of order n/2 are those of order n at even j, so past ORDER_START the
-    sum is half the old sum plus the new odd-j terms over n."""
+    refined from ORDER_START up to MAX_NODES nodes within QUAD_TOL.  The
+    nodes of order n/2 are those of order n at even j, so past ORDER_START
+    the sum is half the old sum plus the new odd-j terms over n."""
     sums = {}
 
     def at(n):
@@ -48,4 +48,4 @@ def gauss_chebyshev(term, what, tol=QUAD_TOL):
         sums[n] = 0.5 * at(n // 2) + val if nested else val
         return sums[n]
 
-    return refine_until(at, ORDER_START, MAX_NODES, tol, what)
+    return refine_until(at, ORDER_START, MAX_NODES, QUAD_TOL, what)

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 
 from .cpoly import Polynomial, find_roots
 from .errors import ConvergenceError, DomainError, UnboundEnergyError
-from .quadrature import QUAD_TOL, gauss_chebyshev
+from .quadrature import gauss_chebyshev
 
 TAU_LEVEL = 1e-10    # |J/hbar - n| tolerance for solved levels
 
@@ -87,13 +87,13 @@ def turning_points(spec, E, roots=None):
     return TurningPoints(x1, x2)
 
 
-def swkb_integral(spec, E, tol=QUAD_TOL):
+def swkb_integral(spec, E):
     """(1/pi) * integral of sqrt(E - omega^2) over the classical region.
 
     With x = x_mid + x_half*cos(a), J = (x_half/n) * sum_j sin(j pi/n) *
     sqrt(E - omega^2(x_j)) in the rule of quadrature.gauss_chebyshev, which
     converges exponentially between the true turning points; the node
-    count doubles until two successive results agree within tol.
+    count doubles until two successive results agree within QUAD_TOL.
     """
     if E == 0.0:
         return 0.0
@@ -104,7 +104,7 @@ def swkb_integral(spec, E, tol=QUAD_TOL):
         om2 = spec.omega_x(xm + xh * np.cos(a)) ** 2
         return xh * np.sin(a) * np.sqrt(np.maximum(E - om2, 0.0))
 
-    return float(gauss_chebyshev(term, "SWKB quadrature", tol))
+    return float(gauss_chebyshev(term, "SWKB quadrature"))
 
 
 def solve_level(spec, n, tol=TAU_LEVEL):

@@ -149,6 +149,24 @@ def test_parameter_validation():
         sw.get_spec("eckart", hbar=-1.0)
 
 
+def test_catalog_omega_keeps_its_poles():
+    # num(+-1) = -2A is 2e-10 of max|num| at A = 1e-4, B = 100: both wall
+    # poles y = +-1 stay, beside the mapping pole y = 0
+    spec = sw.get_spec("eckart", params={"A": 1e-4, "B": 100.0})
+    assert spec.omega_y.den.degree == 2
+    assert len(spec.fixed_poles_y) == 3
+    # every entry is irreducible as built, at its defaults and across
+    # parameter space: num is far from zero at each zero of den
+    for pot_id in sw.CATALOG_IDS:
+        for spec in [sw.get_spec(pot_id)] + [drawn_spec(pot_id, seed)
+                                             for seed in (1, 2, 3)]:
+            num = spec.omega_y.num
+            scale = np.abs(num.coeffs).max()
+            for r in sw.find_roots(spec.omega_y.den):
+                assert abs(num(r)) >= (1e-4 * scale
+                                       * max(1.0, abs(r)) ** num.degree)
+
+
 def test_domain_enforcement():
     spec = sw.get_spec("eckart")
     with pytest.raises(DomainError):

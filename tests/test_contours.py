@@ -1,12 +1,13 @@
 """Contour engine: census, residues, closure, quantization, defect."""
 
+import cmath
 import math
 
 import pytest
 
 import susywkb as sw
-from susywkb import (DomainError, UnboundEnergyError, catalog, contours,
-                     cpoly, swkb)
+from susywkb import (ConvergenceError, DomainError, UnboundEnergyError,
+                     catalog, contours, cpoly, swkb)
 from susywkb.swkb import swkb_integral
 
 from conftest import (MULTIPLE_POLE_SPECS, decompose_of, drawn_spec,
@@ -120,7 +121,7 @@ def test_classical_arc_ends_lie_on_branch_points(pot_id):
     for n in (1, 2, 3):
         ws = contours._Workspace(spec, catalog.probe_energy(spec, n))
         cut = next(c for c in ws.cuts if c.kind == "classical")
-        for end in ws.cut_endpoints(cut):
+        for end in (cmath.exp(1j * cut.p1), cmath.exp(1j * cut.p2)):
             assert min(abs(end - b) for b in ws.branch_points) <= 1e-15
 
 
@@ -159,6 +160,20 @@ def test_quantize_by_contours_evaluates_each_energy_once(monkeypatch):
     assert len(energies) == len(set(energies)) >= 4
     assert r.energy in energies
     assert len(solved) == len(energies)
+
+
+def test_quantize_by_contours_checks_its_residual(monkeypatch):
+    # a condition that jumps across 2n hbar by 2e-8 at E = 150: brentq ends
+    # on the jump, where the level residual is 5e-9, above TAU_LEVEL
+    spec = spec_of("eckart")
+
+    def jump(spec, E):
+        return 2.0 * spec.hbar + (1e-8 if E > 150.0 else -1e-8)
+
+    monkeypatch.setattr(contours, "_condition_value", jump)
+    with pytest.raises(ConvergenceError) as err:
+        sw.quantize_by_contours(spec, 1)
+    assert err.value.residuals[0] == pytest.approx(5e-9, rel=1e-6)
 
 
 def test_quantize_by_contours_scarf1_level_nine():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import susywkb as sw
 from susywkb import DomainError, Polynomial, RationalFunction, cpoly, find_roots
-from susywkb.cpoly import _deflate
 from susywkb.swkb import _energy_numerator
 
 
@@ -129,22 +128,6 @@ def test_trailing_zero_trim():
     assert p.degree == 1
 
 
-def test_deflate_removes_root():
-    p = Polynomial([-2.0, 1.0]) * Polynomial([5.0, 1.0])
-    q = _deflate(p, 2.0)
-    assert q.degree == 1
-    assert abs(q(-5.0)) < 1e-12
-
-
-def test_rational_reduction_cancels_common_factor():
-    shared = Polynomial([-2.0, 1.0])
-    r = RationalFunction(shared * Polynomial([1.0, 1.0]),
-                         shared * Polynomial([3.0, 1.0]))
-    assert r.num.degree == 1
-    assert r.den.degree == 1
-    assert r(1.0) == pytest.approx(0.5)
-
-
 def test_rational_zero_denominator_rejected():
     with pytest.raises(DomainError):
         RationalFunction([1.0], [0.0])
@@ -158,9 +141,3 @@ def test_rational_derivative_is_exact():
     fd = (r(z + h) - r(z - h)) / (2.0 * h)
     assert d(z) == pytest.approx(fd, abs=1e-8)
 
-
-def test_rational_poles():
-    r = RationalFunction([1.0], [1.0, 0.0, 1.0])
-    poles = sorted(r.poles(), key=lambda z: z.imag)
-    assert poles[0] == pytest.approx(-1j)
-    assert poles[1] == pytest.approx(1j)

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 import susywkb as sw
 from susywkb import (ConvergenceError, RationalFunction, UnboundEnergyError,
                      swkb)
-from susywkb.quadrature import QUAD_TOL, refine_until
+from susywkb.quadrature import refine_until
 from susywkb.swkb import solve_level, swkb_integral, turning_points
 
 
@@ -96,9 +96,9 @@ def test_solve_level_eckart():
 def test_solve_level_integrates_each_energy_once(pot_id, n, monkeypatch):
     energies = []
 
-    def counted(spec, E, tol=QUAD_TOL):
+    def counted(spec, E):
         energies.append(E)
-        return swkb_integral(spec, E, tol)
+        return swkb_integral(spec, E)
 
     monkeypatch.setattr(swkb, "swkb_integral", counted)
     r = solve_level(sw.get_spec(pot_id), n)
@@ -153,14 +153,6 @@ def test_solve_level_beyond_bound_spectrum():
     spec = sw.get_spec("eckart")     # bound levels: n = 0..2 at the defaults
     with pytest.raises(UnboundEnergyError):
         solve_level(spec, 5)
-
-
-def test_quadrature_self_consistency():
-    spec = sw.get_spec("rosenmorse2")
-    E = spec.spectrum(1)
-    a = swkb_integral(spec, E, tol=1e-11)
-    b = swkb_integral(spec, E, tol=1e-9)
-    assert a == pytest.approx(b, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2])
