@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Count the root finder's calls per level.
+"""Count the root finder's calls and the level solve's evaluations per level.
 
 For each catalog entry and bound level n = 1..4 this solves the SWKB level
 (solve_level), and for one entry of each contour mapping (eckart: exp,
 scarf1: exp_i) one contour level (quantize_by_contours, n = 1).  For each
-level it prints the calls of cpoly.find_roots, the level's CPU time and its
-energy.
+level it prints the calls of cpoly.find_roots, the evaluations of the
+action in the shared level solve (swkb.solve_action: the SWKB integral or
+half the contour pole sum), the level's CPU time and its energy.
 
     PYTHONPATH=src python scripts/root_steps.py [--json PATH] [ids ...]
 """
@@ -16,30 +17,46 @@ import sys
 import time
 
 import susywkb as sw
-from susywkb import contours, cpoly
+from susywkb import contours, cpoly, swkb
 
 CONTOUR_LEVELS = (("eckart", 1), ("scarf1", 1))
 
 
+def rebind(name, old, new):
+    """Bind new in place of old under name in every susywkb module."""
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("susywkb")
+                and getattr(mod, name, None) is old):
+            setattr(mod, name, new)
+
+
 class Counts:
-    """Wraps cpoly.find_roots, wherever it is bound, to count its calls."""
+    """Wraps cpoly.find_roots and swkb.solve_action, wherever they are
+    bound, to count the root finder's calls and the evaluations of the
+    action each level solve is given."""
 
     def __init__(self):
-        self.calls = 0
-        find = cpoly.find_roots
+        self.calls = self.evals = 0
+        find, solve = cpoly.find_roots, swkb.solve_action
 
         def counted_find(p):
             self.calls += 1
             return find(p)
 
-        for mod in list(sys.modules.values()):
-            if (getattr(mod, "__name__", "").startswith("susywkb")
-                    and getattr(mod, "find_roots", None) is find):
-                mod.find_roots = counted_find
+        def counted_solve(spec, n, action, method):
+            def counted_action(E):
+                self.evals += 1
+                return action(E)
+
+            return solve(spec, n, counted_action, method)
+
+        rebind("find_roots", find, counted_find)
+        rebind("solve_action", solve, counted_solve)
 
     def take(self):
-        """Calls since the last call of take."""
-        out, self.calls = self.calls, 0
+        """(calls, evals) since the last call of take."""
+        out = self.calls, self.evals
+        self.calls = self.evals = 0
         return out
 
 
@@ -65,16 +82,16 @@ def main():
     counts = Counts()
     rows = []
     print(f"{'id':12s} {'n':>2s} {'route':>7s} {'cpu_s':>6s} {'E':>22s} "
-          f"{'calls':>5s}")
+          f"{'calls':>5s} {'evals':>5s}")
     for spec, n, route in cases(args.ids):
         t0 = time.process_time()
         E = solvers[route](spec, n).energy
         cpu = time.process_time() - t0
-        calls = counts.take()
+        calls, evals = counts.take()
         rows.append({"entry": spec.id, "n": n, "route": route, "E": E,
-                     "cpu_s": cpu, "calls": calls})
+                     "cpu_s": cpu, "calls": calls, "evals": evals})
         print(f"{spec.id:12s} {n:2d} {route:>7s} {cpu:6.3f} {E!r:>22s} "
-              f"{calls:5d}")
+              f"{calls:5d} {evals:5d}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(rows, fh, indent=1)

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .cpoly import Polynomial, RationalFunction, find_roots
-from .errors import DomainError
+from .errors import DomainError, UnboundEnergyError
 
 MULTIPLE_POLE_TOL = 1e-6   # p is a multiple zero of den where |den'(p)| is
                            # below this x sum k|c_k| max(|p|, 1)^(k-1)
@@ -460,12 +460,19 @@ def closed_form_energy(spec, n):
     """Closed-form E_n for entries that have one."""
     if spec.spectrum is None:
         raise DomainError(f"{spec.id} has no closed-form spectrum")
-    if n < 0 or not spec.n_is_bound(n):
-        count = bound_state_count(spec)
-        raise DomainError(
-            f"level n={n} is not bound for {spec.id} "
-            f"(bound-state count: {count})")
+    if n < 0:
+        raise DomainError("n must be non-negative")
+    if not spec.n_is_bound(n):
+        raise unbound_level(spec, n)
     return float(spec.spectrum(n))
+
+
+def unbound_level(spec, n):
+    """The error for a level n above the bound spectrum of spec, raised by
+    every level entry point."""
+    return UnboundEnergyError(
+        f"level n={n} exceeds the bound spectrum of {spec.id} "
+        f"(bound-state count: {bound_state_count(spec)})")
 
 
 def probe_energy(spec, n=1):

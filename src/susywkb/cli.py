@@ -125,12 +125,12 @@ def _oracle_hint(spec, n):
     return swkb.solve_level(spec, n).energy
 
 
-def _solve_one(spec, n, method, tol, dump=None):
+def _solve_one(spec, n, method, dump=None):
     if method == "closed_form":
         E = catalog.closed_form_energy(spec, n)
         return swkb.QuantizationResult(n, E, "closed_form", 0.0)
     if method == "swkb":
-        return swkb.solve_level(spec, n, tol=tol or swkb.TAU_LEVEL)
+        return swkb.solve_level(spec, n)
     if method == "contour":
         return contours.quantize_by_contours(spec, n)
     if method == "numerov":
@@ -148,8 +148,7 @@ def _cmd_spectrum(args):
     spec = _load_spec(args)
     rows = []
     for n in _bound_levels(spec, args.levels):
-        r = _solve_one(spec, n, args.method, args.tol,
-                       dump=args.dump_wavefunction)
+        r = _solve_one(spec, n, args.method, dump=args.dump_wavefunction)
         rows.append({"n": r.n, "energy": float(r.energy), "method": r.method,
                      "residual": float(r.residual)})
     _emit(["n", "energy", "method", "residual"], rows, args)
@@ -163,8 +162,7 @@ def _cmd_compare(args):
         vals = {}
         if spec.spectrum is not None:
             vals["E_closed_form"] = catalog.closed_form_energy(spec, n)
-        r = swkb.solve_level(spec, n, tol=args.tol or swkb.TAU_LEVEL)
-        vals["E_swkb"] = r.energy
+        vals["E_swkb"] = swkb.solve_level(spec, n).energy
         if two_cut:
             vals["E_contour"] = contours.quantize_by_contours(spec, n).energy
         vals["E_numerov"] = numerov.numerov_eigenvalue(
@@ -249,7 +247,6 @@ def build_parser():
                 description="SWKB quantization cross-verification suite")
     p.add_argument("--params", default="", help="comma-separated k=v overrides")
     p.add_argument("--hbar", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None, help="JSON config file")

@@ -4,7 +4,9 @@ Deforming the classical-region contour outward expresses the large-circle
 integral J_GammaR as the sum of fixed-pole contributions J_gamma and
 branch-cut contributions.  For entries whose only cuts are the classical one
 and its mirror, the identity J_GammaR - sum(J_gamma) = 2n*hbar quantizes the
-spectrum.  When additional cuts carry weight (J_OBC != 0) that route fails.
+spectrum, solved by the SWKB route's level solve (swkb.solve_action) with
+one stopping rule for both.  When additional cuts carry weight (J_OBC != 0)
+that route fails.
 The SWKB error at an exact level is then J_SWKB - n*hbar = pole_offset -
 J_OBC, where pole_offset is how far the pole sum J_GammaR - sum(J_gamma)
 misses its quantized value.  That offset need not vanish: for nonexact2 at
@@ -31,19 +33,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import brentq
 
 from . import branch as br
 from .catalog import plane_key, probe_energy
 from .cpoly import find_roots
 from .errors import ConvergenceError, DomainError
 from .quadrature import QUAD_TOL
-from .swkb import (TAU_LEVEL, QuantizationResult, _bracket,
-                   _energy_numerator, _unbound_level, swkb_integral,
+from .swkb import (_energy_numerator, solve_action, swkb_integral,
                    turning_points)
 
 IMAG_TOL = 1e-10
@@ -312,37 +312,23 @@ def _condition_value(spec, E):
 
 
 def quantize_by_contours(spec, n):
-    """Solve J_GammaR(E) - sum(J_gamma(E)) = 2n*hbar for E.
+    """Solve J_GammaR(E) - sum(J_gamma(E)) = 2n*hbar for E: half the pole
+    sum is an action for swkb.solve_action, so this route shares the SWKB
+    route's bracket, stopping rule and residual gate.
 
     Only valid when the classical cut and its mirror are the sole branch
     cuts; entries with additional cuts are refused since their other-cut
     content makes the condition inexact (see defect_report)."""
     if n < 0:
         raise DomainError("n must be non-negative")
-    if not spec.n_is_bound(n):
-        raise _unbound_level(spec, n)
     cuts = cut_count(spec, probe_energy(spec, n))
     if cuts > 2:
         raise DomainError(
             f"{spec.id} has {cuts} branch cuts; the "
             "two-cut contour condition does not close — use defect_report "
             "to quantify the other-cut content")
-    if n == 0:
-        return QuantizationResult(0, 0.0, "contour", 0.0)
-    hbar = spec.hbar
-    cond = cache(lambda E: _condition_value(spec, E))    # as in solve_level
-
-    def g(E):
-        return cond(E) - 2.0 * n * hbar
-
-    lo, hi = _bracket(spec, g, n)
-    E = brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    resid = abs(cond(E) / (2.0 * hbar) - n)
-    if resid > TAU_LEVEL:
-        raise ConvergenceError(
-            f"level solve residual {resid} exceeds {TAU_LEVEL}",
-            residuals=[resid])
-    return QuantizationResult(n, float(E), "contour", resid)
+    return solve_action(spec, n, lambda E: 0.5 * _condition_value(spec, E),
+                        "contour")
 
 
 def defect_report(spec, E_exact, n):

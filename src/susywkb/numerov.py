@@ -56,6 +56,7 @@ import numpy as np
 from scipy.linalg.blas import dtbsv
 from scipy.optimize import brentq
 
+from .catalog import unbound_level
 from .errors import ConvergenceError, DomainError
 from .swkb import turning_points
 
@@ -349,7 +350,7 @@ def numerov_eigenvalue(spec, n, n_points=DEFAULT_POINTS, E_hint=None):
     if n < 0:
         raise DomainError("n must be non-negative")
     if not spec.n_is_bound(n):
-        raise DomainError(f"level n={n} is not bound for {spec.id}")
+        raise unbound_level(spec, n)
     E_lo, E_hi, hint, x_min, x_max, ics = _prepare(spec, n, E_hint)
     results = []
     for N in (n_points, 2 * n_points - 1):
@@ -361,8 +362,10 @@ def numerov_eigenvalue(spec, n, n_points=DEFAULT_POINTS, E_hint=None):
 
 def grid_solution(spec, n, n_points=DEFAULT_POINTS, E_hint=None):
     """Converged eigenfunction on a single grid (no extrapolation)."""
+    if n < 0:
+        raise DomainError("n must be non-negative")
     if not spec.n_is_bound(n):
-        raise DomainError(f"level n={n} is not bound for {spec.id}")
+        raise unbound_level(spec, n)
     E_lo, E_hi, ref, x_min, x_max, ics = _prepare(spec, n, E_hint)
     xg = np.linspace(x_min, x_max, n_points)
     E = _solve_on_grid(spec, xg, ics, n, E_lo, E_hi, ref)

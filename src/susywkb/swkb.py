@@ -14,6 +14,7 @@ from functools import cache
 import numpy as np
 from scipy.optimize import brentq
 
+from .catalog import unbound_level
 from .cpoly import Polynomial, find_roots
 from .errors import ConvergenceError, DomainError, UnboundEnergyError
 from .quadrature import gauss_chebyshev
@@ -107,18 +108,28 @@ def swkb_integral(spec, E):
     return float(gauss_chebyshev(term, "SWKB quadrature"))
 
 
-def solve_level(spec, n, tol=TAU_LEVEL):
-    """Energy of level n from J_SWKB(E) = n*hbar by bracketed root finding
-    on the monotone map E -> J_SWKB(E)."""
+def solve_level(spec, n):
+    """Energy of level n from J_SWKB(E) = n*hbar."""
     if n < 0:
         raise DomainError("n must be non-negative")
+    return solve_action(spec, n, lambda E: swkb_integral(spec, E),
+                        "swkb_quadrature")
+
+
+def solve_action(spec, n, action, method):
+    """Energy of level n from action(E) = n*hbar by bracketed root finding
+    on a monotone action: the one level solve of the SWKB integral
+    (solve_level) and of the contour condition
+    (contours.quantize_by_contours)."""
+    if not spec.n_is_bound(n):
+        raise unbound_level(spec, n)
     if n == 0:
-        return QuantizationResult(0, 0.0, "swkb_quadrature", 0.0)
+        return QuantizationResult(0, 0.0, method, 0.0)
     hbar = spec.hbar
     target = n * hbar
     # brentq evaluates again the ends _bracket has evaluated, and returns a
-    # root it has evaluated: keep J by energy for this solve
-    J = cache(lambda E: swkb_integral(spec, E))
+    # root it has evaluated: keep the action by energy for this solve
+    J = cache(action)
 
     def g(E):
         return J(E) - target
@@ -129,17 +140,11 @@ def solve_level(spec, n, tol=TAU_LEVEL):
     # residuals above TAU_LEVEL
     E = brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16)
     resid = abs(J(E) / hbar - n)
-    if resid > tol:
+    if resid > TAU_LEVEL:
         raise ConvergenceError(
-            f"level solve residual {resid} exceeds {tol}",
+            f"level solve residual {resid} exceeds {TAU_LEVEL}",
             residuals=[resid])
-    return QuantizationResult(n, float(E), "swkb_quadrature", resid)
-
-
-def _unbound_level(spec, n):
-    """The error for a level n above the bound spectrum of spec."""
-    return UnboundEnergyError(
-        f"level n={n} exceeds the bound spectrum of {spec.id}")
+    return QuantizationResult(n, float(E), method, resid)
 
 
 def _bracket(spec, g, n):
@@ -154,7 +159,7 @@ def _bracket(spec, g, n):
             if g(hi) > 0.0:
                 break
         else:
-            raise _unbound_level(spec, n)
+            raise unbound_level(spec, n)
         lo = 1e-9 * spec.threshold
     else:
         hi = 1.0

@@ -158,6 +158,8 @@ def test_exit_code_usage_error():
     assert rc == 1
     rc, _, _ = run_cli("bogus-subcommand")
     assert rc == 1
+    rc, _, _ = run_cli("--tol", "1e-8", "spectrum", "eckart")
+    assert rc == 1
 
 
 def test_exit_code_domain_error():

@@ -7,7 +7,7 @@ import pytest
 
 import susywkb as sw
 from susywkb import (ConvergenceError, DomainError, UnboundEnergyError,
-                     catalog, contours, cpoly, swkb)
+                     catalog, contours, cpoly, numerov, swkb)
 from susywkb.swkb import swkb_integral
 
 from conftest import (MULTIPLE_POLE_SPECS, decompose_of, drawn_spec,
@@ -275,9 +275,56 @@ def test_multiple_pole_raises(spec, pole):
 def test_unbound_level_raises_the_same_error_on_both_routes(pot_id, n):
     spec = sw.get_spec(pot_id)
     assert not spec.n_is_bound(n)
-    for solve in (swkb.solve_level, contours.quantize_by_contours):
-        with pytest.raises(UnboundEnergyError,
-                           match=f"level n={n} exceeds the bound spectrum"
-                           ) as info:
+    count = catalog.bound_state_count(spec)
+    for solve in (swkb.solve_level, contours.quantize_by_contours,
+                  catalog.closed_form_energy, numerov.numerov_eigenvalue,
+                  numerov.grid_solution):
+        with pytest.raises(UnboundEnergyError) as info:
             solve(spec, n)
         assert type(info.value) is UnboundEnergyError
+        assert str(info.value) == (
+            f"level n={n} exceeds the bound spectrum of {pot_id} "
+            f"(bound-state count: {count})")
+        # a negative n is not a level at all
+        with pytest.raises(DomainError, match="non-negative") as info:
+            solve(spec, -1)
+        assert type(info.value) is DomainError
+
+
+# perfbench contour_levels draws on which the contour level stopped 1e-14
+# short of the closed form while the stopping rule differed from the SWKB one
+@pytest.mark.parametrize("pot_id, A, B, alpha, hbar, n", [
+    ("rosenmorse2", 4.187031134506617, 1.9127463970068777,
+     0.9620079018619433, 1.0075907989008392, 1),
+    ("rosenmorse2", 4.1543533059083, 1.532169123839358, 0.8748904661180026,
+     1.0470885454852736, 2),
+    ("rosenmorse1", 1.0321394773333605, 0.9880169921547473,
+     1.0490392952552596, 1.009039783565242, 1),
+], ids=["rosenmorse2-n1", "rosenmorse2-n2", "rosenmorse1-n1"])
+def test_contour_level_agrees_with_the_swkb_level_to_rounding(
+        pot_id, A, B, alpha, hbar, n):
+    spec = sw.get_spec(pot_id, params={"A": A, "B": B, "alpha": alpha},
+                       hbar=hbar)
+    E = sw.quantize_by_contours(spec, n).energy
+    for want in (sw.closed_form_energy(spec, n),
+                 sw.solve_level(spec, n).energy):
+        assert abs(E - want) <= 2e-15 * want
+
+
+# Known failing input (ROADMAP): with A = 1e-4 and B = 100 the levels of
+# eckart sit within 1e-8 relative of the threshold (B/A - A)^2, about 1e12,
+# and neither route reaches them.  At the bracket's energy threshold *
+# (1 - 1e-5) the SWKB route finds one turning point, and the contour route
+# a pole sum that is not real.
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("solve", [
+    pytest.param(swkb.solve_level, id="swkb", marks=pytest.mark.xfail(
+        strict=True, raises=UnboundEnergyError)),
+    pytest.param(contours.quantize_by_contours, id="contour",
+                 marks=pytest.mark.xfail(strict=True,
+                                         raises=ConvergenceError)),
+])
+def test_eckart_levels_next_to_the_threshold(solve, n):
+    spec = sw.get_spec("eckart", params={"A": 1e-4, "B": 100})
+    E = solve(spec, n).energy
+    assert E == pytest.approx(sw.closed_form_energy(spec, n), rel=1e-12)
