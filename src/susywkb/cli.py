@@ -165,10 +165,10 @@ def _cmd_compare(args):
         vals["E_swkb"] = swkb.solve_level(spec, n).energy
         if two_cut:
             vals["E_contour"] = contours.quantize_by_contours(spec, n).energy
+        # _oracle_hint's start, from the levels solved above
         vals["E_numerov"] = numerov.numerov_eigenvalue(
-            spec, n, E_hint=_oracle_hint(spec, n))
-        present = [v for v in vals.values() if v is not None]
-        gap = max(abs(a - b) for a in present for b in present)
+            spec, n, E_hint=vals.get("E_closed_form", vals["E_swkb"]))
+        gap = max(abs(a - b) for a in vals.values() for b in vals.values())
         rows.append({
             "n": n,
             "E_closed_form": vals.get("E_closed_form"),

@@ -3,10 +3,10 @@
 Deforming the classical-region contour outward expresses the large-circle
 integral J_GammaR as the sum of fixed-pole contributions J_gamma and
 branch-cut contributions.  For entries whose only cuts are the classical one
-and its mirror, the identity J_GammaR - sum(J_gamma) = 2n*hbar quantizes the
-spectrum, solved by the SWKB route's level solve (swkb.solve_action) with
-one stopping rule for both.  When additional cuts carry weight (J_OBC != 0)
-that route fails.
+and its mirror, if any, the identity J_GammaR - sum(J_gamma) = m*n*hbar,
+m the number of these cuts, quantizes the spectrum, solved by the SWKB
+route's level solve (swkb.solve_action) with one stopping rule for both.
+When additional cuts carry weight (J_OBC != 0) that route fails.
 The SWKB error at an exact level is then J_SWKB - n*hbar = pole_offset -
 J_OBC, where pole_offset is how far the pole sum J_GammaR - sum(J_gamma)
 misses its quantized value.  That offset need not vanish: for nonexact2 at
@@ -15,11 +15,12 @@ J_OBC both directly and indirectly.
 
 The workspace pairs the branch points into cuts: the classical one between
 the turning points, the rest by minimum-weight matching, as chords or, for
-the trigonometric mapping, as arcs of the unit circle.  On the plane cut
-along them sqrt(P) is the closed-form sheet of branch.Sheet, fixed by a
-single anchor just below the classical cut, where sqrt(E - omega^2) is taken
-with positive real part.  The integrand is single-valued off the cuts, so
-each pole term is a residue, J_gamma = i Res, and J_GammaR is i times the
+the trigonometric mapping, as arcs of the unit circle.  One rule names the
+mirror, and so m, for the quantization and defect_report alike.  On the
+plane cut along them sqrt(P) is the closed-form sheet of branch.Sheet, fixed
+by a single anchor just below the classical cut, where sqrt(E - omega^2) is
+taken with positive real part.  The integrand is single-valued off the cuts,
+so each pole term is a residue, J_gamma = i Res, and J_GammaR is i times the
 1/y coefficient of the integrand's Laurent series at infinity: both are
 algebraic, and no circle takes a quadrature.  Each cut term is a
 Gauss-Chebyshev rule on one lip of its cut.  What depends on the spec alone
@@ -95,35 +96,38 @@ class DefectReport:
 class _Workspace:
     def __init__(self, spec, E):
         self.spec = spec
-        self.E = float(E)
-        self.den = den = spec.omega_y.den
-        self.P = _energy_numerator(spec, self.E)
+        E = float(E)
+        den = spec.omega_y.den
+        self.P = _energy_numerator(spec, E)
         self.branch_points = tuple(find_roots(self.P))
         self.poles = spec.fixed_poles_y
-        self.measure = spec.measure
-        tp = turning_points(spec, self.E, self.branch_points)
+        tp = turning_points(spec, E, self.branch_points)
         self.x1, self.x2 = tp.x1, tp.x2
         self.y1 = complex(spec.y_of_x(tp.x1))
         self.y2 = complex(spec.y_of_x(tp.x2))
         eps = 1e-3 * (tp.x2 - tp.x1)
-        xa = 0.5 * (tp.x1 + tp.x2) - 1j * eps
-        self.ya = complex(spec.y_of_x(xa))
-        om_a = spec.omega_y(self.ya)
-        s = cmath.sqrt(self.E - om_a * om_a)
+        ya = complex(spec.y_of_x(0.5 * (tp.x1 + tp.x2) - 1j * eps))
+        om_a = spec.omega_y(ya)
+        s = cmath.sqrt(E - om_a * om_a)
         if s.real < 0:
             s = -s
-        self.anchor_value = s * complex(npoly.polyval(self.ya, den.coeffs))
         bps = np.asarray(self.branch_points)
         self.spread = float(max(np.abs(bps[:, None] - bps[None, :]).max(),
                                 1e-30))
         self.cuts = self._pair_cuts()
-        self.sheet = br.Sheet.anchored(self.cuts, self.ya, self.anchor_value)
+        # m: the cuts that carry J_SWKB, the classical one and a mirror
+        self.m = 1 + sum(cut.kind == "mirror" for cut in self.cuts)
+        self.sheet = br.Sheet.anchored(
+            self.cuts, ya, s * complex(npoly.polyval(ya, den.coeffs)))
         self.integrand = br.SqrtIntegrand(sheet=self.sheet, den=den,
-                                          measure=self.measure)
+                                          measure=spec.measure)
 
     # -- geometry ----------------------------------------------------------
 
     def _pair_cuts(self):
+        """The classical cut, then the rest by minimum-weight matching.  The
+        mirror is the only other cut where there is one; else, when omega^2
+        is even in y, the pair at minus the classical ends; else none."""
         bps = list(self.branch_points)
         i1 = int(np.argmin([abs(b - self.y1) for b in bps]))
         c1 = bps[i1]
@@ -132,30 +136,21 @@ class _Workspace:
         c2 = rest[i2]
         rest = [b for k, b in enumerate(rest) if k != i2]
         pairs = [(c1, c2)] + _min_weight_matching(rest)
-        if self.spec.mapping == "exp_i":
-            return self._classify_arcs(pairs)
-        return self._classify_chords(pairs)
-
-    def _classify_chords(self, pairs):
-        cuts = [Cut(pairs[0][0], pairs[0][1], "classical")]
-        others = pairs[1:]
-        mirror_idx = None
-        if self.spec.is_y_symmetric():
-            target = sorted((-pairs[0][0], -pairs[0][1]), key=plane_key)
-            for k, (a, b) in enumerate(others):
-                got = sorted((a, b), key=plane_key)
-                if (abs(got[0] - target[0]) < 1e-6 * self.spread
-                        and abs(got[1] - target[1]) < 1e-6 * self.spread):
-                    mirror_idx = k
+        kinds = ["classical"] + ["other"] * (len(pairs) - 1)
+        if len(pairs) == 2:
+            kinds[1] = "mirror"
+        elif self.spec.is_y_symmetric():
+            target = sorted((-c1, -c2), key=plane_key)
+            for k, pair in enumerate(pairs[1:], 1):
+                if all(abs(g - t) < 1e-6 * self.spread for g, t in
+                       zip(sorted(pair, key=plane_key), target)):
+                    kinds[k] = "mirror"
                     break
-        if mirror_idx is None and len(others) == 1:
-            mirror_idx = 0
-        for k, (a, b) in enumerate(others):
-            kind = "mirror" if k == mirror_idx else "other"
-            cuts.append(Cut(a, b, kind))
-        return tuple(cuts)
+        if self.spec.mapping == "exp_i":
+            return self._arcs(pairs, kinds)
+        return tuple(Cut(a, b, kind) for (a, b), kind in zip(pairs, kinds))
 
-    def _classify_arcs(self, pairs):
+    def _arcs(self, pairs, kinds):
         # The classical arc ends on its branch points c_k: alpha*x_k carries
         # the rounding of the turning points, so add the angle of c_k from
         # exp(i alpha x_k).
@@ -164,14 +159,13 @@ class _Workspace:
                     for x, c in zip((self.x1, self.x2), pairs[0]))
         cuts = [Cut(th1, th2, "classical", arc=True)]
         cl_angles = (th1, th2)
-        for k, (a, b) in enumerate(pairs[1:]):
+        for (a, b), kind in zip(pairs[1:], kinds[1:]):
             ta, tb = float(np.angle(a)), float(np.angle(b))
             lo, hi = min(ta, tb), max(ta, tb)
             # choose the arc between the two angles that avoids the
             # classical endpoints
             if any(lo < c < hi for c in cl_angles):
                 lo, hi = hi, lo + 2.0 * math.pi
-            kind = "mirror" if len(pairs) == 2 else "other"
             cuts.append(Cut(lo, hi, kind, arc=True))
         return tuple(cuts)
 
@@ -301,23 +295,26 @@ def _decompose(ws):
 
 
 def _condition_value(spec, E):
-    """Real value of J_GammaR - sum(J_gamma) at energy E."""
+    """The contour action at energy E: the real pole sum
+    J_GammaR - sum(J_gamma) over m, the workspace's count of the cuts that
+    carry J_SWKB."""
     ws = _Workspace(spec, E)
     total = ws.infinity_value() - sum(ws.pole_value(p) for p in ws.poles)
     if abs(total.imag) > 10.0 * max(QUAD_TOL, IMAG_TOL * abs(total)):
         raise ConvergenceError(
             f"contour condition is not real (imag = {total.imag})",
             residuals=[abs(total.imag)])
-    return total.real
+    return total.real / ws.m
 
 
 def quantize_by_contours(spec, n):
-    """Solve J_GammaR(E) - sum(J_gamma(E)) = 2n*hbar for E: half the pole
-    sum is an action for swkb.solve_action, so this route shares the SWKB
+    """Solve J_GammaR(E) - sum(J_gamma(E)) = m*n*hbar for E, with m = 2
+    where the census finds a mirror cut and 1 otherwise: the pole sum over
+    m is an action for swkb.solve_action, so this route shares the SWKB
     route's bracket, stopping rule and residual gate.
 
-    Only valid when the classical cut and its mirror are the sole branch
-    cuts; entries with additional cuts are refused since their other-cut
+    Only valid when the classical cut and its mirror, if any, are the sole
+    branch cuts; entries with more cuts are refused since their other-cut
     content makes the condition inexact (see defect_report)."""
     if n < 0:
         raise DomainError("n must be non-negative")
@@ -327,7 +324,7 @@ def quantize_by_contours(spec, n):
             f"{spec.id} has {cuts} branch cuts; the "
             "two-cut contour condition does not close — use defect_report "
             "to quantify the other-cut content")
-    return solve_action(spec, n, lambda E: 0.5 * _condition_value(spec, E),
+    return solve_action(spec, n, lambda E: _condition_value(spec, E),
                         "contour")
 
 
@@ -336,9 +333,9 @@ def defect_report(spec, E_exact, n):
     ways.
 
     Directly, J_OBC is the sum of the other-cut integrals.  Indirectly it
-    follows from closure, J_GammaR - sum(J_gamma) = m*J_SWKB + J_OBC, where
-    m = 2 when the census finds a mirror cut (whose value equals the
-    classical one) and m = 1 otherwise:
+    follows from closure, J_GammaR - sum(J_gamma) = m*J_SWKB + J_OBC, with
+    the m of quantize_by_contours: 2 when the census finds a mirror cut
+    (whose value equals the classical one) and 1 otherwise:
 
         J_obc_indirect = m*(n*hbar - J_SWKB) + pole_offset,
         pole_offset    = (J_GammaR - sum(J_gamma)) - m*n*hbar.
@@ -357,12 +354,11 @@ def defect_report(spec, E_exact, n):
                             pole_offset=0.0, consistency_gap=0.0)
     ws = _Workspace(spec, E_exact)
     dec = _decompose(ws)
-    m = 2 if any(cut.kind == "mirror" for cut in ws.cuts) else 1
     direct = complex(sum(dec.J_other_cuts)).real
     J_sw = swkb_integral(spec, E_exact)
     pole_sum = complex(dec.J_GammaR - sum(dec.J_gamma.values())).real
-    pole_offset = pole_sum - m * n * spec.hbar
-    indirect = m * (n * spec.hbar - J_sw) + pole_offset
+    pole_offset = pole_sum - ws.m * n * spec.hbar
+    indirect = ws.m * (n * spec.hbar - J_sw) + pole_offset
     return DefectReport(
         potential_id=spec.id, n=n, E_exact=float(E_exact), J_swkb=float(J_sw),
         J_obc_direct=float(direct),

@@ -1,6 +1,7 @@
 """Shared fixtures and cached heavy computations for the test suite."""
 
 import dataclasses
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +27,32 @@ def drawn_spec(pot_id, seed):
     f = np.exp(rng.uniform(-0.1, 0.1, size=len(defaults) + 1))
     params = {k: float(v * g) for (k, v), g in zip(defaults.items(), f)}
     return sw.get_spec(pot_id, params=params, hbar=float(f[-1]))
+
+
+TEXTBOOK_IDS = ("oscillator", "coulomb", "radial")
+
+
+@lru_cache(maxsize=None)
+def textbook_spec(name):
+    """A shape-invariant superpotential outside the catalog, under the
+    identity mapping at hbar = 1, with its closed-form spectrum:
+    - oscillator: omega = x on the line, E_n = 2n; one cut;
+    - coulomb: omega = e^2/(2(l+1)) - (l+1)/x on the half line with l = 1,
+      e^2 = 2, E_n = 1/4 - 1/(n+2)^2 below the threshold 1/4; one cut;
+    - radial: omega = x - (l+1)/x on the half line with l = 1, E_n = 4n;
+      two cuts, the second the mirror of the first."""
+    base, num, den, threshold, spectrum = {
+        "oscillator": ("nonexact3", [0.0, 1.0], [1.0], math.inf,
+                       lambda n: 2.0 * n),
+        "coulomb": ("nonexact1", [-2.0, 0.5], [0.0, 1.0], 0.25,
+                    lambda n: 0.25 - 1.0 / (n + 2) ** 2),
+        "radial": ("nonexact1", [-2.0, 0.0, 1.0], [0.0, 1.0], math.inf,
+                   lambda n: 4.0 * n),
+    }[name]
+    spec = _with_omega(sw.get_spec(base), num, den, "identity")
+    return dataclasses.replace(spec, id=name, params={}, threshold=threshold,
+                               spectrum=spectrum, partial=False,
+                               n_is_bound=lambda n: n >= 0)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import susywkb
-from susywkb import catalog
+from susywkb import catalog, swkb
 from susywkb.cli import main
 
 # the child process imports the same susywkb as this one, installed or not
@@ -189,6 +189,21 @@ def test_compare_nonexact2_in_process(capsys):
     assert main(["compare", "nonexact2", "--levels", "2"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert len(rows) == 3
+
+
+def test_compare_solves_each_swkb_level_once(monkeypatch, capsys):
+    # without a closed form the oracle starts at the SWKB level, which
+    # compare has solved already
+    solved = []
+    solve_level = swkb.solve_level
+
+    def counted(spec, n):
+        solved.append(n)
+        return solve_level(spec, n)
+
+    monkeypatch.setattr(swkb, "solve_level", counted)
+    assert main(["compare", "nonexact2", "--levels", "2"]) == 0
+    assert solved == [0, 1]
 
 
 @pytest.mark.parametrize("pot_id", susywkb.CATALOG_IDS)

@@ -10,8 +10,8 @@ from susywkb import (ConvergenceError, DomainError, UnboundEnergyError,
                      catalog, contours, cpoly, numerov, swkb)
 from susywkb.swkb import swkb_integral
 
-from conftest import (MULTIPLE_POLE_SPECS, decompose_of, drawn_spec,
-                      mid_spectrum_energy, spec_of)
+from conftest import (MULTIPLE_POLE_SPECS, TEXTBOOK_IDS, decompose_of,
+                      drawn_spec, mid_spectrum_energy, spec_of, textbook_spec)
 
 
 SQ2 = math.sqrt(2.0)
@@ -163,12 +163,12 @@ def test_quantize_by_contours_evaluates_each_energy_once(monkeypatch):
 
 
 def test_quantize_by_contours_checks_its_residual(monkeypatch):
-    # a condition that jumps across 2n hbar by 2e-8 at E = 150: brentq ends
-    # on the jump, where the level residual is 5e-9, above TAU_LEVEL
+    # a contour action that jumps across n hbar by 1e-8 at E = 150: brentq
+    # ends on the jump, where the level residual is 5e-9, above TAU_LEVEL
     spec = spec_of("eckart")
 
     def jump(spec, E):
-        return 2.0 * spec.hbar + (1e-8 if E > 150.0 else -1e-8)
+        return spec.hbar + (5e-9 if E > 150.0 else -5e-9)
 
     monkeypatch.setattr(contours, "_condition_value", jump)
     with pytest.raises(ConvergenceError) as err:
@@ -200,6 +200,23 @@ def test_poles_are_solved_once_per_spec(monkeypatch):
         contours._Workspace(spec, E)
     assert [p is den for p in solved] == [False, True, False, False]
     assert spec.omega_poles_y == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", TEXTBOOK_IDS)
+def test_textbook_levels_on_both_routes(name, n):
+    # the oscillator and Coulomb have one cut and no mirror, so m = 1: the
+    # pole sum itself is n hbar at E_n
+    spec = textbook_spec(name)
+    E = spec.spectrum(n)
+    for route in (sw.quantize_by_contours, sw.solve_level):
+        assert route(spec, n).energy == pytest.approx(E, rel=1e-12, abs=0)
+    kinds = [cut.kind for cut in sw.census(spec, E).branch_cuts]
+    assert kinds == (["classical", "mirror"] if name == "radial"
+                     else ["classical"])
+    assert sw.decompose(spec, E).closure_residual <= 1e-12
+    # defect_report reads the m the route quantized with
+    assert abs(sw.defect_report(spec, E, n).pole_offset) <= 1e-12
 
 
 def test_quantize_by_contours_refuses_extra_cuts():
