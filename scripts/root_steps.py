@@ -4,9 +4,10 @@
 For each catalog entry and bound level n = 1..4 this solves the SWKB level
 (solve_level), and for one entry of each contour mapping (eckart: exp,
 scarf1: exp_i) one contour level (quantize_by_contours, n = 1).  For each
-level it prints the calls of cpoly.find_roots, the evaluations of the
-action in the shared level solve (swkb.solve_action: the SWKB integral or
-half the contour pole sum), the level's CPU time and its energy.
+level it prints the calls of cpoly.find_roots and the CPU seconds spent
+inside them, the evaluations of the action in the shared level solve
+(swkb.solve_action: the SWKB integral or the contour pole sum over m), the
+level's CPU time and its energy.
 
     PYTHONPATH=src python scripts/root_steps.py [--json PATH] [ids ...]
 """
@@ -32,16 +33,21 @@ def rebind(name, old, new):
 
 class Counts:
     """Wraps cpoly.find_roots and swkb.solve_action, wherever they are
-    bound, to count the root finder's calls and the evaluations of the
-    action each level solve is given."""
+    bound, to count the root finder's calls and CPU seconds and the
+    evaluations of the action each level solve is given."""
 
     def __init__(self):
         self.calls = self.evals = 0
+        self.roots_s = 0.0
         find, solve = cpoly.find_roots, swkb.solve_action
 
         def counted_find(p):
             self.calls += 1
-            return find(p)
+            t0 = time.process_time()
+            try:
+                return find(p)
+            finally:
+                self.roots_s += time.process_time() - t0
 
         def counted_solve(spec, n, action, method):
             def counted_action(E):
@@ -54,9 +60,10 @@ class Counts:
         rebind("solve_action", solve, counted_solve)
 
     def take(self):
-        """(calls, evals) since the last call of take."""
-        out = self.calls, self.evals
+        """(calls, roots_s, evals) since the last call of take."""
+        out = self.calls, self.roots_s, self.evals
         self.calls = self.evals = 0
+        self.roots_s = 0.0
         return out
 
 
@@ -82,16 +89,17 @@ def main():
     counts = Counts()
     rows = []
     print(f"{'id':12s} {'n':>2s} {'route':>7s} {'cpu_s':>6s} {'E':>22s} "
-          f"{'calls':>5s} {'evals':>5s}")
+          f"{'calls':>5s} {'roots_s':>7s} {'evals':>5s}")
     for spec, n, route in cases(args.ids):
         t0 = time.process_time()
         E = solvers[route](spec, n).energy
         cpu = time.process_time() - t0
-        calls, evals = counts.take()
+        calls, roots_s, evals = counts.take()
         rows.append({"entry": spec.id, "n": n, "route": route, "E": E,
-                     "cpu_s": cpu, "calls": calls, "evals": evals})
+                     "cpu_s": cpu, "calls": calls, "roots_s": roots_s,
+                     "evals": evals})
         print(f"{spec.id:12s} {n:2d} {route:>7s} {cpu:6.3f} {E!r:>22s} "
-              f"{calls:5d} {evals:5d}")
+              f"{calls:5d} {roots_s:7.4f} {evals:5d}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(rows, fh, indent=1)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .cpoly import Polynomial, RationalFunction, find_roots
+from .cpoly import Polynomial, RationalFunction, _horner, find_roots
 from .errors import DomainError, UnboundEnergyError
 
 MULTIPLE_POLE_TOL = 1e-6   # p is a multiple zero of den where |den'(p)| is
@@ -99,15 +99,25 @@ class PotentialSpec:
 
     def _check_domain(self, x):
         lo, hi = self.domain
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xs <= lo) or np.any(xs >= hi):
+        xs = np.asarray(x, dtype=float)
+        if ((xs <= lo) | (xs >= hi)).any():
             raise DomainError(f"x outside open domain ({lo}, {hi}) of {self.id}")
 
     def omega_x(self, x):
-        """Superpotential in the physical coordinate."""
+        """Superpotential in the physical coordinate: num and den in one
+        Horner pass, or omega_y's scalar math at a NumPy scalar y."""
         self._check_domain(x)
-        val = self.omega_y(self.y_of_x(x))
-        return np.asarray(val).real
+        y = self.y_of_x(x)
+        num, den = (_horner(self._omega_rows, y) if isinstance(y, np.ndarray)
+                    else (self.omega_y.num(y), self.omega_y.den(y)))
+        return np.asarray(num / den).real
+
+    @cached_property
+    def _omega_rows(self):
+        """num and den of omega as columns, highest degree first."""
+        cs = self.omega_y.num.coeffs, self.omega_y.den.coeffs
+        m = max(map(len, cs))
+        return np.stack([np.pad(c, (0, m - len(c))) for c in cs], 1)[::-1]
 
     @cached_property
     def omega_prime_y(self):

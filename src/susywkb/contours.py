@@ -355,7 +355,7 @@ def defect_report(spec, E_exact, n):
     ws = _Workspace(spec, E_exact)
     dec = _decompose(ws)
     direct = complex(sum(dec.J_other_cuts)).real
-    J_sw = swkb_integral(spec, E_exact)
+    J_sw = swkb_integral(spec, E_exact, ws.branch_points)
     pole_sum = complex(dec.J_GammaR - sum(dec.J_gamma.values())).real
     pole_offset = pole_sum - ws.m * n * spec.hbar
     indirect = ws.m * (n * spec.hbar - J_sw) + pole_offset

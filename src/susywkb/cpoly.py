@@ -2,14 +2,14 @@
 
 Coefficients are stored ascending in degree, matching
 ``numpy.polynomial.polynomial`` conventions.  Degrees in this package stay
-small (at most 12).  The root finder takes the companion-matrix
-eigenvalues, which are backward stable, and refines them by Newton steps
-that are kept only where they lower |p|.  Every root it returns meets the
-1e-10 relative residual bound required of turning-point and branch-point
-computations.  A well separated simple root comes back to about working
-precision; an m-fold root comes back as m points about eps^(1/m) from it,
-the distance to which rounding resolves it.  The catalog's poles and branch
-points are simple or at most double, and it builds each omega irreducible.
+small (at most 12).  The root finder refines the companion-matrix
+eigenvalues (backward stable) by Newton steps, p and p' in one Horner pass
+each, kept only where they lower |p|.  Every root it returns meets, by the
+polish's last p, the 1e-10 relative residual bound of turning-point and
+branch-point computations.  A well separated simple root comes back to
+about working precision; an m-fold root as m points about eps^(1/m) from
+it, the distance to which rounding resolves it.  The catalog's poles and
+branch points are simple or at most double; each omega is irreducible.
 """
 
 from __future__ import annotations
@@ -80,48 +80,58 @@ def _as_coeffs(p):
     return np.atleast_1d(np.asarray(p, dtype=complex))
 
 
+def _horner(rows, z):
+    """The columns of rows (highest degree first) at the ndarray z, with
+    npoly.polyval's arithmetic; a NumPy scalar z would round otherwise."""
+    rows = rows.reshape(rows.shape + (1,) * z.ndim)
+    v = rows[0] + z * 0
+    for r in rows[1:]:
+        v *= z
+        v += r
+    return v
+
+
 def find_roots(p: Polynomial):
     """All complex roots of ``p``, repeated per multiplicity.
 
-    The eigenvalues of the companion matrix (backward stable, so each is
-    already the exact root of a nearby polynomial), refined by Newton steps
-    on p that are kept only where they lower |p| (_newton_polish).  An
-    m-fold root comes back as m roots within about eps^(1/m) (1 + |r|) of
-    it: the residual cannot tell them apart.  The returned roots satisfy
-    |p(r)| <= ROOT_TOL * max|coeff| * max(1, |r|)^deg; failing that a
-    ConvergenceError carrying the residuals is raised.
+    The eigenvalues of the companion matrix as npoly.polyroots takes them
+    (backward stable), refined by three Newton steps with p and p' in one
+    Horner pass, each kept only where it lowers |p|: near a multiple root
+    p/p' is noise.  An m-fold root comes back as m roots within about
+    eps^(1/m) (1 + |r|) of it: the residual cannot tell them apart.  The
+    roots satisfy |p(r)| <= ROOT_TOL * max|coeff| * max(1, |r|)^deg, p(r)
+    the polish's last value; failing that a ConvergenceError carrying the
+    residuals is raised.
     """
     if p.is_zero:
         raise DomainError("cannot take roots of the zero polynomial")
-    c = p.monic().coeffs
+    c = p.coeffs
     n = len(c) - 1
     if n == 0:
         return np.zeros(0, dtype=complex)
-    oc = p.coeffs
-    z = _newton_polish(oc, npoly.polyroots(c))
-    res = np.abs(npoly.polyval(z, oc))
-    bound = ROOT_TOL * np.abs(oc).max() * np.maximum(1.0, np.abs(z)) ** n
-    if np.any(res > bound):
-        raise ConvergenceError(
-            "root finder did not converge", residuals=res.tolist()
-        )
-    return z
-
-
-def _newton_polish(c, z):
-    """Three Newton steps on the polynomial with coefficients c, each kept
-    only where it lowers |c(z)|: at a multiple root, or a pair of roots
-    closer than rounding resolves, p/p' is noise and a step can throw the
-    point far off."""
-    dc = c[1:] * np.arange(1, len(c))
-    pv = npoly.polyval(z, c)
+    # polyroots' arithmetic; a 1x1 eigensolve flips the sign of a zero root
+    mc = c / c[-1]
+    if n == 1:
+        z = np.array([-mc[0] / mc[1]])
+    else:
+        companion = np.eye(n, k=-1, dtype=complex)
+        companion[:, -1] -= mc[:-1] / mc[-1]
+        z = np.linalg.eigvals(companion)
+        z.sort()
+    rows = np.zeros((n + 1, 2), dtype=complex)
+    rows[:, 0], rows[1:, 1] = c[::-1], (c[1:] * np.arange(1, n + 1))[::-1]
+    pd = _horner(rows, z)
     for _ in range(3):
-        dv = npoly.polyval(z, dc)
-        good = np.abs(dv) > 1e-300
-        new = np.where(good, z - pv / np.where(good, dv, 1), z)
-        pn = npoly.polyval(new, c)
-        lower = np.abs(pn) < np.abs(pv)
-        z, pv = np.where(lower, new, z), np.where(lower, pn, pv)
+        good = np.abs(pd[1]) > 1e-300
+        new = np.where(good, z - pd[0] / np.where(good, pd[1], 1), z)
+        pdn = _horner(rows, new)
+        lower = np.abs(pdn[0]) < np.abs(pd[0])
+        z, pd = np.where(lower, new, z), np.where(lower, pdn, pd)
+    res = np.abs(pd[0])
+    bound = ROOT_TOL * np.abs(c).max() * np.maximum(1.0, np.abs(z)) ** n
+    if np.any(res > bound):
+        raise ConvergenceError("root finder did not converge",
+                               residuals=res.tolist())
     return z
 
 

@@ -88,17 +88,17 @@ def turning_points(spec, E, roots=None):
     return TurningPoints(x1, x2)
 
 
-def swkb_integral(spec, E):
+def swkb_integral(spec, E, roots=None):
     """(1/pi) * integral of sqrt(E - omega^2) over the classical region.
 
     With x = x_mid + x_half*cos(a), J = (x_half/n) * sum_j sin(j pi/n) *
     sqrt(E - omega^2(x_j)) in the rule of quadrature.gauss_chebyshev, which
-    converges exponentially between the true turning points; the node
-    count doubles until two successive results agree within QUAD_TOL.
+    converges exponentially between the turning points (roots as in
+    turning_points); the nodes double until two results agree within QUAD_TOL.
     """
     if E == 0.0:
         return 0.0
-    tp = turning_points(spec, E)
+    tp = turning_points(spec, E, roots)
     xm, xh = 0.5 * (tp.x1 + tp.x2), 0.5 * (tp.x2 - tp.x1)
 
     def term(a):

@@ -11,7 +11,8 @@ from numpy.polynomial import polynomial as npoly
 import susywkb as sw
 from susywkb import DomainError, numerov, swkb
 
-from conftest import MULTIPLE_POLE_SPECS, drawn_spec
+from conftest import (MULTIPLE_POLE_SPECS, TEXTBOOK_IDS, drawn_spec,
+                      textbook_spec)
 
 
 def test_catalog_has_nine_entries():
@@ -171,6 +172,37 @@ def test_domain_enforcement():
     spec = sw.get_spec("eckart")
     with pytest.raises(DomainError):
         spec.omega_x(-1.0)
+    for bad in ([0.5, 0.0, 1.0], np.array([1.0, 2.0, 0.0])):
+        with pytest.raises(DomainError):
+            spec.omega_x(bad)
+    scarf1 = sw.get_spec("scarf1")
+    lo, hi = scarf1.domain
+    for bad in ([0.1, hi], np.array([lo, 0.0]), np.asarray(hi)):
+        with pytest.raises(DomainError):
+            scarf1.omega_x(bad)
+
+
+def omega_x_specs():
+    for pot_id in sw.CATALOG_IDS:
+        yield sw.get_spec(pot_id)
+        for seed in (1, 2, 3):
+            yield drawn_spec(pot_id, seed)
+    for name in TEXTBOOK_IDS:
+        yield textbook_spec(name)
+
+
+def test_omega_x_is_omega_y_bit_for_bit():
+    # one Horner pass over num and den returns what omega_y returns, for
+    # scalar, 0-d and 1-d x, signs of zero included
+    for spec in omega_x_specs():
+        lo, hi = spec.domain
+        xs = np.linspace(max(lo, -4.0), min(hi, 4.0), 41)[1:-1]
+        for x in (xs, *xs[::5], *map(np.asarray, xs[::5])):
+            got = np.asarray(spec.omega_x(x))
+            want = np.asarray(spec.omega_y(spec.y_of_x(x))).real
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), spec.id
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_json_round_trip():

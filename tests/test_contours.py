@@ -246,6 +246,26 @@ def test_nonexact1_defect_two_ways():
     assert abs(rep.pole_offset) <= 1e-6
 
 
+@pytest.mark.parametrize("pot_id, E, n", [
+    ("eckart", 189.0, 1), ("nonexact1", 4.0, 1), ("nonexact2", 0.03, 1),
+])
+def test_defect_report_solves_the_roots_once(monkeypatch, pot_id, E, n):
+    spec = spec_of(pot_id)
+    want = sw.defect_report(spec, E, n)     # the spec's poles solved here
+    solved = []
+    find = cpoly.find_roots
+
+    def counted(P):
+        solved.append(P)
+        return find(P)
+
+    # the workspace's branch points serve the SWKB integral too
+    monkeypatch.setattr(contours, "find_roots", counted)
+    monkeypatch.setattr(swkb, "find_roots", counted)
+    assert sw.defect_report(spec, E, n) == want
+    assert len(solved) == 1
+
+
 def test_pole_circle_deformation_invariance():
     # same pole, two different probe energies that move branch points around:
     # the pole term at y = +1 stays A/alpha = 1

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import susywkb as sw
-from susywkb import DomainError, Polynomial, RationalFunction, cpoly, find_roots
+from susywkb import (ConvergenceError, DomainError, Polynomial,
+                     RationalFunction, cpoly, find_roots)
 from susywkb.swkb import _energy_numerator
 
 
@@ -97,6 +99,95 @@ def test_roots_recovered_from_factored_form(roots):
     for r in roots:
         coeffs = np.convolve(coeffs, [-r, 1.0])
     assert_roots_recovered(roots, find_roots(Polynomial(coeffs)))
+
+
+def reference_roots(p):
+    """find_roots in library calls: npoly.polyroots of the monic
+    coefficients, three Newton steps with p and p' each from its own
+    npoly.polyval, each kept where |p| drops, and the residual gate on a
+    fresh npoly.polyval."""
+    c = p.coeffs
+    z = npoly.polyroots(p.monic().coeffs)
+    dc = c[1:] * np.arange(1, len(c))
+    pv = npoly.polyval(z, c)
+    for _ in range(3):
+        dv = npoly.polyval(z, dc)
+        good = np.abs(dv) > 1e-300
+        new = np.where(good, z - pv / np.where(good, dv, 1), z)
+        pn = npoly.polyval(new, c)
+        lower = np.abs(pn) < np.abs(pv)
+        z, pv = np.where(lower, new, z), np.where(lower, pn, pv)
+    res = np.abs(npoly.polyval(z, c))
+    bound = (cpoly.ROOT_TOL * np.abs(c).max()
+             * np.maximum(1.0, np.abs(z)) ** p.degree)
+    if np.any(res > bound):
+        raise ConvergenceError("root finder did not converge",
+                               residuals=res.tolist())
+    return z
+
+
+def assert_bitwise_equal(a, b):
+    """Equal values, and equal signs of zero in both parts."""
+    assert np.array_equal(a, b)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
+def assert_matches_reference(p):
+    try:
+        want = reference_roots(p)
+    except ConvergenceError as err:
+        with pytest.raises(ConvergenceError) as got:
+            find_roots(p)
+        assert got.value.residuals == err.residuals
+        return
+    assert_bitwise_equal(find_roots(p), want)
+
+
+def level_solve_energies(spec):
+    """The energies a level solve tries on spec, and more: its lower
+    bracket end, a grid up to the threshold (or to 1e3), and the threshold
+    approached as thr (1 - 10^-k)."""
+    thr = spec.threshold
+    top = thr if np.isfinite(thr) else 1e3
+    Es = [1e-9 * top, *np.geomspace(1e-9 * top, top * (1 - 1e-7), 60)]
+    if np.isfinite(thr):
+        Es += [thr * (1 - 10.0 ** -k) for k in range(1, 13)]
+    return Es
+
+
+@pytest.mark.parametrize("pot_id", sw.CATALOG_IDS)
+def test_find_roots_matches_reference_on_the_catalog(pot_id):
+    spec = sw.get_spec(pot_id)
+    for E in level_solve_energies(spec):
+        assert_matches_reference(_energy_numerator(spec, E))
+
+
+def test_find_roots_matches_reference_at_eckart_bracket_tops():
+    # a wall root at y = 1 where the polish must reach |P| ~ 1e-24
+    spec = sw.get_spec("eckart", params={"A": 1e-4, "B": 100.0})
+    for eps in (1e-3, 1e-5, 1e-7, 1e-9):
+        assert_matches_reference(
+            _energy_numerator(spec, spec.threshold * (1.0 - eps)))
+
+
+def test_find_roots_keeps_the_sign_of_a_zero_root():
+    for c in ([0.0, 2.0], [-0.0, -3.0], [0.0, 1j]):
+        p = Polynomial(c)
+        assert_matches_reference(p)
+        assert find_roots(p)[0] == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(roots=[DOUBLE_ROOT, DOUBLE_ROOT])
+@given(st.lists(st.complex_numbers(max_magnitude=3.0, min_magnitude=0.01,
+                                   allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=6))
+def test_find_roots_matches_reference_on_factored_form(roots):
+    coeffs = np.array([1.0 + 0j])
+    for r in roots:
+        coeffs = np.convolve(coeffs, [-r, 1.0])
+    assert_matches_reference(Polynomial(coeffs))
 
 
 @pytest.mark.parametrize("roots", [
