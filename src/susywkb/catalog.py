@@ -108,21 +108,20 @@ class PotentialSpec:
         Horner pass, or omega_y's scalar math at a NumPy scalar y."""
         self._check_domain(x)
         y = self.y_of_x(x)
-        num, den = (_horner(self._omega_rows, y) if isinstance(y, np.ndarray)
+        num, den = (_horner(self._omega_rows[:, :2], y)
+                    if isinstance(y, np.ndarray)
                     else (self.omega_y.num(y), self.omega_y.den(y)))
         return np.asarray(num / den).real
 
     @cached_property
     def _omega_rows(self):
-        """num and den of omega as columns, highest degree first."""
+        """num, den, num' and den' of omega as columns, highest degree
+        first, max(len num, len den) rows: omega_x reads the first two,
+        v_minus and omega_prime_x all four."""
         cs = self.omega_y.num.coeffs, self.omega_y.den.coeffs
+        cs += tuple(c[1:] * np.arange(1, len(c)) for c in cs)
         m = max(map(len, cs))
         return np.stack([np.pad(c, (0, m - len(c))) for c in cs], 1)[::-1]
-
-    @cached_property
-    def omega_prime_y(self):
-        """The rational derivative d omega/dy, built once per spec."""
-        return self.omega_y.deriv()
 
     @cached_property
     def omega_poles_y(self):
@@ -192,45 +191,33 @@ class PotentialSpec:
         n2.flags.writeable = False
         return n2
 
-    def omega_prime_x(self, x):
-        """Exact d omega/dx via the rational derivative and the chain rule."""
+    def _omega_and_slope(self, x):
+        """omega and d omega/dx at x from one Horner pass over _omega_rows,
+        with d omega/dx = (num' - omega den')/den dy/dx.  The pass runs in
+        float64 where y and every coefficient are real (the identity and
+        exp mappings of a real omega), else in complex arithmetic."""
         self._check_domain(x)
-        y = self.y_of_x(x)
-        val = self.omega_prime_y(y) * self.dydx(y)
-        return np.asarray(val).real
-
-    @cached_property
-    def _real_coeffs(self):
-        """float64 coefficients of the numerators and denominators of omega
-        and omega_prime_y, or None where y or a coefficient is complex."""
-        if self.mapping == "exp_i":
-            return None
-        cs = [p.coeffs for r in (self.omega_y, self.omega_prime_y)
-              for p in (r.num, r.den)]
-        if any(np.any(c.imag) for c in cs):
-            return None
-        return tuple(c.real.copy() for c in cs)
-
-    def v_minus(self, x):
-        """Partner potential omega^2 - hbar * omega', with the domain checked
-        and x mapped to y once.  Under the identity and exp mappings y and
-        omega's coefficients are real, and omega and d omega/dy are
-        evaluated in float64; under exp_i in complex arithmetic, as
-        omega_x and omega_prime_x do."""
-        self._check_domain(x)
-        real = self._real_coeffs
-        if real is None:
+        rows = self._omega_rows
+        if self.mapping == "exp_i" or rows.imag.any():
             y = self.y_of_x(x)
-            om = np.asarray(self.omega_y(y)).real
-            dom = np.asarray(self.omega_prime_y(y) * self.dydx(y)).real
+            dydx = self.dydx(y)
         else:
-            num, den, dnum, dden = real
-            y, dydx = np.asarray(x, dtype=float), 1.0
+            rows, y, dydx = rows.real, np.asarray(x, dtype=float), 1.0
             if self.mapping == "exp":
                 y = np.exp(self.alpha * y)
                 dydx = self.alpha * y
-            om = npoly.polyval(y, num) / npoly.polyval(y, den)
-            dom = npoly.polyval(y, dnum) / npoly.polyval(y, dden) * dydx
+        num, den, dnum, dden = _horner(rows, y)
+        om = num / den
+        return om.real, ((dnum - om * dden) / den * dydx).real
+
+    def omega_prime_x(self, x):
+        """d omega/dx, from the pass that v_minus reads."""
+        return self._omega_and_slope(x)[1]
+
+    def v_minus(self, x):
+        """Partner potential omega^2 - hbar * omega', with omega and
+        omega' from one Horner pass over num, den, num' and den'."""
+        om, dom = self._omega_and_slope(x)
         return om ** 2 - self.hbar * dom
 
     def is_y_symmetric(self):

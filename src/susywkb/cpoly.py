@@ -67,9 +67,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def deriv(self):
-        return Polynomial(npoly.polyder(self.coeffs))
-
     def monic(self):
         return Polynomial(self.coeffs / self.coeffs[-1])
 
@@ -153,8 +150,3 @@ class RationalFunction:
 
     def __call__(self, z):
         return self.num(z) / self.den(z)
-
-    def deriv(self):
-        """Exact rational derivative (num' den - num den') / den^2."""
-        n, d = self.num, self.den
-        return RationalFunction(n.deriv() * d - n * d.deriv(), d * d)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -79,11 +80,56 @@ def test_v_minus_matches_omega_x(pot_id, seed):
     if spec.mapping == "exp_i":
         assert np.array_equal(v, ref)
     else:
-        # float64 in place of complex arithmetic: 2.7e-14 on genpt
+        # float64 in place of complex arithmetic on one table: at most
+        # 2.7e-14 (genpt) and 2.1e-14 (eckart), both at their defaults
         assert np.all(np.abs(v - ref)
                       <= 1e-13 * (om ** 2 + spec.hbar * np.abs(dom)))
     x = float(xs[20000])
     assert spec.v_minus(x) == pytest.approx(v[20000], rel=1e-15, abs=0.0)
+
+
+def _mp_omega_and_v_minus(spec, x):
+    """omega, omega' and V_- at the float x, from num, den, num' and den'
+    in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        x, k = mpmath.mpf(x), mpmath.mpf(spec.alpha)
+        if spec.mapping == "identity":
+            y, dydx = x, 1
+        elif spec.mapping == "exp":
+            y = mpmath.exp(k * x)
+            dydx = k * y
+        else:
+            y = mpmath.expj(k * x)
+            dydx = 1j * k * y
+        num, dnum, den, dden = (
+            v for p in (spec.omega_y.num, spec.omega_y.den)
+            for v in mpmath.polyval([mpmath.mpc(c) for c in p.coeffs[::-1]],
+                                    y, derivative=True))
+        om = num / den
+        dom = (dnum - om * dden) / den * dydx
+        return (float(mpmath.re(om)), float(mpmath.re(dom)),
+                float(mpmath.re(om * om - spec.hbar * dom)))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+@pytest.mark.parametrize("pot_id", sw.CATALOG_IDS)
+def test_v_minus_against_40_digits(pot_id, seed):
+    # the 20 points at each end of the level-1 oracle's h/2 grid, next to
+    # the walls, and 40 more; relative to omega^2 + hbar |omega'| the worst
+    # errors are 7.8e-14 in V_- and 2.0e-13 in hbar omega' (rosenmorse1 and
+    # scarf1, seeds 1-3), against 3.0e-11 for den^2 expanded (scarf1)
+    spec = sw.get_spec(pot_id) if seed is None else drawn_spec(pot_id, seed)
+    hint = spec.spectrum(1) if spec.spectrum else None
+    _, _, _, x_min, x_max, _ = numerov._prepare(spec, 1, hint)
+    xs = np.linspace(x_min, x_max, 40001)
+    inner = np.random.default_rng(0).choice(np.arange(20, 39981), 40,
+                                            replace=False)
+    xs = xs[np.r_[0:20, 39981:40001, inner]]
+    om, dom, v = np.array([_mp_omega_and_v_minus(spec, x) for x in xs]).T
+    scale = om ** 2 + spec.hbar * np.abs(dom)
+    assert np.all(np.abs(spec.v_minus(xs) - v) <= 2e-13 * scale)
+    assert np.all(spec.hbar * np.abs(spec.omega_prime_x(xs) - dom)
+                  <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("pot_id", sw.EXACT_IDS)

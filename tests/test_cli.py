@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -18,9 +20,22 @@ CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 
 
 def run_cli(*args):
-    proc = subprocess.run([sys.executable, "-m", "susywkb.cli", *args],
-                          capture_output=True, text=True, env=CHILD_ENV)
-    return proc.returncode, proc.stdout, proc.stderr
+    """main(args) in this process: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(list(args))
+        except SystemExit as exc:      # a usage error
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_module_runs_as_a_child_process():
+    # python -m susywkb.cli exits with main's code and writes its bytes
+    for args in (["list"], ["spectrum", "unknown-id"]):
+        proc = subprocess.run([sys.executable, "-m", "susywkb.cli", *args],
+                              capture_output=True, text=True, env=CHILD_ENV)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*args)
 
 
 # closure_sweep.py exits 1 when a closure residual exceeds 1e-12;

@@ -482,6 +482,16 @@ def test_box_by_blocks_equals_the_scalar_box(pot_id, seed, monkeypatch):
             assert box == _oracle_box(spec, n)
 
 
+def test_level_next_to_the_threshold_raises_no_warning():
+    # E_3 lies 0.065 below the threshold, and the box reaches alpha x = 321,
+    # where den^2 expanded (y^4 = e^(4 alpha x)) overflowed
+    spec = drawn_spec("eckart", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = sw.numerov_eigenvalue(spec, 3, E_hint=spec.spectrum(3))
+    assert E == pytest.approx(spec.spectrum(3), rel=1e-5)
+
+
 @pytest.mark.parametrize("pot_id", sw.CATALOG_IDS)
 def test_box_growth_raises_no_warning(pot_id):
     # the blocks run past the edge, where V_- overflows on scarf2 n = 2

@@ -210,7 +210,6 @@ def test_polynomial_arithmetic():
     assert (p * q).coeffs == pytest.approx([0.0, 1.0, 2.0])
     assert (p + q).coeffs == pytest.approx([1.0, 3.0])
     assert (p - q).coeffs == pytest.approx([1.0, 1.0])
-    assert p.deriv().coeffs == pytest.approx([2.0])
     assert p(3.0) == pytest.approx(7.0)
 
 
@@ -222,13 +221,3 @@ def test_trailing_zero_trim():
 def test_rational_zero_denominator_rejected():
     with pytest.raises(DomainError):
         RationalFunction([1.0], [0.0])
-
-
-def test_rational_derivative_is_exact():
-    r = RationalFunction([0.0, 1.0], [1.0, 0.0, 1.0])   # z / (1 + z^2)
-    d = r.deriv()
-    z = 0.7 + 0.3j
-    h = 1e-6
-    fd = (r(z + h) - r(z - h)) / (2.0 * h)
-    assert d(z) == pytest.approx(fd, abs=1e-8)
-
