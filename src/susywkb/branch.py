@@ -141,14 +141,13 @@ def cut_integral(integrand: SqrtIntegrand, k):
 
     sqrt(1 - t^2) is the Gauss-Chebyshev weight of the second kind: n - 1
     nodes cos(j pi/n) with weights (pi/n) sin^2(j pi/n), refined by
-    quadrature.gauss_chebyshev.
+    quadrature.gauss_chebyshev, which hands the term t and sin(j pi/n).
     """
     sheet = integrand.sheet
     cut = sheet.cuts[k]
     mid, half = 0.5 * (cut.p1 + cut.p2), 0.5 * (cut.p2 - cut.p1)
 
-    def term(a):
-        t = np.cos(a)
+    def term(t, s):
         if cut.arc:
             tau = np.tan(0.5 * half)
             th = mid + 2.0 * np.arctan(tau * t)
@@ -159,6 +158,6 @@ def cut_integral(integrand: SqrtIntegrand, k):
             ys = mid + half * t
             r = -1j * half * half
         g = sheet.others(k, ys) * integrand.weight(ys)
-        return np.sin(a) ** 2 * r * g
+        return s ** 2 * r * g
 
     return gauss_chebyshev(term, "cut quadrature")

@@ -3,13 +3,14 @@
 Coefficients are stored ascending in degree, matching
 ``numpy.polynomial.polynomial`` conventions.  Degrees in this package stay
 small (at most 12).  The root finder refines the companion-matrix
-eigenvalues (backward stable) by Newton steps, p and p' in one Horner pass
-each, kept only where they lower |p|.  Every root it returns meets, by the
-polish's last p, the 1e-10 relative residual bound of turning-point and
-branch-point computations.  A well separated simple root comes back to
-about working precision; an m-fold root as m points about eps^(1/m) from
-it, the distance to which rounding resolves it.  The catalog's poles and
-branch points are simple or at most double; each omega is irreducible.
+eigenvalues (backward stable) by Newton steps per root in Python complex
+arithmetic, p and p' each a scalar Horner recurrence, kept only where they
+lower |p|.  Every root it returns meets, by the polish's last p, the 1e-10
+relative residual bound of turning-point and branch-point computations.
+A well separated simple root comes back to about working precision; an
+m-fold root as m points about eps^(1/m) from it, the distance to which
+rounding resolves it.  The catalog's poles and branch points are simple
+or at most double; each omega is irreducible.
 """
 
 from __future__ import annotations
@@ -79,7 +80,9 @@ def _as_coeffs(p):
 
 def _horner(rows, z):
     """The columns of rows (highest degree first) at the ndarray z, with
-    npoly.polyval's arithmetic; a NumPy scalar z would round otherwise."""
+    npoly.polyval's arithmetic; a NumPy scalar z would round otherwise.
+    Only catalog reads it, for omega_x and V_- on node and grid arrays;
+    find_roots polishes in scalar arithmetic (_scalar_horner)."""
     rows = rows.reshape(rows.shape + (1,) * z.ndim)
     v = rows[0] + z * 0
     for r in rows[1:]:
@@ -88,17 +91,29 @@ def _horner(rows, z):
     return v
 
 
+def _scalar_horner(coeffs, r):
+    """The list coeffs (highest degree first) at the Python complex r, in
+    npoly.polyval's order on a scalar."""
+    v = coeffs[0] + r * 0
+    for ck in coeffs[1:]:
+        v = ck + v * r
+    return v
+
+
 def find_roots(p: Polynomial):
     """All complex roots of ``p``, repeated per multiplicity.
 
     The eigenvalues of the companion matrix as npoly.polyroots takes them
-    (backward stable), refined by three Newton steps with p and p' in one
-    Horner pass, each kept only where it lowers |p|: near a multiple root
-    p/p' is noise.  An m-fold root comes back as m roots within about
-    eps^(1/m) (1 + |r|) of it: the residual cannot tell them apart.  The
-    roots satisfy |p(r)| <= ROOT_TOL * max|coeff| * max(1, |r|)^deg, p(r)
-    the polish's last value; failing that a ConvergenceError carrying the
-    residuals is raised.
+    (backward stable), refined by up to three Newton steps, each kept only
+    where it lowers |p|: near a multiple root p/p' is noise.  A root stops
+    at its first rejected step, which every later step would repeat.  The
+    polish runs per root in Python complex arithmetic, p and p' each a
+    Horner recurrence in npoly.polyval's order on a scalar; on arrays of
+    2-13 values NumPy's per-call cost would dominate.  An m-fold root comes
+    back as m roots within about eps^(1/m) (1 + |r|) of it: the residual
+    cannot tell them apart.  The roots satisfy |p(r)| <= ROOT_TOL *
+    max|coeff| * max(1, |r|)^deg, p(r) the polish's last value; failing
+    that a ConvergenceError carrying the residuals is raised.
     """
     if p.is_zero:
         raise DomainError("cannot take roots of the zero polynomial")
@@ -115,16 +130,23 @@ def find_roots(p: Polynomial):
         companion[:, -1] -= mc[:-1] / mc[-1]
         z = np.linalg.eigvals(companion)
         z.sort()
-    rows = np.zeros((n + 1, 2), dtype=complex)
-    rows[:, 0], rows[1:, 1] = c[::-1], (c[1:] * np.arange(1, n + 1))[::-1]
-    pd = _horner(rows, z)
-    for _ in range(3):
-        good = np.abs(pd[1]) > 1e-300
-        new = np.where(good, z - pd[0] / np.where(good, pd[1], 1), z)
-        pdn = _horner(rows, new)
-        lower = np.abs(pdn[0]) < np.abs(pd[0])
-        z, pd = np.where(lower, new, z), np.where(lower, pdn, pd)
-    res = np.abs(pd[0])
+    cs = c[::-1].tolist()
+    ds = (c[1:] * np.arange(1, n + 1))[::-1].tolist()
+    roots, res = z.tolist(), []
+    for i, r in enumerate(roots):
+        pv = _scalar_horner(cs, r)
+        for _ in range(3):
+            dv = _scalar_horner(ds, r)
+            if not abs(dv) > 1e-300:
+                break
+            new = r - pv / dv
+            pn = _scalar_horner(cs, new)
+            if not abs(pn) < abs(pv):
+                break
+            r, pv = new, pn
+        roots[i] = r
+        res.append(abs(pv))
+    z, res = np.array(roots), np.array(res)
     bound = ROOT_TOL * np.abs(c).max() * np.maximum(1.0, np.abs(z)) ** n
     if np.any(res > bound):
         raise ConvergenceError("root finder did not converge",

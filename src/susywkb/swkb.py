@@ -95,15 +95,17 @@ def swkb_integral(spec, E, roots=None):
     sqrt(E - omega^2(x_j)) in the rule of quadrature.gauss_chebyshev, which
     converges exponentially between the turning points (roots as in
     turning_points); the nodes double until two results agree within QUAD_TOL.
+    The rule hands the integrand cos(a) and sin(a), so no node is taken
+    here, and orders 64 and 128 come from one omega_x call on 127 nodes.
     """
     if E == 0.0:
         return 0.0
     tp = turning_points(spec, E, roots)
     xm, xh = 0.5 * (tp.x1 + tp.x2), 0.5 * (tp.x2 - tp.x1)
 
-    def term(a):
-        om2 = spec.omega_x(xm + xh * np.cos(a)) ** 2
-        return xh * np.sin(a) * np.sqrt(np.maximum(E - om2, 0.0))
+    def term(t, s):
+        om2 = spec.omega_x(xm + xh * t) ** 2
+        return xh * s * np.sqrt(np.maximum(E - om2, 0.0))
 
     return float(gauss_chebyshev(term, "SWKB quadrature"))
 

@@ -411,6 +411,25 @@ LOOP_LEVELS = {"eckart": 189.00000438876256,
                "nonexact1": 4.000000000266275}
 
 
+# On these draws s = (A - B)/(alpha hbar) is 0.447, 0.482 and 0.413 (1/2 at
+# the defaults), and the oracle gives level 1 at 3.3019, 2.9026 and 3.5372
+# against the closed form's 3.0801, 2.8346 and 3.1534.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "s = (A - B)/(alpha hbar) < 1/2: near the wall x = pi/(2 alpha), "
+    "V_- ~ s(s - 1) hbar^2/d^2 and both d^s and d^(1-s) are square "
+    "integrable; SUSY's psi_0 ~ d^s is the less regular one, and the "
+    "oracle's wall series (numerov._laurent_end) starts on the larger "
+    "exponent, 1 - s.  Its levels are "
+    "(B + alpha hbar/2 + n alpha hbar)^2 - A^2, the closed form with "
+    "A - B -> alpha hbar - (A - B), within 3.7e-8 relative at n = 1, 2"))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scarf1_oracle_below_s_one_half(seed):
+    spec = drawn_spec("scarf1", seed)
+    E = spec.spectrum(1)
+    assert sw.numerov_eigenvalue(spec, 1, E_hint=E) == pytest.approx(
+        E, rel=1e-6)
+
+
 @pytest.mark.parametrize("pot_id", sorted(FULL_PRECISION_LEVELS))
 def test_root_tolerance_keeps_the_levels(pot_id):
     assert numerov_of(pot_id, 1) == pytest.approx(

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 import susywkb as sw
 from susywkb import (ConvergenceError, RationalFunction, UnboundEnergyError,
                      swkb)
-from susywkb.quadrature import refine_until
+from susywkb.quadrature import gauss_chebyshev, refine_until
 from susywkb.swkb import solve_level, swkb_integral, turning_points
 
 
@@ -119,7 +119,7 @@ PINNED_LEVELS = {
     ("genpt", 1): 3.0,
     ("scarf1", 1): 2.9999999999999996,
     ("scarf1", 2): 8.0,
-    ("scarf1", 3): 14.999999999999996,
+    ("scarf1", 3): 15.000000000000004,
     ("scarf1", 4): 23.999999999999996,
     ("rosenmorse1", 1): 3.75,
     ("rosenmorse1", 2): 8.888888888888888,
@@ -209,3 +209,32 @@ def test_refine_until_reports_the_last_difference():
             as info:
         refine_until(lambda n: 1.0 / n, 1, 8, 1e-3, "halving")
     assert info.value.residuals == [0.125]
+
+
+def test_first_two_orders_take_one_call_on_fixed_nodes():
+    # (1/pi) int sqrt(1 - t^2)/(a - t) dt over [-1, 1] is a - sqrt(a^2 - 1)
+    for a, converged in ((3.0, 128), (1.001, 1024)):
+        calls = []
+
+        def term(t, s):
+            calls.append(len(t))
+            return s * s / (a - t)
+
+        val = gauss_chebyshev(term, "test rule")
+        # one call on the 127 nodes of order 128 gives orders 64 and 128;
+        # each later order n adds its n/2 odd nodes
+        assert calls == [127] + [n // 2 for n in (256, 512, 1024)
+                                 if n <= converged]
+        assert val == pytest.approx(a - math.sqrt(a * a - 1.0), rel=1e-13)
+
+
+def test_first_pass_nodes_are_read_only():
+    def scribbling(t, s):
+        t += 1.0
+        return s * s
+
+    with pytest.raises(ValueError, match="read-only"):
+        gauss_chebyshev(scribbling, "test rule")
+    # (1/pi) int sqrt(1 - t^2)(1 + t) dt over [-1, 1]
+    assert gauss_chebyshev(lambda t, s: s * s * (1.0 + t),
+                           "test rule") == pytest.approx(0.5, abs=1e-15)
