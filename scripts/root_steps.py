@@ -3,11 +3,14 @@
 
 For each catalog entry and bound level n = 1..4 this solves the SWKB level
 (solve_level), and for one entry of each contour mapping (eckart: exp,
-scarf1: exp_i) one contour level (quantize_by_contours, n = 1).  For each
-level it prints the calls of cpoly.find_roots and the CPU seconds spent
-inside them, the evaluations of the action in the shared level solve
-(swkb.solve_action: the SWKB integral or the contour pole sum over m), the
-level's CPU time and its energy.
+scarf1: exp_i) one contour level (quantize_by_contours, n = 1), then the
+same level on the QHJ pole sum alone (quantize_by_poles, on the same spec).
+For each level it prints the calls of cpoly.find_roots and the CPU seconds
+spent inside them, the evaluations of the action in the shared level solve
+(swkb.solve_action: the SWKB integral or the QHJ pole sum over m), the
+level's CPU time and its energy.  A contour level solves P once, for its
+one check on the SWKB sheet, and the spec's den once; the pole level then
+solves nothing.
 
     PYTHONPATH=src python scripts/root_steps.py [--json PATH] [ids ...]
 """
@@ -75,7 +78,9 @@ def cases(ids):
                 yield spec, n, "swkb"
     for pot_id, n in CONTOUR_LEVELS:
         if pot_id in ids:
-            yield sw.get_spec(pot_id), n, "contour"
+            spec = sw.get_spec(pot_id)
+            yield spec, n, "contour"
+            yield spec, n, "poles"
 
 
 def main():
@@ -85,7 +90,8 @@ def main():
                     help="also write the rows as JSON")
     args = ap.parse_args()
     solvers = {"swkb": sw.solve_level,
-               "contour": contours.quantize_by_contours}
+               "contour": contours.quantize_by_contours,
+               "poles": contours.quantize_by_poles}
     counts = Counts()
     rows = []
     print(f"{'id':12s} {'n':>2s} {'route':>7s} {'cpu_s':>6s} {'E':>22s} "

@@ -3,7 +3,8 @@
 Three independent routes to the spectrum of H_- = -hbar^2 d^2/dx^2 + V_-:
 
 * real-axis quadrature of the SWKB integral (:mod:`susywkb.swkb`),
-* complex contour/residue decomposition (:mod:`susywkb.contours`),
+* complex contour/residue decomposition (:mod:`susywkb.contours`), its
+  levels solved on the closed-form QHJ pole sum (:mod:`susywkb.qhj`),
 * a Numerov shooting oracle (:mod:`susywkb.numerov`),
 
 over a catalog of solvable and non-solvable superpotentials
@@ -16,7 +17,8 @@ from .catalog import (CATALOG_IDS, EXACT_IDS, NONEXACT_IDS, PotentialSpec,
 from .contours import (ContourDecomposition, DefectReport, SingularityCensus,
                        census, decompose, defect_report,
                        infinity_contribution, pole_contribution,
-                       quantize_by_contours)
+                       quantize_by_contours, quantize_by_poles,
+                       residue_table)
 from .cpoly import Polynomial, RationalFunction, find_roots
 from .errors import (ConvergenceError, DomainError, SusyWkbError,
                      UnboundEnergyError)
@@ -37,6 +39,7 @@ __all__ = [
     "decompose", "defect_report", "dump_wavefunction", "find_roots",
     "get_spec", "grid_solution", "infinity_contribution",
     "numerov_eigenvalue", "pole_contribution", "qhj_residual",
-    "quantize_by_contours", "quantum_action", "solve_level",
+    "quantize_by_contours", "quantize_by_poles", "quantum_action",
+    "residue_table", "solve_level",
     "spec_from_json", "swkb_integral", "turning_points",
 ]

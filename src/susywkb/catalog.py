@@ -24,6 +24,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .cpoly import Polynomial, RationalFunction, _horner, find_roots
 from .errors import DomainError, UnboundEnergyError
+from .qhj import PoleSum
 
 MULTIPLE_POLE_TOL = 1e-6   # p is a multiple zero of den where |den'(p)| is
                            # below this x sum k|c_k| max(|p|, 1)^(k-1)
@@ -179,6 +180,13 @@ class PotentialSpec:
             U[k] = -np.dot(r[j], U[k - j]) / r[0]
         U.flags.writeable = False
         return e + len(r) - 1, U
+
+    @cached_property
+    def qhj(self):
+        """The QHJ pole sum of this spec (qhj.PoleSum), built once per
+        spec: the finite poles' terms and the coefficients of the series
+        at infinity."""
+        return PoleSum(self)
 
     @cached_property
     def num_squared_y(self):
@@ -373,8 +381,14 @@ def _build_rosenmorse1(params, hbar):
 
 
 def _build_nonexact1(params, hbar):
-    num = Polynomial([-6.0, 0.0, -1.0, 0.0, 3.0, 0.0, 2.0])
-    den = Polynomial([0.0, 4.0, 0.0, 6.0, 0.0, 2.0])
+    # omega(x) = sqrt(hbar) omega_1(x/sqrt(hbar)), omega_1 the hbar = 1
+    # entry: then H_- is hbar times the hbar = 1 Hamiltonian in x/sqrt(hbar),
+    # and E_n = 4 n hbar.  At hbar = 1 every factor is 1.0.
+    r = math.sqrt(hbar)
+    num = Polynomial(np.array([-6.0, 0.0, -1.0, 0.0, 3.0, 0.0, 2.0])
+                     * r ** (1.0 - np.arange(7)))
+    den = Polynomial(np.array([0.0, 4.0, 0.0, 6.0, 0.0, 2.0])
+                     * r ** -np.arange(6.0))
     omega = RationalFunction(num, den)
 
     def spectrum(n):

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: list, spectrum, compare, contours, census, defect.  Output is
-deterministic CSV (default) or JSON: fixed field order, 12 significant
-digits, complex values as a single quoted "re+imi" field, no timestamps.
+Subcommands: list, spectrum, compare, contours, census, defect, residues.
+Output is deterministic CSV (default) or JSON: fixed field order, 12
+significant digits, complex values as a single quoted "re+imi" field, no
+timestamps.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 numerical
 non-convergence.
@@ -133,6 +134,8 @@ def _solve_one(spec, n, method, dump=None):
         return swkb.solve_level(spec, n)
     if method == "contour":
         return contours.quantize_by_contours(spec, n)
+    if method == "poles":
+        return contours.quantize_by_poles(spec, n)
     if method == "numerov":
         hint = _oracle_hint(spec, n)
         E = numerov.numerov_eigenvalue(spec, n, E_hint=hint)
@@ -223,6 +226,29 @@ def _cmd_census(args):
     _emit(["kind", "location", "partner", "classification"], rows, args)
 
 
+def _cmd_residues(args):
+    """Each pole's SWKB sheet term beside its QHJ term, and the other root
+    of the QHJ quadratic at the finite poles of omega, at the level's
+    energy: the closed form, else the SWKB level."""
+    spec = _load_spec(args)
+    n = args.level
+    E = _oracle_hint(spec, n)
+    table = contours.residue_table(spec, E)
+    rows = []
+    for loc in sorted((p for p in table if p != "infinity"),
+                      key=catalog.plane_key) + ["infinity"]:
+        J_swkb, J_qhj, J_other = table[loc]
+        rows.append({
+            "n": n, "E": float(E),
+            "term": "large_circle" if loc == "infinity" else "pole",
+            "location": loc if loc == "infinity" else complex(loc),
+            "J_swkb": complex(J_swkb), "J_qhj": complex(J_qhj),
+            "J_qhj_other": None if J_other is None else complex(J_other),
+        })
+    _emit(["n", "E", "term", "location", "J_swkb", "J_qhj", "J_qhj_other"],
+          rows, args)
+
+
 def _cmd_defect(args):
     spec = _load_spec(args)
     n = args.level
@@ -258,7 +284,8 @@ def build_parser():
     sp = sub.add_parser("spectrum")
     sp.add_argument("id")
     sp.add_argument("--method", default="swkb",
-                    choices=("swkb", "contour", "closed_form", "numerov"))
+                    choices=("swkb", "contour", "poles", "closed_form",
+                             "numerov"))
     sp.add_argument("--levels", type=int, default=4)
 
     cp = sub.add_parser("compare")
@@ -276,6 +303,10 @@ def build_parser():
     df = sub.add_parser("defect")
     df.add_argument("id")
     df.add_argument("--level", type=int, required=True)
+
+    rs = sub.add_parser("residues")
+    rs.add_argument("id")
+    rs.add_argument("--level", type=int, required=True)
     return p
 
 
@@ -286,6 +317,7 @@ _DISPATCH = {
     "contours": _cmd_contours,
     "census": _cmd_census,
     "defect": _cmd_defect,
+    "residues": _cmd_residues,
 }
 
 

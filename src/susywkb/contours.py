@@ -4,8 +4,13 @@ Deforming the classical-region contour outward expresses the large-circle
 integral J_GammaR as the sum of fixed-pole contributions J_gamma and
 branch-cut contributions.  For entries whose only cuts are the classical one
 and its mirror, if any, the identity J_GammaR - sum(J_gamma) = m*n*hbar,
-m the number of these cuts, quantizes the spectrum, solved by the SWKB
-route's level solve (swkb.solve_action) with one stopping rule for both.
+m the number of these cuts, quantizes the spectrum.  Each pole term equals
+the term of the exact QHJ condition at that pole (the paper's claim), which
+is closed-form algebra with no root of P (qhj, spec.qhj): quantize_by_poles
+solves the pole sum through the SWKB route's level solve
+(swkb.solve_action), and quantize_by_contours checks each of those levels
+once on the sheet below, whose pole sum is an independent computation
+(residue_table sets the two side by side).
 When additional cuts carry weight (J_OBC != 0) that route fails.
 The SWKB error at an exact level is then J_SWKB - n*hbar = pole_offset -
 J_OBC, where pole_offset is how far the pole sum J_GammaR - sum(J_gamma)
@@ -25,8 +30,8 @@ so each pole term is a residue, J_gamma = i Res, and J_GammaR is i times the
 algebraic, and no circle takes a quadrature.  Each cut term is a
 Gauss-Chebyshev rule on one lip of its cut.  What depends on the spec alone
 (the fixed poles and their residue weights, the measure over den at
-infinity, num^2, the symmetry flag) is built once per spec
-(catalog.PotentialSpec).
+infinity, num^2, the symmetry flag, the QHJ pole algebra) is built once
+per spec (catalog.PotentialSpec).
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ from .catalog import plane_key, probe_energy
 from .cpoly import find_roots
 from .errors import ConvergenceError, DomainError
 from .quadrature import QUAD_TOL
-from .swkb import (_energy_numerator, solve_action, swkb_integral,
-                   turning_points)
+from .swkb import (TAU_LEVEL, QuantizationResult, _energy_numerator,
+                   solve_action, swkb_integral, turning_points)
 
 IMAG_TOL = 1e-10
 
@@ -294,6 +299,18 @@ def _decompose(ws):
     )
 
 
+def residue_table(spec, E):
+    """The paper's comparison at energy E: {location: (J_swkb, J_qhj,
+    J_other)} at each fixed pole and "infinity".  J_swkb is the sheet's
+    term (pole_value, infinity_value), J_qhj the closed-form QHJ term of
+    spec.qhj, and J_other the term of the other root of the QHJ quadratic
+    at a finite pole of omega (None elsewhere)."""
+    ws = _Workspace(spec, E)
+    return {loc: (ws.infinity_value() if loc == "infinity"
+                  else ws.pole_value(loc), J, other)
+            for loc, (J, other) in spec.qhj.terms(E).items()}
+
+
 def _condition_value(spec, E):
     """The contour action at energy E: the real pole sum
     J_GammaR - sum(J_gamma) over m, the workspace's count of the cuts that
@@ -307,11 +324,44 @@ def _condition_value(spec, E):
     return total.real / ws.m
 
 
+def quantize_by_poles(spec, n):
+    """Solve the QHJ pole sum J_GammaR(E) - sum(J_gamma(E)) = m*n*hbar for
+    E (qhj.PoleSum, spec.qhj): no root of P at the energies of the solve.
+    The pole sum over m is an action for swkb.solve_action, the SWKB
+    route's bracket, stopping rule and residual gate.
+
+    m is the workspace's census rule: the cuts that carry J_SWKB, the
+    classical one and a mirror.  With at most two cuts the second is
+    always the mirror, so m is the cut count, half the degree of P; with
+    more, m is read off one workspace at probe_energy.  Entries of any cut
+    count solve; where the other cuts carry weight the pole sum is not
+    the SWKB condition (see defect_report).  A sum that does not depend on
+    E (nonexact3, where it is 0) raises DomainError."""
+    if n < 0:
+        raise DomainError("n must be non-negative")
+    poles = spec.qhj
+    if not poles.depends_on_energy:
+        raise DomainError(
+            f"the pole sum of {spec.id} does not depend on E; it fixes no "
+            "level")
+    probe = probe_energy(spec, n)
+    m = cut_count(spec, probe)
+    if m > 2:
+        m = _Workspace(spec, probe).m
+    return solve_action(spec, n, lambda E: poles(E).real / m, "poles")
+
+
 def quantize_by_contours(spec, n):
     """Solve J_GammaR(E) - sum(J_gamma(E)) = m*n*hbar for E, with m = 2
-    where the census finds a mirror cut and 1 otherwise: the pole sum over
-    m is an action for swkb.solve_action, so this route shares the SWKB
-    route's bracket, stopping rule and residual gate.
+    where the census finds a mirror cut and 1 otherwise, and check the
+    level once on the SWKB sheet.
+
+    The level is quantize_by_poles, on the closed-form QHJ pole sum.  At
+    its energy one workspace takes the sheet's own pole sum over its own m
+    (_condition_value), and the residual reported is |that/hbar - n|,
+    gated at TAU_LEVEL like every level solve: so each contour level
+    checks the paper's SWKB = QHJ claim.  A workspace whose m differed
+    from the solve's would miss by at least n/2.
 
     Only valid when the classical cut and its mirror, if any, are the sole
     branch cuts; entries with more cuts are refused since their other-cut
@@ -324,8 +374,15 @@ def quantize_by_contours(spec, n):
             f"{spec.id} has {cuts} branch cuts; the "
             "two-cut contour condition does not close — use defect_report "
             "to quantify the other-cut content")
-    return solve_action(spec, n, lambda E: _condition_value(spec, E),
-                        "contour")
+    E = quantize_by_poles(spec, n).energy
+    if n == 0:
+        return QuantizationResult(0, E, "contour", 0.0)
+    resid = abs(_condition_value(spec, E) / spec.hbar - n)
+    if resid > TAU_LEVEL:
+        raise ConvergenceError(
+            f"contour level residual {resid} exceeds {TAU_LEVEL}",
+            residuals=[resid])
+    return QuantizationResult(n, E, "contour", resid)
 
 
 def defect_report(spec, E_exact, n):

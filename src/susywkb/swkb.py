@@ -32,7 +32,8 @@ class TurningPoints:
 class QuantizationResult:
     n: int
     energy: float
-    method: str          # swkb_quadrature | contour | closed_form | numerov
+    method: str          # swkb_quadrature | contour | poles | closed_form |
+                         # numerov
     residual: float
 
 

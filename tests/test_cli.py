@@ -233,3 +233,41 @@ def test_spectrum_numerov_equals_compare_oracle(pot_id, capsys):
     assert len(spectrum) == len(compare) - 1 == 2
     for s_row, c_row in zip(spectrum, compare[1:]):
         assert s_row.split(",")[1] == c_row.split(",")[column]
+
+
+def test_spectrum_by_poles_in_process(capsys):
+    # nonexact2's pole levels 1/16 - 1/(2n + 4)^2; on a two-cut entry the
+    # pole route prints the contour route's energies
+    assert main(["spectrum", "nonexact2", "--method", "poles",
+                 "--levels", "3"]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["n", "energy", "method", "residual"]
+    assert [r[2] for r in rows[1:]] == ["poles"] * 3
+    assert [r[1] for r in rows[1:]] == ["0", "0.0347222222222", "0.046875"]
+    energies = {}
+    for method in ("poles", "contour"):
+        assert main(["spectrum", "scarf1", "--method", method]) == 0
+        energies[method] = [r.split(",")[1] for r in
+                            capsys.readouterr().out.splitlines()[1:]]
+    assert energies["poles"] == energies["contour"]
+    assert main(["spectrum", "nonexact3", "--method", "poles"]) == 2
+
+
+def test_residues_table_in_process(capsys):
+    # eckart at E_1 = 189: the sheet's terms beside the QHJ terms, J = 1 at
+    # y = +-1 (the other root gives 0), -10 at y = 0 and -6 at infinity
+    assert main(["residues", "eckart", "--level", "1"]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["n", "E", "term", "location", "J_swkb", "J_qhj",
+                       "J_qhj_other"]
+    assert [r[2] for r in rows[1:]] == ["pole"] * 3 + ["large_circle"]
+    want = {-1: (1, 0), 0: (-10, None), 1: (1, 0), "infinity": (-6, None)}
+    for r in rows[1:]:
+        assert r[:2] == ["1", "189"]
+        loc = r[3] if r[3] == "infinity" else int(parse_cell(r[3]).real)
+        J, other = want[loc]
+        assert abs(parse_cell(r[4]) - J) <= 1e-9
+        assert abs(parse_cell(r[5]) - J) <= 1e-12
+        assert (r[6] == "") == (other is None)
+        if other is not None:
+            assert abs(parse_cell(r[6]) - other) <= 1e-12

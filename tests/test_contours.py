@@ -134,6 +134,9 @@ def test_quantize_by_contours_eckart():
 
 
 def test_quantize_by_contours_evaluates_each_energy_once(monkeypatch):
+    # the level solves the QHJ pole sum, which takes no root of P, and the
+    # sheet's condition is taken once, at the level: one workspace, one
+    # solve of P
     energies = []
     condition = contours._condition_value
 
@@ -142,7 +145,7 @@ def test_quantize_by_contours_evaluates_each_energy_once(monkeypatch):
         return condition(spec, E)
 
     def unexpected(P):
-        raise AssertionError("the workspace solved P twice")
+        raise AssertionError("P was solved outside the workspace")
 
     solved = []
     find = contours.find_roots
@@ -151,15 +154,20 @@ def test_quantize_by_contours_evaluates_each_energy_once(monkeypatch):
         solved.append(P)
         return find(P)
 
+    spec = spec_of("eckart")
     monkeypatch.setattr(contours, "_condition_value", counted)
-    # each workspace hands its branch points to turning_points
+    # the workspace hands its branch points to turning_points
     monkeypatch.setattr(swkb, "find_roots", unexpected)
-    # the cut count takes the degree of P, not its roots
+    monkeypatch.setattr(contours, "find_roots", unexpected)
+    sw.quantize_by_poles(spec, 1)
+    assert energies == []
     monkeypatch.setattr(contours, "find_roots", counted_find)
-    r = sw.quantize_by_contours(spec_of("eckart"), 1)
-    assert len(energies) == len(set(energies)) >= 4
-    assert r.energy in energies
-    assert len(solved) == len(energies)
+    for n in (1, 2):
+        energies.clear()
+        solved.clear()
+        r = sw.quantize_by_contours(spec, n)
+        assert energies == [r.energy]
+        assert len(solved) == 1
 
 
 def test_quantize_by_contours_checks_its_residual(monkeypatch):
@@ -351,17 +359,119 @@ def test_contour_level_agrees_with_the_swkb_level_to_rounding(
 # Known failing input (ROADMAP): with A = 1e-4 and B = 100 the levels of
 # eckart sit within 1e-8 relative of the threshold (B/A - A)^2, about 1e12,
 # and neither route reaches them.  At the bracket's energy threshold *
-# (1 - 1e-5) the SWKB route finds one turning point, and the contour route
-# a pole sum that is not real.
-@pytest.mark.parametrize("n", [1, 2, 5])
-@pytest.mark.parametrize("solve", [
-    pytest.param(swkb.solve_level, id="swkb", marks=pytest.mark.xfail(
-        strict=True, raises=UnboundEnergyError)),
-    pytest.param(contours.quantize_by_contours, id="contour",
+# (1 - 1e-5) the SWKB route finds one turning point.  The contour route
+# solves the QHJ pole sum: at n = 1 and 2 the solve ends with residuals
+# 4.4e-8 and 2.6e-7, above TAU_LEVEL, since one ulp of E (1.2e-4) moves
+# the pole sum by about that much there; E_5 lies 2.2e-10 relative below
+# the threshold, above every bracket top (1 - 1e-9), so level 5 is unbound.
+@pytest.mark.parametrize("solve, n", [
+    pytest.param(swkb.solve_level, n, id=f"swkb-{n}",
                  marks=pytest.mark.xfail(strict=True,
-                                         raises=ConvergenceError)),
-])
+                                         raises=UnboundEnergyError))
+    for n in (1, 2, 5)] + [
+    pytest.param(contours.quantize_by_contours, n, id=f"contour-{n}",
+                 marks=pytest.mark.xfail(strict=True, raises=raises))
+    for n, raises in ((1, ConvergenceError), (2, ConvergenceError),
+                      (5, UnboundEnergyError))])
 def test_eckart_levels_next_to_the_threshold(solve, n):
     spec = sw.get_spec("eckart", params={"A": 1e-4, "B": 100})
     E = solve(spec, n).energy
     assert E == pytest.approx(sw.closed_form_energy(spec, n), rel=1e-12)
+
+
+def test_pole_route_next_to_the_eckart_threshold():
+    # what the pole route raises on the input above: the level solve's
+    # residual gate at n = 1, 2, the bracket at n = 5
+    spec = sw.get_spec("eckart", params={"A": 1e-4, "B": 100})
+    for n in (1, 2):
+        with pytest.raises(ConvergenceError) as err:
+            sw.quantize_by_poles(spec, n)
+        assert err.value.residuals[0] > swkb.TAU_LEVEL
+    with pytest.raises(UnboundEnergyError):
+        sw.quantize_by_poles(spec, 5)
+
+
+# The paper's comparison, term by term: each SWKB sheet term equals its QHJ
+# term.  Energies E_1/2, E_1 and E_2 (probe_energy), at most 0.99 of the
+# threshold: next to a threshold the sheet is noisy (its pole sum is up to
+# 6.3e-12 off on genpt draws 1-3 at 1e-4 below it), and so is eckart's sheet
+# at low energies (7.2e-12 at E = 0.3), where each sheet term is off by the
+# same factor.  Over the 419 terms below the largest difference is
+# 9.2e-15 (1 + |J|).
+QHJ_SPECS = ([spec_of(p) for p in sw.CATALOG_IDS]
+             + [drawn_spec(p, s) for p in sw.CATALOG_IDS for s in (1, 2, 3)]
+             + [textbook_spec(t) for t in TEXTBOOK_IDS])
+
+
+@pytest.mark.parametrize("spec", QHJ_SPECS,
+                         ids=lambda spec: f"{spec.id}-{spec.hbar:.4f}")
+def test_every_swkb_pole_term_equals_its_qhj_term(spec):
+    E1 = catalog.probe_energy(spec, 1)
+    for E in sorted({0.5 * E1, E1, catalog.probe_energy(spec, 2)}):
+        if E > 0.99 * spec.threshold:
+            continue
+        table = contours.residue_table(spec, E)
+        assert "infinity" in table
+        for loc, (J_swkb, J_qhj, J_other) in table.items():
+            assert abs(J_swkb - J_qhj) <= 2e-14 * (1.0 + abs(J_qhj)), loc
+            if J_other is not None:
+                # the other root of the quadratic, -i(a + hbar g), gives
+                # (a + hbar g)/g where the physical one gives -a/g
+                assert abs(J_other - (spec.hbar - J_qhj)) <= 1e-14 * (
+                    1.0 + abs(J_qhj))
+        # the sum over every pole, J_GammaR - sum J_gamma, to its rounding
+        total = table.pop("infinity")[1] - sum(
+            J for _, J, _ in table.values())
+        assert abs(total - spec.qhj(E)) <= 1e-14 * (1.0 + abs(total))
+
+
+@pytest.mark.parametrize("pot_id", sw.EXACT_IDS)
+def test_pole_levels_are_the_closed_form(pot_id):
+    for spec in [spec_of(pot_id)] + [drawn_spec(pot_id, s) for s in (1, 2, 3)]:
+        for n in (1, 2):
+            if spec.n_is_bound(n):
+                E = sw.quantize_by_poles(spec, n).energy
+                assert E == pytest.approx(spec.spectrum(n), rel=1e-12, abs=0)
+                assert sw.quantize_by_contours(spec, n).energy == E
+
+
+def test_nonexact1_pole_levels_are_4n_hbar():
+    # the pole sum is E/2 and m = 2; at hbar != 1 too, since omega scales
+    # with hbar
+    for spec in [spec_of("nonexact1")] + [drawn_spec("nonexact1", s)
+                                          for s in (1, 2, 3)]:
+        for n in (1, 2, 3):
+            E = sw.quantize_by_poles(spec, n).energy
+            assert E == pytest.approx(4.0 * n * spec.hbar, rel=1e-12, abs=0)
+    assert contours._Workspace(spec_of("nonexact1"), 4.0).m == 2
+    assert [sw.quantize_by_poles(spec_of("nonexact1"), n).energy
+            for n in (1, 2, 3)] == pytest.approx([4.0, 8.0, 12.0], rel=1e-15)
+
+
+def test_nonexact2_pole_levels():
+    # the pole sum is 1/(2 kappa) - 2, kappa = sqrt(1/16 - E), and m = 1:
+    # E = 1/16 - 1/(2n + 4)^2, 0.0347222, 0.046875 and 0.0525 at n = 1-3.
+    # There pole_offset vanishes, and closure gives J_SWKB - n hbar =
+    # -J_OBC/m both ways.
+    spec = spec_of("nonexact2")
+    for n in (1, 2, 3):
+        E = sw.quantize_by_poles(spec, n).energy
+        assert E == pytest.approx(1.0 / 16.0 - 1.0 / (2 * n + 4) ** 2,
+                                  rel=1e-12, abs=0)
+        assert contours._Workspace(spec, E).m == 1
+        rep = sw.defect_report(spec, E, n)
+        assert abs(rep.pole_offset) <= 1e-12
+        assert rep.consistency_gap <= 1e-12
+
+
+def test_nonexact3_pole_sum_fixes_no_level():
+    with pytest.raises(DomainError, match="does not depend on E"):
+        sw.quantize_by_poles(spec_of("nonexact3"), 1)
+    for E in (0.5, 1.0, 2.0):
+        assert spec_of("nonexact3").qhj(E) == 0
+
+
+@pytest.mark.parametrize("spec, pole", MULTIPLE_POLE_SPECS)
+def test_qhj_refuses_a_multiple_pole(spec, pole):
+    with pytest.raises(DomainError, match="multiple"):
+        sw.quantize_by_poles(spec, 1)

@@ -38,6 +38,19 @@ def test_nonexact1_linear_spectrum():
         assert numerov_of("nonexact1", n) == pytest.approx(4.0 * n, abs=1e-4)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_nonexact1_closed_form_at_drawn_hbar(seed):
+    # omega scales with hbar, omega(x) = sqrt(hbar) omega_1(x/sqrt(hbar)),
+    # so E_n = 4 n hbar at every hbar: the oracle reads it within 1.6e-10
+    # relative on these draws (hbar = 1.0024, 0.9534, 0.9205), where an
+    # omega fixed at its hbar = 1 coefficients is 2.6e-5 to 9.3e-4 away
+    spec = drawn_spec("nonexact1", seed)
+    for n in (1, 2):
+        E = sw.closed_form_energy(spec, n)
+        assert sw.numerov_eigenvalue(spec, n, E_hint=E) == pytest.approx(
+            E, rel=1e-9)
+
+
 def test_eigenvalues_increase_with_node_count():
     vals = [numerov_of("rosenmorse2", n) for n in (0, 1, 2)]
     assert vals[0] < vals[1] < vals[2]
