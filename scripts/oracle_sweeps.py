@@ -14,7 +14,8 @@ and no finite threshold) it prints:
           (numerov._level_bracket);
   root    of those, the sweeps of the Wronskian root search (the brentq
           call in numerov._solve_on_grid);
-  steps   iterations of the Numerov recurrence (numerov._recur), summed.
+  steps   grid steps of the Numerov recurrence (numerov._recur), summed;
+          a step is one (y, D) pair of its banded solve.
 
 and for the level its eigenvalue and two CPU times:
 
@@ -65,9 +66,9 @@ class Counts:
             finally:
                 self.sweep_s += time.process_time() - t0
 
-        def counted_recur(p0, p1, c, t_back, t_next):
-            self.counts["steps"][self._grid] += len(c)
-            return recur(p0, p1, c, t_back, t_next)
+        def counted_recur(y0, y1, g):
+            self.counts["steps"][self._grid] += len(g)
+            return recur(y0, y1, g)
 
         numerov._shoot, numerov._recur = counted_shoot, counted_recur
         for name, phase in (("_level_bracket", "brack"), ("brentq", "root")):

@@ -7,30 +7,38 @@ extrapolated over two grid spacings.
 
 Sweeps
 ------
-A sweep runs both Numerov recurrences, each as one banded solve: the steps
-p2 = (c*p1 - t_back*p0) / t_next are the rows of a lower-triangular system
-with two sub-diagonals, and BLAS dtbsv solves it by forward substitution
-(see _recur).  OpenBLAS fuses multiply and add, so the floats are not the
-ones a loop of separate IEEE operations gives; they move by the
-recurrence's own rounding, and the levels at n = 1, 2 by 5e-15 to 7.3e-11
-relative.  The two recurrences meet at the matching point m: the left one
-runs up to m + 1 and the right one down to m - 1, N - 1 steps in all on an
-N-point grid, which is all the Wronskian and the node count up to m read.
-On each grid one memo of sweeps, keyed by energy, serves the bracket and
-the Wronskian root search.  One rule, on the node count up to m and the
-sign of W, tells whether an energy lies below the level (see
-_level_bracket).  The h grid brackets the root around the reference energy
-(E_hint, else the closed form) and the h/2 grid around the h-grid
-eigenvalue, in 2-6 sweeps.  Without a hint, or when no pair around it
-holds the level, the grid brackets it in the energy window [E_lo, E_hi]
-instead, in 5-12 sweeps.  The root search then takes 2-24 sweeps: a level
-takes 4-26 sweeps a grid with a hint and 13-26 on the h grid without.  It
-stops at a relative width of W_RTOL, about the rounding floor of W's root:
-rounding the recurrence differently (multiplying by a rounded 1/t_next
-instead of dividing by t_next, or fusing multiply and add) moves the
-extrapolated levels at n = 1 by 1e-14 to 2e-10 relative, and narrower
-brackets only follow rounding noise.  The absolute width 1e-14 keeps
-levels near E = 0 at their floor.
+A sweep runs both Numerov recurrences in increment form (Blatt, J. Comput.
+Phys. 1, 382 (1967)), each as one banded solve.  With f = (V_- - E)/hbar^2,
+t = 1 - h^2 f/12, g = h^2 f/t and y = t*psi, a step is
+D_i = D_{i-1} + g_i*y_i and y_{i+1} = y_i + D_i.  E enters only through g,
+at full precision.  The three-term form
+t_{i+1} psi_{i+1} = (2 + 10u_i) psi_i - t_{i-1} psi_{i-1}, with
+u = h^2 f/12 about 2e-9 on these grids, holds it only in the low bits of
+2 + 10u: its W is noise at about 3e-11 relative of E, and its root up to
+5.3e-11 off.  The (y, D) pairs are the rows of a unit lower-triangular
+system with two sub-diagonals, and BLAS dtbsv solves it by
+forward substitution (see _recur).  OpenBLAS fuses multiply and add, so the
+floats are not the ones a loop of separate IEEE operations gives; at n = 1
+the extrapolated levels of the two differ by at most 2e-15 relative.  The
+two recurrences meet at the matching point m: the left one runs up to m + 1
+and the right one down to m - 1, N - 1 steps in all on an N-point grid,
+which is all the Wronskian and the node count up to m read.  On each grid
+one memo of sweeps, keyed by energy, serves the bracket and the Wronskian
+root search.  One rule, on the node count up to m and the sign of W, tells
+whether an energy lies below the level (see _level_bracket).  The h grid
+brackets the root around the reference energy (E_hint, else the closed
+form) and the h/2 grid around the h-grid eigenvalue, in 2-6 sweeps.
+Without a hint, or when no pair around it holds the level, the grid
+brackets it in the energy window [E_lo, E_hi] instead, in 5-12 sweeps.  The
+root search then takes 2-3 sweeps from a hint pair and 6-9 from the window:
+a level takes 4-9 sweeps a grid with a hint and 12-19 on the h grid
+without.  W is smooth down to about 3e-14 relative of E, and its root lies
+within 7.2e-14 of the root of the same recurrence run in 80-bit long
+double.  The search stops at a relative width of W_RTOL = 3e-13: brentq's
+interpolation steps usually land closer, and following W to rtol 8.9e-16
+takes 0-4 more sweeps a grid and moves the levels at n = 1 by at most
+7.5e-14 relative, far below their discretization error.  The absolute width
+1e-14 keeps levels near E = 0 at their floor.
 
 Endpoint handling
 -----------------
@@ -185,28 +193,31 @@ def _end_ic(spec, ics, which, xg, Vg, E):
 # shooting
 # ---------------------------------------------------------------------------
 
-def _recur(p0, p1, c, t_back, t_next):
-    """Run the Numerov recurrence p2 = (c*p1 - t_back*p0) / t_next over the
-    coefficient arrays, from the start values p0, p1.  The steps are the
-    rows of a lower-triangular system with two sub-diagonals, solved by
-    forward substitution in one BLAS call.  Where |p| first passes
-    OVERFLOW, everything up to it is rescaled by 1/OVERFLOW and the rest is
-    solved again from the rescaled pair.  Returns the solution as a float64
-    array in sweep order."""
-    L = len(c)
-    band = np.zeros((3, L), order="F")
-    band[0] = t_next
-    np.negative(c[1:], out=band[1, :-1])
-    band[2, :-2] = t_back[2:]
-    p = np.zeros(L + 2)
-    p[0], p[1] = p0, p1
-    s = 0                           # p[s], p[s + 1] start the solve
-    while s < L:
+def _recur(y0, y1, g):
+    """Run Numerov in increment form over g = h^2 f / t at steps 1..L, from
+    y_0 and y_1, where y = t*psi: D_i = D_{i-1} + g_i*y_i and
+    y_{i+1} = y_i + D_i, with D_0 = y_1 - y_0.  The values
+    p = [y_0, D_0, y_1, D_1, ..., D_L, y_{L+1}] satisfy
+    p[k] = a_k*p[k - 1] + p[k - 2], with a_k = g_i on the row of D_i and 1
+    on the rows of y: a unit lower-triangular system with two
+    sub-diagonals, solved by forward substitution in one BLAS call.  Where
+    |p| first passes OVERFLOW, everything up to it is rescaled by
+    1/OVERFLOW and the rest is solved again from the rescaled pair that
+    ends there.  Returns y_0, ..., y_{L+1}."""
+    L = len(g)
+    # column j holds the coefficients of p[j + 2] in the rows of p[j + 3]
+    # and p[j + 4], -a_{j+3} and -1; the unit diagonal is never read
+    band = np.full((3, 2 * L + 1), -1.0, order="F")
+    np.negative(g, out=band[1, :-1:2])
+    p = np.zeros(2 * L + 3)
+    p[0], p[1], p[2] = y0, y1 - y0, y1
+    s = 1                           # p[s], p[s + 1] start the solve
+    while s <= 2 * L:
         rest = p[s + 2:]
-        rest[0] = c[s] * p[s + 1] - t_back[s] * p[s]
-        if s + 1 < L:
-            rest[1] = -t_back[s + 1] * p[s + 1]
-        dtbsv(2, band[:, s:], rest, lower=1, overwrite_x=1)
+        rest[0] = p[s] - band[1, s - 1] * p[s + 1]
+        if s < 2 * L:
+            rest[1] = p[s + 1]
+        dtbsv(2, band[:, s:], rest, lower=1, diag=1, overwrite_x=1)
         over = np.abs(rest) > OVERFLOW
         if not over.any():
             break
@@ -214,7 +225,7 @@ def _recur(p0, p1, c, t_back, t_next):
         p[:i + 1] *= 1.0 / OVERFLOW
         p[i + 1:] = 0.0
         s = i - 1
-    return p
+    return p[::2]
 
 
 def _shoot(spec, Vg, xg, ics, E):
@@ -225,16 +236,19 @@ def _shoot(spec, Vg, xg, ics, E):
     hbar = spec.hbar
     N = len(xg)
     h = float(xg[1] - xg[0])
-    f = (Vg - E) / (hbar * hbar)
-    cls = np.flatnonzero(f < 0.0)
+    # u = h^2 f / 12 with f = (V_- - E)/hbar^2, t = 1 - u and g = h^2 f / t
+    u = (Vg - E) * (h * h / (12.0 * hbar * hbar))
+    cls = np.flatnonzero(u < 0.0)
     m = int(cls[-1]) if len(cls) else N // 2
     m = min(max(m, 2), N - 3)
-    t = 1.0 - h * h * f / 12.0
-    c = 12.0 - 10.0 * t
-    pL = _recur(*_end_ic(spec, ics, "left", xg, Vg, E),
-                c[1:m + 1], t[:m], t[2:m + 2])
-    pR = _recur(*_end_ic(spec, ics, "right", xg, Vg, E),
-                c[N - 2:m - 1:-1], t[N - 1:m:-1], t[N - 3:m - 2:-1])[::-1]
+    t = 1.0 - u
+    g = 12.0 * u / t
+    l0, l1 = _end_ic(spec, ics, "left", xg, Vg, E)
+    r0, r1 = _end_ic(spec, ics, "right", xg, Vg, E)
+    yL = _recur(t[0] * l0, t[1] * l1, g[1:m + 1])
+    yR = _recur(t[N - 1] * r0, t[N - 2] * r1, g[N - 2:m - 1:-1])
+    pL = yL / t[:m + 2]
+    pR = (yR / t[N - 1:m - 2:-1])[::-1]
     pl, pr = pL[m - 1:].tolist(), pR[:3].tolist()
     if abs(pl[1] * pr[1]) > OVERFLOW:
         # both halves end near OVERFLOW, and the products below could
@@ -288,10 +302,10 @@ def _wronskian(E, sweep):
     return sweep(E)[1]
 
 
-def _solve_on_grid(spec, xg, ics, n, E_lo, E_hi, hint):
-    """Level n on one grid: the root of the matching Wronskian in the
-    bracket of _level_bracket, found around hint when there is one."""
-    Vg = spec.v_minus(xg)
+def _solve_on_grid(spec, xg, Vg, ics, n, E_lo, E_hi, hint):
+    """Level n on the grid xg, where V_- takes the values Vg: the root of
+    the matching Wronskian in the bracket of _level_bracket, found around
+    hint when there is one."""
     # energy -> (nodes up to m, W), shared by the bracket and the root
     sweeps = {}
 
@@ -352,10 +366,14 @@ def numerov_eigenvalue(spec, n, n_points=DEFAULT_POINTS, E_hint=None):
     if not spec.n_is_bound(n):
         raise unbound_level(spec, n)
     E_lo, E_hi, hint, x_min, x_max, ics = _prepare(spec, n, E_hint)
+    # linspace halves the step exactly, so the even points of the h/2 grid
+    # are the h grid bit for bit, and V_- is evaluated once
+    xg = np.linspace(x_min, x_max, 2 * n_points - 1)
+    Vg = spec.v_minus(xg)
     results = []
-    for N in (n_points, 2 * n_points - 1):
-        xg = np.linspace(x_min, x_max, N)
-        hint = _solve_on_grid(spec, xg, ics, n, E_lo, E_hi, hint)
+    for step in (2, 1):
+        hint = _solve_on_grid(spec, xg[::step], Vg[::step], ics, n, E_lo,
+                              E_hi, hint)
         results.append(hint)
     return (16.0 * results[1] - results[0]) / 15.0
 
@@ -368,8 +386,8 @@ def grid_solution(spec, n, n_points=DEFAULT_POINTS, E_hint=None):
         raise unbound_level(spec, n)
     E_lo, E_hi, ref, x_min, x_max, ics = _prepare(spec, n, E_hint)
     xg = np.linspace(x_min, x_max, n_points)
-    E = _solve_on_grid(spec, xg, ics, n, E_lo, E_hi, ref)
     Vg = spec.v_minus(xg)
+    E = _solve_on_grid(spec, xg, Vg, ics, n, E_lo, E_hi, ref)
     _, _, pL, pR, m = _shoot(spec, Vg, xg, ics, E)
     psi = np.empty_like(xg)
     scale = pL[m] / pR[1] if pR[1] != 0.0 else 1.0     # pR[1] is at m

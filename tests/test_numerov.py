@@ -118,38 +118,49 @@ def test_dump_wavefunction(tmp_path):
 
 def _numpy_shoot(spec, Vg, xg, ics, E):
     """The sweep as a loop over numpy scalars, kept as a reference for the
-    banded-solve sweep: the left solution runs up to m + 1 and the right
-    one down to m - 1.  Returns (nodes up to m, W, pL, pR, m) and the
-    number of OVERFLOW rescales."""
+    banded-solve sweep: Numerov in increment form with y = t psi,
+    D_i = D_{i-1} + g_i y_i and y_{i+1} = y_i + D_i, the left solution up
+    to m + 1 and the right one down to m - 1.  Returns (nodes up to m, W,
+    pL, pR, m) and the number of OVERFLOW rescales."""
     rescales = 0
     hbar = spec.hbar
     N = len(xg)
     h = xg[1] - xg[0]
-    f = (Vg - E) / (hbar * hbar)
-    t = 1.0 - h * h * f / 12.0
-    cls = np.where(f < 0.0)[0]
+    u = (Vg - E) * (h * h / (12.0 * hbar * hbar))
+    t = 1.0 - u
+    g = 12.0 * u / t
+    cls = np.where(u < 0.0)[0]
     m = int(cls[-1]) if len(cls) else N // 2
     m = min(max(m, 2), N - 3)
-    pL = np.zeros(N)
-    pL[0], pL[1] = numerov._end_ic(spec, ics, "left", xg, Vg, E)
-    for i in range(1, m + 1):
-        pL[i + 1] = ((12.0 - 10.0 * t[i]) * pL[i] - t[i - 1] * pL[i - 1]) / t[i + 1]
-        if abs(pL[i + 1]) > OVERFLOW:
-            pL[:i + 2] *= 1.0 / OVERFLOW
-            rescales += 1
-    pR = np.zeros(N)
-    pR[-1], pR[-2] = numerov._end_ic(spec, ics, "right", xg, Vg, E)
-    for i in range(N - 2, m - 1, -1):
-        pR[i - 1] = ((12.0 - 10.0 * t[i]) * pR[i] - t[i + 1] * pR[i + 1]) / t[i - 1]
-        if abs(pR[i - 1]) > OVERFLOW:
-            pR[i - 1:] *= 1.0 / OVERFLOW
-            rescales += 1
+
+    def run(idx, psi0, psi1):
+        nonlocal rescales
+        y = np.zeros(len(idx))
+        y[0], y[1] = t[idx[0]] * psi0, t[idx[1]] * psi1
+        D = y[1] - y[0]
+        for k in range(1, len(idx) - 1):
+            D = D + g[idx[k]] * y[k]
+            if abs(D) > OVERFLOW:
+                y[:k + 1] *= 1.0 / OVERFLOW
+                D *= 1.0 / OVERFLOW
+                rescales += 1
+            y[k + 1] = y[k] + D
+            if abs(y[k + 1]) > OVERFLOW:
+                y[:k + 2] *= 1.0 / OVERFLOW
+                D *= 1.0 / OVERFLOW
+                rescales += 1
+        return y / t[idx]
+
+    pL = run(np.arange(m + 2),
+             *numerov._end_ic(spec, ics, "left", xg, Vg, E))
+    pR = run(np.arange(N - 1, m - 2, -1),
+             *numerov._end_ic(spec, ics, "right", xg, Vg, E))[::-1]
     # signs, not products: a product of two rescaled values can underflow
     changes = np.sign(pL[1:m]) * np.sign(pL[2:m + 1]) < 0.0
     inner = int(np.sum(changes))
     dL = (pL[m + 1] - pL[m - 1]) / (2.0 * h)
-    dR = (pR[m + 1] - pR[m - 1]) / (2.0 * h)
-    W = (dL * pR[m] - dR * pL[m]) / (abs(pL[m] * pR[m]) + 1e-300)
+    dR = (pR[2] - pR[0]) / (2.0 * h)
+    W = (dL * pR[1] - dR * pL[m]) / (abs(pL[m] * pR[1]) + 1e-300)
     return (inner, W, pL, pR, m), rescales
 
 
@@ -157,7 +168,8 @@ def _level_grid(pot_id, n_points):
     spec = spec_of(pot_id)
     hint = spec.spectrum(1) if spec.spectrum else None
     E_lo, E_hi, _, x_min, x_max, ics = numerov._prepare(spec, 1, hint)
-    return spec, np.linspace(x_min, x_max, n_points), ics, E_lo, E_hi
+    xg = np.linspace(x_min, x_max, n_points)
+    return spec, xg, spec.v_minus(xg), ics, E_lo, E_hi
 
 
 # eckart has decaying ends, scarf1 Frobenius walls; at the negative
@@ -183,8 +195,7 @@ def banded_solves(monkeypatch):
 
 @pytest.mark.parametrize("pot_id, E", SWEEP_CASES)
 def test_shoot_equals_numpy_sweep(pot_id, E, banded_solves):
-    spec, xg, ics, _, _ = _level_grid(pot_id, 20001)
-    Vg = spec.v_minus(xg)
+    spec, xg, Vg, ics, _, _ = _level_grid(pot_id, 20001)
     inner, W, pL, pR, m = numerov._shoot(spec, Vg, xg, ics, E)
     (inner0, W0, pL0, pR0, m0), rescales = _numpy_shoot(spec, Vg, xg, ics, E)
     if E < 0.0:
@@ -194,15 +205,15 @@ def test_shoot_equals_numpy_sweep(pot_id, E, banded_solves):
     assert (inner, m) == (inner0, m0)
     assert banded_solves["dtbsv"] - 2 == rescales
     # the BLAS kernel fuses multiply and add, so the floats differ from the
-    # loop's at the rounding level: up to 2.3e-11 of max|p| (scarf1, E = 3)
-    for p, p0 in ((pL, pL0[:m + 2]), (pR, pR0[m - 1:])):
+    # loop's at the rounding level: up to 1.3e-14 of max|p| (eckart,
+    # E = -3e3, and scarf1, E = -1e5)
+    for p, p0 in ((pL, pL0), (pR, pR0)):
         assert len(p) == len(p0)
-        assert np.abs(p - p0).max() <= 1e-10 * np.abs(p0).max()
+        assert np.abs(p - p0).max() <= 1e-13 * np.abs(p0).max()
 
 
 def test_sweeps_are_deterministic():
-    spec, xg, ics, _, _ = _level_grid("nonexact2", 20001)
-    Vg = spec.v_minus(xg)
+    spec, xg, Vg, ics, _, _ = _level_grid("nonexact2", 20001)
     # -1e3 rescales in both halves, 0.03 in none
     for E in (-1e3, 0.03):
         first = numerov._shoot(spec, Vg, xg, ics, E)
@@ -217,8 +228,7 @@ def test_sweeps_are_deterministic():
 @pytest.mark.parametrize("pot_id, points", [("eckart", 2001),
                                             ("nonexact2", 20001)])
 def test_node_count_equals_the_loop_count(pot_id, points):
-    spec, xg, ics, E_lo, E_hi = _level_grid(pot_id, points)
-    Vg = spec.v_minus(xg)
+    spec, xg, Vg, ics, E_lo, E_hi = _level_grid(pot_id, points)
     for E in [60.0] if pot_id == "eckart" else np.linspace(E_lo, E_hi, 7):
         nodes, _, pL, _, m = numerov._shoot(spec, Vg, xg, ics, E)
         (nodes0, *_, m0), _ = _numpy_shoot(spec, Vg, xg, ics, E)
@@ -228,8 +238,7 @@ def test_node_count_equals_the_loop_count(pot_id, points):
 
 
 def test_wronskian_stays_finite_when_both_halves_overflow():
-    spec, xg, ics, _, _ = _level_grid("nonexact2", 20001)
-    Vg = spec.v_minus(xg)
+    spec, xg, Vg, ics, _, _ = _level_grid("nonexact2", 20001)
     h = xg[1] - xg[0]
     # pL[m]*pR[m] passes OVERFLOW at both energies, and overflows at -1e3
     for E, overflows in ((-1e3, True), (-900.0, False)):
@@ -298,9 +307,9 @@ def test_hinted_level_never_runs_the_continuation(sweeps, monkeypatch):
     lengths = []
     recur = numerov._recur
 
-    def counted(p0, p1, c, t_back, t_next):
-        lengths.append(len(c))
-        return recur(p0, p1, c, t_back, t_next)
+    def counted(y0, y1, g):
+        lengths.append(len(g))
+        return recur(y0, y1, g)
 
     monkeypatch.setattr(numerov, "_recur", counted)
     sw.numerov_eigenvalue(spec_of("eckart"), 1, E_hint=189.0)
@@ -310,6 +319,29 @@ def test_hinted_level_never_runs_the_continuation(sweeps, monkeypatch):
     assert sum(lengths) == sum((N - 1) * k for N, k in sweeps.items())
 
 
+@pytest.mark.parametrize("pot_id", sw.CATALOG_IDS)
+def test_h_grid_is_the_even_points_of_the_h_half_grid(pot_id, monkeypatch):
+    # the oracle takes x and V_- of the h grid from the h/2 grid's
+    spec = spec_of(pot_id)
+    hint = spec.spectrum(1) if spec.spectrum else None
+    x_min, x_max = numerov._prepare(spec, 1, hint)[3:5]
+    fine = np.linspace(x_min, x_max, 40001)
+    coarse = np.linspace(x_min, x_max, 20001)
+    assert np.array_equal(fine[::2], coarse)
+    assert np.array_equal(spec.v_minus(fine)[::2], spec.v_minus(coarse))
+    sizes = []
+    v_minus = type(spec).v_minus
+
+    def counted(self, x):
+        sizes.append(np.size(x))
+        return v_minus(self, x)
+
+    monkeypatch.setattr(type(spec), "v_minus", counted)
+    sw.numerov_eigenvalue(spec, 1, E_hint=hint)
+    # the 4001-point search for an upper energy (nonexact3) aside
+    assert [k for k in sizes if k > 4001] == [40001]
+
+
 # sweeps of the hinted search on the 2001- and 4001-point grids, as the
 # hint and node-count brackets took them before one bracket rule served both
 HINTED_SWEEPS = {"eckart": (9, 9), "scarf1": (25, 27)}
@@ -317,13 +349,16 @@ HINTED_SWEEPS = {"eckart": (9, 9), "scarf1": (25, 27)}
 
 @pytest.mark.parametrize("pot_id", ["eckart", "scarf1"])
 def test_hinted_solve_gives_the_cold_result(pot_id, sweeps, fallbacks):
-    spec, xg, ics, E_lo, E_hi = _level_grid(pot_id, 2001)
+    spec, xg, Vg, ics, E_lo, E_hi = _level_grid(pot_id, 2001)
     fine = np.linspace(xg[0], xg[-1], 4001)
     hint = spec.spectrum(1)
-    for grid, budget in zip((xg, fine), HINTED_SWEEPS[pot_id]):
-        cold = numerov._solve_on_grid(spec, grid, ics, 1, E_lo, E_hi, None)
+    for grid, V, budget in zip((xg, fine), (Vg, spec.v_minus(fine)),
+                               HINTED_SWEEPS[pot_id]):
+        cold = numerov._solve_on_grid(spec, grid, V, ics, 1, E_lo, E_hi,
+                                      None)
         assert sweeps.pop(len(grid)) <= 20
-        hint = numerov._solve_on_grid(spec, grid, ics, 1, E_lo, E_hi, hint)
+        hint = numerov._solve_on_grid(spec, grid, V, ics, 1, E_lo, E_hi,
+                                      hint)
         assert abs(hint - cold) <= 1e-12 * (1.0 + abs(cold))
         assert sweeps[len(grid)] <= budget
     assert fallbacks == [1, 1]          # the two cold searches
@@ -331,15 +366,15 @@ def test_hinted_solve_gives_the_cold_result(pot_id, sweeps, fallbacks):
 
 @pytest.mark.parametrize("pot_id", ["eckart", "scarf1"])
 def test_wrong_hint_falls_back(pot_id, fallbacks):
-    spec, xg, ics, E_lo, E_hi = _level_grid(pot_id, 2001)
-    cold = numerov._solve_on_grid(spec, xg, ics, 1, E_lo, E_hi, None)
+    spec, xg, Vg, ics, E_lo, E_hi = _level_grid(pot_id, 2001)
+    cold = numerov._solve_on_grid(spec, xg, Vg, ics, 1, E_lo, E_hi, None)
     E1, E2 = spec.spectrum(1), spec.spectrum(2)
     # the grid's own E_2 makes W change sign at the first, narrowest pair
-    E2_grid = numerov._solve_on_grid(spec, xg, ics, 2, E_lo,
+    E2_grid = numerov._solve_on_grid(spec, xg, Vg, ics, 2, E_lo,
                                      max(E_hi, E2 + 1.0), None)
     fallbacks.clear()
     for hint in (E2_grid, E2, 0.9 * E1):
-        got = numerov._solve_on_grid(spec, xg, ics, 1, E_lo, E_hi, hint)
+        got = numerov._solve_on_grid(spec, xg, Vg, ics, 1, E_lo, E_hi, hint)
         assert got == cold
     assert fallbacks == [1, 1, 1]
     fallbacks.clear()
@@ -372,7 +407,7 @@ def test_bracket_rule_flips_once_at_the_grid_level(pot_id, n):
     assert all(np.diff(nodes) >= 0)
     flip = below.index(False)
     assert flip > 0 and not any(below[flip:])
-    E_n = numerov._solve_on_grid(spec, xg, ics, n, E_lo, E_hi, None)
+    E_n = numerov._solve_on_grid(spec, xg, Vg, ics, n, E_lo, E_hi, None)
     assert es[flip - 1] < E_n <= es[flip]
 
 
@@ -393,7 +428,8 @@ def test_window_without_the_level_raises_convergence_error(seed, n, hinted):
     xg = np.linspace(x_min, x_max, 2001)
     hint = spec.spectrum(n) if hinted else None
     with pytest.raises(ConvergenceError, match="no bracket"):
-        numerov._solve_on_grid(spec, xg, ics, n, E_lo, E_hi, hint)
+        numerov._solve_on_grid(spec, xg, spec.v_minus(xg), ics, n, E_lo,
+                               E_hi, hint)
 
 
 def test_nonexact2_without_a_hint():
@@ -407,21 +443,11 @@ def test_nonexact2_without_a_hint():
 # sweep gives it when brentq follows the Wronskian to rtol 8.9e-16.
 # Stopping at W_RTOL may move a level only within the rounding floor of
 # W's root.
-FULL_PRECISION_LEVELS = {"eckart": 189.00000438881256,
-                         "scarf2": 5.0000000000066676,
-                         "scarf1": 2.9999998574651836,
-                         "rosenmorse1": 3.7500000018736754,
-                         "nonexact1": 4.000000000258049}
-
-# The same cases as the plain-float loop gave them at rtol 8.9e-16.
-# Rounding the recurrence differently moves a level by up to 2.2e-10
-# relative (multiplying by a rounded 1/t_next on the loop), so the kernel
-# may move them that far: it moved them by 3e-13 to 6.2e-11.
-LOOP_LEVELS = {"eckart": 189.00000438876256,
-               "scarf2": 5.000000000008174,
-               "scarf1": 2.99999985765078,
-               "rosenmorse1": 3.750000001837089,
-               "nonexact1": 4.000000000266275}
+FULL_PRECISION_LEVELS = {"eckart": 189.00000438893164,
+                         "scarf2": 5.0000000000065326,
+                         "scarf1": 2.999999855932867,
+                         "rosenmorse1": 3.7499999999876956,
+                         "nonexact1": 4.000000000034428}
 
 
 # On these draws s = (A - B)/(alpha hbar) is 0.447, 0.482 and 0.413 (1/2 at
@@ -449,20 +475,116 @@ def test_root_tolerance_keeps_the_levels(pot_id):
         FULL_PRECISION_LEVELS[pot_id], rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("pot_id", sorted(LOOP_LEVELS))
-def test_banded_solve_keeps_the_loop_levels(pot_id):
-    assert numerov_of(pot_id, 1) == pytest.approx(
-        LOOP_LEVELS[pot_id], rel=3e-10, abs=0.0)
+def _longdouble_wronskian(spec, xg, Vg, ics, E):
+    """The matching Wronskian of the three-term Numerov recurrence
+    t_{i+1} psi_{i+1} = (12 - 10 t_i) psi_i - t_{i-1} psi_{i-1}, run in
+    80-bit long double on the grid's float64 x and V_-: E reaches the
+    coefficients with 11 more bits than in float64.  No OVERFLOW rescale:
+    long double reaches 1e4932."""
+    ld = np.longdouble
+    N = len(xg)
+    h = ld(float(xg[1] - xg[0]))
+    f = (Vg.astype(ld) - E) / ld(spec.hbar) ** 2
+    m = min(max(int(np.flatnonzero(f < 0)[-1]), 2), N - 3)
+    t = 1 - h * h * f / 12
+    c, t = (12 - 10 * t).tolist(), t.tolist()
+
+    def run(steps, psi0, psi1, ahead):
+        p = [ld(psi0), ld(psi1)]
+        for i in steps:
+            p.append((c[i] * p[-1] - t[i - ahead] * p[-2]) / t[i + ahead])
+        return p
+
+    pL = run(range(1, m + 1),
+             *numerov._end_ic(spec, ics, "left", xg, Vg, float(E)), 1)
+    pR = run(range(N - 2, m - 1, -1),
+             *numerov._end_ic(spec, ics, "right", xg, Vg, float(E)), -1)
+    pl, pr = pL[m - 1:], pR[:-4:-1]
+    dL = (pl[2] - pl[0]) / (2 * h)
+    dR = (pr[2] - pr[0]) / (2 * h)
+    return (dL * pr[1] - dR * pl[1]) / abs(pl[1] * pr[1])
+
+
+# Each oracle_levels case at n = 1 on the 20001-point grid.  The
+# three-term form held E in the low bits of 2 + 10u, u about 2e-9, and its
+# roots lay up to 5.3e-11 (rosenmorse1) from this reference; the increment
+# form's lie within 8e-15 to 7.2e-14.
+@pytest.mark.parametrize("pot_id", sorted(FULL_PRECISION_LEVELS))
+def test_wronskian_root_matches_the_80_bit_loop(pot_id):
+    spec = spec_of(pot_id)
+    E_lo, E_hi, hint, x_min, x_max, ics = numerov._prepare(
+        spec, 1, spec.spectrum(1))
+    xg = np.linspace(x_min, x_max, 20001)
+    Vg = spec.v_minus(xg)
+    E = np.longdouble(numerov._solve_on_grid(spec, xg, Vg, ics, 1, E_lo,
+                                             E_hi, hint))
+    below, above = (_longdouble_wronskian(spec, xg, Vg, ics, E * (1 + d))
+                    for d in (np.longdouble(-1e-13), np.longdouble(1e-13)))
+    assert below * above < 0.0
+
+
+# W near the root on the h/2 grid: the three-term form's W was noise at
+# 3e-11 relative of E, as large as the steps here
+@pytest.mark.parametrize("pot_id", ["rosenmorse1", "scarf1"])
+def test_wronskian_is_smooth_next_to_the_root(pot_id):
+    spec = spec_of(pot_id)
+    E_lo, E_hi, hint, x_min, x_max, ics = numerov._prepare(
+        spec, 1, spec.spectrum(1))
+    xg = np.linspace(x_min, x_max, 40001)
+    Vg = spec.v_minus(xg)
+    E = numerov._solve_on_grid(spec, xg, Vg, ics, 1, E_lo, E_hi, hint)
+    es = E * (1.0 + np.linspace(-3e-10, 3e-10, 25))
+    W = np.array([numerov._shoot(spec, Vg, xg, ics, e)[1] for e in es])
+    steps = np.diff(W)
+    assert np.all(steps < 0.0) or np.all(steps > 0.0)
+    # and linear in E to 1.6e-4 of a step
+    line = np.polyval(np.polyfit(es - E, W, 1), es - E)
+    assert np.abs(W - line).max() <= 1e-2 * np.abs(steps).mean()
+
+
+@pytest.fixture
+def root_sweeps(monkeypatch):
+    """Sweeps of the Wronskian root search, the brentq call of
+    numerov._solve_on_grid, keyed by grid size."""
+    counts = Counter()
+    searching = False
+    shoot, brentq = numerov._shoot, numerov.brentq
+
+    def counted_shoot(spec, Vg, xg, ics, E):
+        counts[len(xg)] += searching
+        return shoot(spec, Vg, xg, ics, E)
+
+    def counted_brentq(*args, **kwargs):
+        nonlocal searching
+        searching = True
+        try:
+            return brentq(*args, **kwargs)
+        finally:
+            searching = False
+
+    monkeypatch.setattr(numerov, "_shoot", counted_shoot)
+    monkeypatch.setattr(numerov, "brentq", counted_brentq)
+    return counts
+
+
+@pytest.mark.parametrize("pot_id", sorted(FULL_PRECISION_LEVELS))
+def test_root_search_takes_at_most_three_sweeps(pot_id, root_sweeps):
+    # the three-term form took 2-14, following W's rounding noise
+    spec = spec_of(pot_id)
+    sw.numerov_eigenvalue(spec, 1, E_hint=spec.spectrum(1))
+    assert set(root_sweeps) == {20001, 40001}
+    assert max(root_sweeps.values()) <= 3
 
 
 def test_grid_arrays_are_freed_on_return():
-    spec, xg, ics, E_lo, E_hi = _level_grid("eckart", 2001)
+    spec, xg, Vg, ics, E_lo, E_hi = _level_grid("eckart", 2001)
     gc.disable()
     try:
-        numerov._solve_on_grid(spec, xg, ics, 1, E_lo, E_hi, spec.spectrum(1))
-        alive = weakref.ref(xg)
-        del xg
-        assert alive() is None
+        numerov._solve_on_grid(spec, xg, Vg, ics, 1, E_lo, E_hi,
+                               spec.spectrum(1))
+        alive = weakref.ref(xg), weakref.ref(Vg)
+        del xg, Vg
+        assert [ref() for ref in alive] == [None, None]
     finally:
         gc.enable()
 
