@@ -55,20 +55,20 @@ class Counts:
         self._phase = None
         shoot, recur = numerov._shoot, numerov._recur
 
-        def counted_shoot(spec, Vg, xg, ics, E):
+        def counted_shoot(spec, Vg, xg, ics, E, band=None):
             N = self._grid = len(xg)
             self.counts["sweeps"][N] += 1
             if self._phase is not None:
                 self.counts[self._phase][N] += 1
             t0 = time.process_time()
             try:
-                return shoot(spec, Vg, xg, ics, E)
+                return shoot(spec, Vg, xg, ics, E, band)
             finally:
                 self.sweep_s += time.process_time() - t0
 
-        def counted_recur(y0, y1, g):
+        def counted_recur(y0, y1, g, band):
             self.counts["steps"][self._grid] += len(g)
-            return recur(y0, y1, g)
+            return recur(y0, y1, g, band)
 
         numerov._shoot, numerov._recur = counted_shoot, counted_recur
         for name, phase in (("_level_bracket", "brack"), ("brentq", "root")):

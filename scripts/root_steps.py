@@ -6,11 +6,13 @@ For each catalog entry and bound level n = 1..4 this solves the SWKB level
 scarf1: exp_i) one contour level (quantize_by_contours, n = 1), then the
 same level on the QHJ pole sum alone (quantize_by_poles, on the same spec).
 For each level it prints the calls of cpoly.find_roots and the CPU seconds
-spent inside them, the evaluations of the action in the shared level solve
-(swkb.solve_action: the SWKB integral or the QHJ pole sum over m), the
-level's CPU time and its energy.  A contour level solves P once, for its
-one check on the SWKB sheet, and the spec's den once; the pole level then
-solves nothing.
+spent inside them, the evaluations of each action in the shared level solve
+(swkb.solve_action), the level's CPU time and its energy: J_evals counts
+the SWKB integrals, pole_evals the evaluations of the QHJ pole sum over m.
+An SWKB level solves the pole sum first, for the energy its search starts
+at, so its row shows both; on an exact entry it then takes 1-4 SWKB
+integrals.  A contour level solves P once, for its one check on the SWKB
+sheet, and the spec's den once; the pole level then solves nothing.
 
     PYTHONPATH=src python scripts/root_steps.py [--json PATH] [ids ...]
 """
@@ -19,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 
 import susywkb as sw
 from susywkb import contours, cpoly, swkb
@@ -36,11 +39,13 @@ def rebind(name, old, new):
 
 class Counts:
     """Wraps cpoly.find_roots and swkb.solve_action, wherever they are
-    bound, to count the root finder's calls and CPU seconds and the
-    evaluations of the action each level solve is given."""
+    bound, to count the root finder's calls and CPU seconds and, by the
+    solve's method, the evaluations of the action each level solve is
+    given."""
 
     def __init__(self):
-        self.calls = self.evals = 0
+        self.calls = 0
+        self.evals = Counter()
         self.roots_s = 0.0
         find, solve = cpoly.find_roots, swkb.solve_action
 
@@ -52,20 +57,23 @@ class Counts:
             finally:
                 self.roots_s += time.process_time() - t0
 
-        def counted_solve(spec, n, action, method):
+        def counted_solve(spec, n, action, method, start=None):
             def counted_action(E):
-                self.evals += 1
+                self.evals[method] += 1
                 return action(E)
 
-            return solve(spec, n, counted_action, method)
+            return solve(spec, n, counted_action, method, start)
 
         rebind("find_roots", find, counted_find)
         rebind("solve_action", solve, counted_solve)
 
     def take(self):
-        """(calls, roots_s, evals) since the last call of take."""
-        out = self.calls, self.roots_s, self.evals
-        self.calls = self.evals = 0
+        """(calls, roots_s, SWKB integrals, pole sums) since the last call
+        of take."""
+        out = (self.calls, self.roots_s, self.evals["swkb_quadrature"],
+               self.evals["poles"])
+        self.calls = 0
+        self.evals.clear()
         self.roots_s = 0.0
         return out
 
@@ -95,17 +103,18 @@ def main():
     counts = Counts()
     rows = []
     print(f"{'id':12s} {'n':>2s} {'route':>7s} {'cpu_s':>6s} {'E':>22s} "
-          f"{'calls':>5s} {'roots_s':>7s} {'evals':>5s}")
+          f"{'calls':>5s} {'roots_s':>7s} {'J_evals':>7s} "
+          f"{'pole_evals':>10s}")
     for spec, n, route in cases(args.ids):
         t0 = time.process_time()
         E = solvers[route](spec, n).energy
         cpu = time.process_time() - t0
-        calls, roots_s, evals = counts.take()
+        calls, roots_s, j_evals, pole_evals = counts.take()
         rows.append({"entry": spec.id, "n": n, "route": route, "E": E,
                      "cpu_s": cpu, "calls": calls, "roots_s": roots_s,
-                     "evals": evals})
+                     "J_evals": j_evals, "pole_evals": pole_evals})
         print(f"{spec.id:12s} {n:2d} {route:>7s} {cpu:6.3f} {E!r:>22s} "
-              f"{calls:5d} {roots_s:7.4f} {evals:5d}")
+              f"{calls:5d} {roots_s:7.4f} {j_evals:7d} {pole_evals:10d}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(rows, fh, indent=1)

@@ -328,7 +328,8 @@ def quantize_by_poles(spec, n):
     """Solve the QHJ pole sum J_GammaR(E) - sum(J_gamma(E)) = m*n*hbar for
     E (qhj.PoleSum, spec.qhj): no root of P at the energies of the solve.
     The pole sum over m is an action for swkb.solve_action, the SWKB
-    route's bracket, stopping rule and residual gate.
+    route's bracket, stopping rule and residual gate; swkb.solve_level
+    starts its own search at this level.
 
     m is the workspace's census rule: the cuts that carry J_SWKB, the
     classical one and a mirror.  With at most two cuts the second is

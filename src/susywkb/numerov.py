@@ -17,7 +17,8 @@ u = h^2 f/12 about 2e-9 on these grids, holds it only in the low bits of
 2 + 10u: its W is noise at about 3e-11 relative of E, and its root up to
 5.3e-11 off.  The (y, D) pairs are the rows of a unit lower-triangular
 system with two sub-diagonals, and BLAS dtbsv solves it by
-forward substitution (see _recur).  OpenBLAS fuses multiply and add, so the
+forward substitution (see _recur), on one band per grid, whose -g entries
+each sweep rewrites.  OpenBLAS fuses multiply and add, so the
 floats are not the ones a loop of separate IEEE operations gives; at n = 1
 the extrapolated levels of the two differ by at most 2e-15 relative.  The
 two recurrences meet at the matching point m: the left one runs up to m + 1
@@ -193,21 +194,30 @@ def _end_ic(spec, ics, which, xg, Vg, E):
 # shooting
 # ---------------------------------------------------------------------------
 
-def _recur(y0, y1, g):
+def _new_band(N):
+    """The band of _recur for either half of a sweep on an N-point grid,
+    whose 2L + 1 columns it holds (L <= N - 3): -1 in every entry, of
+    which _recur overwrites the -a_k = -g_i of each solve."""
+    return np.full((3, 2 * N), -1.0, order="F")
+
+
+def _recur(y0, y1, g, band):
     """Run Numerov in increment form over g = h^2 f / t at steps 1..L, from
     y_0 and y_1, where y = t*psi: D_i = D_{i-1} + g_i*y_i and
     y_{i+1} = y_i + D_i, with D_0 = y_1 - y_0.  The values
     p = [y_0, D_0, y_1, D_1, ..., D_L, y_{L+1}] satisfy
     p[k] = a_k*p[k - 1] + p[k - 2], with a_k = g_i on the row of D_i and 1
     on the rows of y: a unit lower-triangular system with two
-    sub-diagonals, solved by forward substitution in one BLAS call.  Where
+    sub-diagonals, solved by forward substitution in one BLAS call on the
+    first 2L + 1 columns of band (_new_band), the grid's one band: only
+    its -g entries depend on E, and they are written here.  Where
     |p| first passes OVERFLOW, everything up to it is rescaled by
     1/OVERFLOW and the rest is solved again from the rescaled pair that
     ends there.  Returns y_0, ..., y_{L+1}."""
     L = len(g)
     # column j holds the coefficients of p[j + 2] in the rows of p[j + 3]
     # and p[j + 4], -a_{j+3} and -1; the unit diagonal is never read
-    band = np.full((3, 2 * L + 1), -1.0, order="F")
+    band = band[:, :2 * L + 1]
     np.negative(g, out=band[1, :-1:2])
     p = np.zeros(2 * L + 3)
     p[0], p[1], p[2] = y0, y1 - y0, y1
@@ -228,13 +238,16 @@ def _recur(y0, y1, g):
     return p[::2]
 
 
-def _shoot(spec, Vg, xg, ics, E):
+def _shoot(spec, Vg, xg, ics, E, band=None):
     """One bidirectional Numerov sweep that meets at the matching point m:
     the left solution runs up to m + 1 and the right one down to m - 1.
+    band is the grid's band for _recur, made here when None.
     Returns (node count of the left solution up to m, normalized matching
     Wronskian, pL[:m + 2], pR[m - 1:], m)."""
     hbar = spec.hbar
     N = len(xg)
+    if band is None:
+        band = _new_band(N)
     h = float(xg[1] - xg[0])
     # u = h^2 f / 12 with f = (V_- - E)/hbar^2, t = 1 - u and g = h^2 f / t
     u = (Vg - E) * (h * h / (12.0 * hbar * hbar))
@@ -245,8 +258,8 @@ def _shoot(spec, Vg, xg, ics, E):
     g = 12.0 * u / t
     l0, l1 = _end_ic(spec, ics, "left", xg, Vg, E)
     r0, r1 = _end_ic(spec, ics, "right", xg, Vg, E)
-    yL = _recur(t[0] * l0, t[1] * l1, g[1:m + 1])
-    yR = _recur(t[N - 1] * r0, t[N - 2] * r1, g[N - 2:m - 1:-1])
+    yL = _recur(t[0] * l0, t[1] * l1, g[1:m + 1], band)
+    yR = _recur(t[N - 1] * r0, t[N - 2] * r1, g[N - 2:m - 1:-1], band)
     pL = yL / t[:m + 2]
     pR = (yR / t[N - 1:m - 2:-1])[::-1]
     pl, pr = pL[m - 1:].tolist(), pR[:3].tolist()
@@ -308,11 +321,12 @@ def _solve_on_grid(spec, xg, Vg, ics, n, E_lo, E_hi, hint):
     hint when there is one."""
     # energy -> (nodes up to m, W), shared by the bracket and the root
     sweeps = {}
+    band = _new_band(len(xg))
 
     def sweep(E):
         s = sweeps.get(E)
         if s is None:
-            s = sweeps[E] = _shoot(spec, Vg, xg, ics, E)[:2]
+            s = sweeps[E] = _shoot(spec, Vg, xg, ics, E, band)[:2]
         return s
 
     a, b = _level_bracket(sweep, n, E_lo, E_hi, hint)

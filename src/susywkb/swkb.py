@@ -3,6 +3,14 @@
 J_SWKB(E) = (1/pi) * integral_{x1}^{x2} sqrt(E - omega^2(x)) dx between the
 two real turning points, and the inversion of the quantization condition
 J_SWKB(E) = n * hbar for eigenvalues.
+
+The level search starts at the level of the closed-form QHJ pole sum
+(contours.quantize_by_poles), which takes no root of P.  On the exact
+entries that is the SWKB level itself (Leacock & Padgett, PRL 50, 3 (1983);
+Bhalla, Kapoor & Panigrahi, Am. J. Phys. 65, 1187 (1997)), so a level takes
+1-4 SWKB integrals where a search over the whole range took 4-13.  The
+start decides only where the search begins: the level is the root of
+J_SWKB - n*hbar either way.
 """
 
 from __future__ import annotations
@@ -112,18 +120,36 @@ def swkb_integral(spec, E, roots=None):
 
 
 def solve_level(spec, n):
-    """Energy of level n from J_SWKB(E) = n*hbar."""
+    """Energy of level n from J_SWKB(E) = n*hbar, its search started at the
+    level of the QHJ pole sum (_pole_level)."""
     if n < 0:
         raise DomainError("n must be non-negative")
     return solve_action(spec, n, lambda E: swkb_integral(spec, E),
-                        "swkb_quadrature")
+                        "swkb_quadrature", _pole_level(spec, n))
 
 
-def solve_action(spec, n, action, method):
+def _pole_level(spec, n):
+    """The level n of the QHJ pole sum (contours.quantize_by_poles), or None
+    where it has none: nonexact3, whose sum does not depend on E, a multiple
+    pole, an unbound n, or a pole-sum solve that fails next to a
+    threshold.  Level 0 is E = 0 and takes no search."""
+    if n == 0:
+        return None
+    # contours imports this module
+    from .contours import quantize_by_poles
+    try:
+        return quantize_by_poles(spec, n).energy
+    except (DomainError, ConvergenceError):
+        return None
+
+
+def solve_action(spec, n, action, method, start=None):
     """Energy of level n from action(E) = n*hbar by bracketed root finding
     on a monotone action: the one level solve of the SWKB integral
-    (solve_level) and of the contour condition
-    (contours.quantize_by_contours)."""
+    (solve_level) and of the QHJ pole sum (contours.quantize_by_poles).
+    The bracket search begins at start, an energy near the level, where
+    there is one (see _bracket); the level is brentq's root of
+    action - n*hbar whatever the start."""
     if not spec.n_is_bound(n):
         raise unbound_level(spec, n)
     if n == 0:
@@ -137,7 +163,7 @@ def solve_action(spec, n, action, method):
     def g(E):
         return J(E) - target
 
-    lo, hi = _bracket(spec, g, n)
+    lo, hi = _bracket(spec, g, n, start)
     # a relative width only: near nonexact2's threshold 1/16, where J is
     # steep, an absolute width of 1e-14 is 1440 ulps of E and leaves
     # residuals above TAU_LEVEL
@@ -150,12 +176,42 @@ def solve_action(spec, n, action, method):
     return QuantizationResult(n, float(E), method, resid)
 
 
-def _bracket(spec, g, n):
+def _bracket(spec, g, n, start):
     """Bracket for a monotone level equation g(E) = 0, g < 0 below the level.
 
-    A finite threshold is approached from inside, farthest first: near it a
-    turning point runs away or meets a pole, and quadratures may not
+    A start inside (0, threshold) gives the first candidates, as the hint
+    pairs do in numerov._level_bracket: g at the start, where g = 0 is the
+    bracket (start, start); then one step of d = 1e-10*(1 + start) against
+    the sign of g; then up to six steps to the root of the secant through
+    the last two energies, each overshot by 1% of its length, plus d.  The
+    first pair on which g changes sign is the bracket.  Where an energy
+    leaves (0, threshold), g does not rise through the last two energies,
+    the steps run out, or an evaluation raises, the threshold ladder below
+    takes over, as it does without a start.
+
+    A finite threshold is approached from inside, farthest first: near it
+    a turning point runs away or meets a pole, and quadratures may not
     converge there, so a ConvergenceError ends the approach."""
+    if start is not None and 0.0 < start < spec.threshold:
+        try:
+            E0, g0 = start, g(start)
+            if g0 == 0.0:
+                return start, start
+            d = math.copysign(1e-10 * (1.0 + start), -g0)
+            E1 = start + d
+            for _ in range(7):
+                if not 0.0 < E1 < spec.threshold:
+                    break
+                g1 = g(E1)
+                if g1 == 0.0 or (g1 > 0.0) != (g0 > 0.0):
+                    return min(E0, E1), max(E0, E1)
+                slope = (g1 - g0) / (E1 - E0)
+                if not slope > 0.0:
+                    break
+                E0, g0 = E1, g1
+                E1 -= 1.01 * g1 / slope - d
+        except (DomainError, ConvergenceError):
+            pass
     if math.isfinite(spec.threshold):
         for eps in (1e-3, 1e-5, 1e-7, 1e-9):
             hi = spec.threshold * (1.0 - eps)

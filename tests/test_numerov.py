@@ -223,6 +223,20 @@ def test_sweeps_are_deterministic():
         assert np.array_equal(first[3], again[3])
 
 
+def test_one_band_serves_every_sweep_of_a_grid():
+    # the matching point moves with E (m = 6522, 10000, 31, 220 and 125
+    # here, and -1e3 rescales), so each sweep writes a different stretch
+    # of the band; what earlier sweeps left must not be read
+    spec, xg, Vg, ics, E_lo, E_hi = _level_grid("nonexact2", 20001)
+    band = numerov._new_band(len(xg))
+    for E in (E_hi, -1e3, E_lo, 0.5 * E_hi, 0.2 * E_hi):
+        kept = numerov._shoot(spec, Vg, xg, ics, E, band)
+        fresh = numerov._shoot(spec, Vg, xg, ics, E)
+        assert kept[:2] == fresh[:2] and kept[4] == fresh[4]
+        assert np.array_equal(kept[2], fresh[2])
+        assert np.array_equal(kept[3], fresh[3])
+
+
 # eckart at E = 60 on 2001 points has a node between m and m + 1, which the
 # count up to m leaves out; nonexact2 is counted across its whole window
 @pytest.mark.parametrize("pot_id, points", [("eckart", 2001),
@@ -262,9 +276,9 @@ def sweeps(monkeypatch):
     counts = Counter()
     shoot = numerov._shoot
 
-    def counted(spec, Vg, xg, ics, E):
+    def counted(spec, Vg, xg, ics, E, band=None):
         counts[len(xg)] += 1
-        return shoot(spec, Vg, xg, ics, E)
+        return shoot(spec, Vg, xg, ics, E, band)
 
     monkeypatch.setattr(numerov, "_shoot", counted)
     return counts
@@ -307,9 +321,9 @@ def test_hinted_level_never_runs_the_continuation(sweeps, monkeypatch):
     lengths = []
     recur = numerov._recur
 
-    def counted(y0, y1, g):
+    def counted(y0, y1, g, band):
         lengths.append(len(g))
-        return recur(y0, y1, g)
+        return recur(y0, y1, g, band)
 
     monkeypatch.setattr(numerov, "_recur", counted)
     sw.numerov_eigenvalue(spec_of("eckart"), 1, E_hint=189.0)
@@ -550,9 +564,9 @@ def root_sweeps(monkeypatch):
     searching = False
     shoot, brentq = numerov._shoot, numerov.brentq
 
-    def counted_shoot(spec, Vg, xg, ics, E):
+    def counted_shoot(spec, Vg, xg, ics, E, band=None):
         counts[len(xg)] += searching
-        return shoot(spec, Vg, xg, ics, E)
+        return shoot(spec, Vg, xg, ics, E, band)
 
     def counted_brentq(*args, **kwargs):
         nonlocal searching
