@@ -11,8 +11,11 @@ spent inside them, the evaluations of each action in the shared level solve
 the SWKB integrals, pole_evals the evaluations of the QHJ pole sum over m.
 An SWKB level solves the pole sum first, for the energy its search starts
 at, so its row shows both; on an exact entry it then takes 1-4 SWKB
-integrals.  A contour level solves P once, for its one check on the SWKB
-sheet, and the spec's den once; the pole level then solves nothing.
+integrals.  The first row of nonexact1 and of nonexact2 also counts the
+one workspace that the spec's cut census builds for m
+(catalog.PotentialSpec.swkb_cut_count); no later row does.  A contour
+level solves P once, for its one check on the SWKB sheet, and the spec's
+den once; the pole level then solves nothing.
 
     PYTHONPATH=src python scripts/root_steps.py [--json PATH] [ids ...]
 """
@@ -99,7 +102,7 @@ def main():
     args = ap.parse_args()
     solvers = {"swkb": sw.solve_level,
                "contour": contours.quantize_by_contours,
-               "poles": contours.quantize_by_poles}
+               "poles": swkb.quantize_by_poles}
     counts = Counts()
     rows = []
     print(f"{'id':12s} {'n':>2s} {'route':>7s} {'cpu_s':>6s} {'E':>22s} "

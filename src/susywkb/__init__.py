@@ -17,15 +17,14 @@ from .catalog import (CATALOG_IDS, EXACT_IDS, NONEXACT_IDS, PotentialSpec,
 from .contours import (ContourDecomposition, DefectReport, SingularityCensus,
                        census, decompose, defect_report,
                        infinity_contribution, pole_contribution,
-                       quantize_by_contours, quantize_by_poles,
-                       residue_table)
+                       quantize_by_contours, residue_table)
 from .cpoly import Polynomial, RationalFunction, find_roots
 from .errors import (ConvergenceError, DomainError, SusyWkbError,
                      UnboundEnergyError)
 from .numerov import (GridSolution, dump_wavefunction, grid_solution,
                       numerov_eigenvalue, qhj_residual, quantum_action)
-from .swkb import (QuantizationResult, TurningPoints, solve_level,
-                   swkb_integral, turning_points)
+from .swkb import (QuantizationResult, TurningPoints, quantize_by_poles,
+                   solve_level, swkb_integral, turning_points)
 
 __version__ = "0.1.0"
 

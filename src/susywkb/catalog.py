@@ -63,12 +63,15 @@ class PotentialSpec:
         return self.params.get("alpha", 1.0)
 
     def y_of_x(self, x):
+        """The mapped y of x, a complex ndarray under every mapping (0-d for
+        a scalar x): NumPy scalars round complex products otherwise."""
+        x = np.asarray(x, dtype=complex)
         if self.mapping == "identity":
-            return np.asarray(x, dtype=complex)
+            return x
         if self.mapping == "exp":
-            return np.exp(self.alpha * np.asarray(x, dtype=complex))
+            return np.asarray(np.exp(self.alpha * x))
         if self.mapping == "exp_i":
-            return np.exp(1j * self.alpha * np.asarray(x, dtype=complex))
+            return np.asarray(np.exp(1j * self.alpha * x))
         raise DomainError(f"unknown mapping {self.mapping!r}")
 
     def x_of_y(self, y):
@@ -106,12 +109,9 @@ class PotentialSpec:
 
     def omega_x(self, x):
         """Superpotential in the physical coordinate: num and den in one
-        Horner pass, or omega_y's scalar math at a NumPy scalar y."""
+        Horner pass at y = y_of_x(x), scalar x included."""
         self._check_domain(x)
-        y = self.y_of_x(x)
-        num, den = (_horner(self._omega_rows[:, :2], y)
-                    if isinstance(y, np.ndarray)
-                    else (self.omega_y.num(y), self.omega_y.den(y)))
+        num, den = _horner(self._omega_rows[:, :2], self.y_of_x(x))
         return np.asarray(num / den).real
 
     @cached_property
@@ -187,6 +187,21 @@ class PotentialSpec:
         spec: the finite poles' terms and the coefficients of the series
         at infinity."""
         return PoleSum(self)
+
+    @cached_property
+    def cut_count(self):
+        """Branch cuts at probe_energy: half the degree of E den^2 - num^2."""
+        from .swkb import _energy_numerator     # swkb imports this module
+        return _energy_numerator(self, probe_energy(self)).degree // 2
+
+    @cached_property
+    def swkb_cut_count(self):
+        """m, the cuts that carry J_SWKB (the classical one and a mirror):
+        every cut up to two, else read off one workspace at probe_energy."""
+        if self.cut_count <= 2:
+            return self.cut_count
+        from .contours import _Workspace        # contours imports this module
+        return _Workspace(self, probe_energy(self)).m
 
     @cached_property
     def num_squared_y(self):
@@ -457,8 +472,10 @@ def get_spec(pot_id, params=None, hbar=1.0):
             raise DomainError(
                 f"unknown parameter(s) {sorted(unknown)} for {pot_id}")
         merged.update(params)
-    if hbar <= 0:
-        raise DomainError("hbar must be positive")
+    if not 0.0 < hbar < math.inf:
+        raise DomainError(f"hbar must be positive and finite, got {hbar}")
+    if not all(math.isfinite(v) for v in merged.values()):
+        raise DomainError(f"the parameters of {pot_id} must be finite")
     return builder(merged, float(hbar))
 
 
@@ -489,7 +506,7 @@ def unbound_level(spec, n):
 def probe_energy(spec, n=1):
     """A bound energy to take a census at: the closed-form E_k of the
     highest bound level k <= max(n, 1), else half a finite threshold,
-    else 1."""
+    else 1.  The spec's cut census takes it at n = 1 (cut_count)."""
     if spec.spectrum is not None:
         for k in range(max(n, 1), 0, -1):
             if spec.n_is_bound(k):

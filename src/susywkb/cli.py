@@ -69,7 +69,11 @@ def _parse_params(text):
         if "=" not in item:
             raise DomainError(f"bad --params item {item!r}; expected k=v")
         k, v = item.split("=", 1)
-        out[k.strip()] = float(v)
+        try:
+            out[k.strip()] = float(v)
+        except ValueError:
+            raise DomainError(f"bad --params value {v!r} for {k.strip()}; "
+                              "expected a number") from None
     return out
 
 
@@ -102,7 +106,8 @@ def _bound_levels(spec, requested):
 
 def _cmd_list(args):
     rows = []
-    for spec in catalog.catalog_list(hbar=args.hbar or 1.0):
+    hbar = 1.0 if args.hbar is None else args.hbar
+    for spec in catalog.catalog_list(hbar=hbar):
         rows.append({
             "id": spec.id,
             "mapping": spec.mapping,
@@ -135,7 +140,7 @@ def _solve_one(spec, n, method, dump=None):
     if method == "contour":
         return contours.quantize_by_contours(spec, n)
     if method == "poles":
-        return contours.quantize_by_poles(spec, n)
+        return swkb.quantize_by_poles(spec, n)
     if method == "numerov":
         hint = _oracle_hint(spec, n)
         E = numerov.numerov_eigenvalue(spec, n, E_hint=hint)
@@ -159,7 +164,7 @@ def _cmd_spectrum(args):
 
 def _cmd_compare(args):
     spec = _load_spec(args)
-    two_cut = contours.cut_count(spec, catalog.probe_energy(spec)) <= 2
+    two_cut = spec.cut_count <= 2
     rows = []
     for n in _bound_levels(spec, args.levels):
         vals = {}

@@ -7,10 +7,10 @@ and its mirror, if any, the identity J_GammaR - sum(J_gamma) = m*n*hbar,
 m the number of these cuts, quantizes the spectrum.  Each pole term equals
 the term of the exact QHJ condition at that pole (the paper's claim), which
 is closed-form algebra with no root of P (qhj, spec.qhj): quantize_by_poles
-solves the pole sum through the SWKB route's level solve
-(swkb.solve_action), and quantize_by_contours checks each of those levels
-once on the sheet below, whose pole sum is an independent computation
-(residue_table sets the two side by side).
+(swkb) solves the pole sum over the spec's cut census, and
+quantize_by_contours checks each of those levels once on the sheet below,
+whose pole sum over its own m is an independent computation (residue_table
+sets the two side by side).
 When additional cuts carry weight (J_OBC != 0) that route fails.
 The SWKB error at an exact level is then J_SWKB - n*hbar = pole_offset -
 J_OBC, where pole_offset is how far the pole sum J_GammaR - sum(J_gamma)
@@ -45,12 +45,12 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import branch as br
-from .catalog import plane_key, probe_energy
+from .catalog import plane_key
 from .cpoly import find_roots
 from .errors import ConvergenceError, DomainError
 from .quadrature import QUAD_TOL
 from .swkb import (TAU_LEVEL, QuantizationResult, _energy_numerator,
-                   solve_action, swkb_integral, turning_points)
+                   quantize_by_poles, swkb_integral, turning_points)
 
 IMAG_TOL = 1e-10
 
@@ -237,12 +237,6 @@ def _min_weight_matching(pts):
 # public operations
 # ---------------------------------------------------------------------------
 
-def cut_count(spec, E):
-    """The number of branch cuts at energy E: the workspace pairs every
-    root of E den^2 - num^2, so half its degree."""
-    return _energy_numerator(spec, E).degree // 2
-
-
 def census(spec, E):
     """Fixed poles, branch points, and paired branch cuts at energy E."""
     ws = _Workspace(spec, E)
@@ -324,34 +318,6 @@ def _condition_value(spec, E):
     return total.real / ws.m
 
 
-def quantize_by_poles(spec, n):
-    """Solve the QHJ pole sum J_GammaR(E) - sum(J_gamma(E)) = m*n*hbar for
-    E (qhj.PoleSum, spec.qhj): no root of P at the energies of the solve.
-    The pole sum over m is an action for swkb.solve_action, the SWKB
-    route's bracket, stopping rule and residual gate; swkb.solve_level
-    starts its own search at this level.
-
-    m is the workspace's census rule: the cuts that carry J_SWKB, the
-    classical one and a mirror.  With at most two cuts the second is
-    always the mirror, so m is the cut count, half the degree of P; with
-    more, m is read off one workspace at probe_energy.  Entries of any cut
-    count solve; where the other cuts carry weight the pole sum is not
-    the SWKB condition (see defect_report).  A sum that does not depend on
-    E (nonexact3, where it is 0) raises DomainError."""
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    poles = spec.qhj
-    if not poles.depends_on_energy:
-        raise DomainError(
-            f"the pole sum of {spec.id} does not depend on E; it fixes no "
-            "level")
-    probe = probe_energy(spec, n)
-    m = cut_count(spec, probe)
-    if m > 2:
-        m = _Workspace(spec, probe).m
-    return solve_action(spec, n, lambda E: poles(E).real / m, "poles")
-
-
 def quantize_by_contours(spec, n):
     """Solve J_GammaR(E) - sum(J_gamma(E)) = m*n*hbar for E, with m = 2
     where the census finds a mirror cut and 1 otherwise, and check the
@@ -365,14 +331,13 @@ def quantize_by_contours(spec, n):
     from the solve's would miss by at least n/2.
 
     Only valid when the classical cut and its mirror, if any, are the sole
-    branch cuts; entries with more cuts are refused since their other-cut
-    content makes the condition inexact (see defect_report)."""
+    branch cuts (spec.cut_count); entries with more cuts are refused since
+    their other-cut content makes the condition inexact (see defect_report)."""
     if n < 0:
         raise DomainError("n must be non-negative")
-    cuts = cut_count(spec, probe_energy(spec, n))
-    if cuts > 2:
+    if spec.cut_count > 2:
         raise DomainError(
-            f"{spec.id} has {cuts} branch cuts; the "
+            f"{spec.id} has {spec.cut_count} branch cuts; the "
             "two-cut contour condition does not close — use defect_report "
             "to quantify the other-cut content")
     E = quantize_by_poles(spec, n).energy

@@ -81,7 +81,8 @@ def _as_coeffs(p):
 def _horner(rows, z):
     """The columns of rows (highest degree first) at the ndarray z, with
     npoly.polyval's arithmetic; a NumPy scalar z would round otherwise.
-    Only catalog reads it, for omega_x and V_- on node and grid arrays;
+    Only catalog reads it, for V_- on grid arrays and for omega_x, whose
+    y_of_x is an ndarray under every mapping (0-d at a scalar x);
     find_roots polishes in scalar arithmetic (_scalar_horner)."""
     rows = rows.reshape(rows.shape + (1,) * z.ndim)
     v = rows[0] + z * 0

@@ -26,7 +26,8 @@ Bhalla, Kapoor & Panigrahi, Am. J. Phys. 65, 1187 (1997) work these terms
 for the shape-invariant potentials.  PoleSum holds what depends on the spec
 alone (the finite poles' terms, the series' coefficients), built once per
 spec as PotentialSpec.qhj, so the pole sum J_GammaR - sum(J_gamma) costs a
-handful of scalar operations per energy.
+handful of scalar operations per energy; swkb.quantize_by_poles solves it
+over the spec's m (PotentialSpec.swkb_cut_count).
 """
 
 from __future__ import annotations

@@ -5,12 +5,12 @@ two real turning points, and the inversion of the quantization condition
 J_SWKB(E) = n * hbar for eigenvalues.
 
 The level search starts at the level of the closed-form QHJ pole sum
-(contours.quantize_by_poles), which takes no root of P.  On the exact
-entries that is the SWKB level itself (Leacock & Padgett, PRL 50, 3 (1983);
-Bhalla, Kapoor & Panigrahi, Am. J. Phys. 65, 1187 (1997)), so a level takes
-1-4 SWKB integrals where a search over the whole range took 4-13.  The
-start decides only where the search begins: the level is the root of
-J_SWKB - n*hbar either way.
+(quantize_by_poles, on spec.qhj over the spec's m), which takes no root of
+P.  On the exact entries that is the SWKB level itself (Leacock & Padgett,
+PRL 50, 3 (1983); Bhalla, Kapoor & Panigrahi, Am. J. Phys. 65, 1187
+(1997)), so a level takes 1-4 SWKB integrals where a search over the whole
+range took 4-13.  The start decides only where the search begins: the
+level is the root of J_SWKB - n*hbar either way.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def swkb_integral(spec, E, roots=None):
 
 def solve_level(spec, n):
     """Energy of level n from J_SWKB(E) = n*hbar, its search started at the
-    level of the QHJ pole sum (_pole_level)."""
+    level of the QHJ pole sum over the spec's m (_pole_level)."""
     if n < 0:
         raise DomainError("n must be non-negative")
     return solve_action(spec, n, lambda E: swkb_integral(spec, E),
@@ -129,24 +129,40 @@ def solve_level(spec, n):
 
 
 def _pole_level(spec, n):
-    """The level n of the QHJ pole sum (contours.quantize_by_poles), or None
-    where it has none: nonexact3, whose sum does not depend on E, a multiple
-    pole, an unbound n, or a pole-sum solve that fails next to a
-    threshold.  Level 0 is E = 0 and takes no search."""
+    """The level n of the QHJ pole sum (quantize_by_poles), or None where it
+    has none: nonexact3, whose sum does not depend on E, a multiple pole,
+    an unbound n, or a pole-sum solve that fails next to a threshold.
+    Level 0 is E = 0 and takes no search."""
     if n == 0:
         return None
-    # contours imports this module
-    from .contours import quantize_by_poles
     try:
         return quantize_by_poles(spec, n).energy
     except (DomainError, ConvergenceError):
         return None
 
 
+def quantize_by_poles(spec, n):
+    """Solve the QHJ pole sum J_GammaR(E) - sum(J_gamma(E)) = m*n*hbar for
+    E (spec.qhj, no root of P) through solve_action, m the spec's count of
+    the cuts that carry J_SWKB (spec.swkb_cut_count).  Entries of any cut
+    count solve; where the other cuts carry weight the pole sum is not the
+    SWKB condition (contours.defect_report).  A sum that does not depend on
+    E (nonexact3, where it is 0) raises DomainError."""
+    if n < 0:
+        raise DomainError("n must be non-negative")
+    poles = spec.qhj
+    if not poles.depends_on_energy:
+        raise DomainError(
+            f"the pole sum of {spec.id} does not depend on E; it fixes no "
+            "level")
+    m = spec.swkb_cut_count
+    return solve_action(spec, n, lambda E: poles(E).real / m, "poles")
+
+
 def solve_action(spec, n, action, method, start=None):
     """Energy of level n from action(E) = n*hbar by bracketed root finding
     on a monotone action: the one level solve of the SWKB integral
-    (solve_level) and of the QHJ pole sum (contours.quantize_by_poles).
+    (solve_level) and of the QHJ pole sum (quantize_by_poles).
     The bracket search begins at start, an energy near the level, where
     there is one (see _bracket); the level is brentq's root of
     action - n*hbar whatever the start."""

@@ -194,6 +194,13 @@ def test_parameter_validation():
         sw.get_spec("eckart", params={"Z": 1.0})
     with pytest.raises(DomainError):
         sw.get_spec("eckart", hbar=-1.0)
+    # hbar is a positive finite number and every parameter is finite
+    for hbar in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            sw.get_spec("scarf1", hbar=hbar)
+    for params in ({"A": math.inf}, {"alpha": math.inf}, {"B": math.nan}):
+        with pytest.raises(DomainError):
+            sw.get_spec("scarf2", params=params)
 
 
 def test_catalog_omega_keeps_its_poles():

@@ -168,6 +168,30 @@ def test_quantize_by_contours_evaluates_each_energy_once(monkeypatch):
         r = sw.quantize_by_contours(spec, n)
         assert energies == [r.energy]
         assert len(solved) == 1
+    # with more than two cuts the spec's census builds one workspace, at
+    # probe_energy, for m: the pole levels after the first solve no P, and
+    # the contour route refuses the spec without a workspace
+    built = []
+    workspace = contours._Workspace
+
+    def counted_workspace(spec, E):
+        built.append(E)
+        return workspace(spec, E)
+
+    monkeypatch.setattr(contours, "_Workspace", counted_workspace)
+    for pot_id, top in (("nonexact1", 4), ("nonexact2", 3)):
+        spec = sw.get_spec(pot_id)
+        built.clear()
+        with pytest.raises(DomainError):
+            sw.quantize_by_contours(spec, 1)
+        assert built == []
+        monkeypatch.setattr(contours, "find_roots", find)
+        sw.quantize_by_poles(spec, 1)
+        assert built == [catalog.probe_energy(spec)]
+        monkeypatch.setattr(contours, "find_roots", unexpected)
+        for n in range(1, top + 1):
+            sw.quantize_by_poles(spec, n)
+        assert built == [catalog.probe_energy(spec)]
 
 
 def test_quantize_by_contours_checks_its_residual(monkeypatch):
@@ -423,6 +447,18 @@ def test_every_swkb_pole_term_equals_its_qhj_term(spec):
         total = table.pop("infinity")[1] - sum(
             J for _, J, _ in table.values())
         assert abs(total - spec.qhj(E)) <= 1e-14 * (1.0 + abs(total))
+
+
+@pytest.mark.parametrize("spec", QHJ_SPECS,
+                         ids=lambda spec: f"{spec.id}-{spec.hbar:.4f}")
+def test_cut_census_holds_at_every_level(spec):
+    # the spec's census, taken once at probe_energy(spec), is the census of
+    # the workspace at the probe energy of every bound level n <= 6
+    for n in range(7):
+        if spec.n_is_bound(n):
+            ws = contours._Workspace(spec, catalog.probe_energy(spec, n))
+            assert (spec.cut_count, spec.swkb_cut_count) == (
+                len(ws.cuts), ws.m), n
 
 
 @pytest.mark.parametrize("pot_id", sw.EXACT_IDS)
