@@ -10,8 +10,11 @@ the 4001-point search for an upper energy where there is no closed form
 and no finite threshold) it prints:
 
   sweeps  calls of numerov._shoot;
+  start   of those, the sweeps of the Newton start from the reference
+          energy (numerov._newton_start), its closing sweep included;
   brack   of those, the sweeps of the bracket search
-          (numerov._level_bracket);
+          (numerov._level_bracket), which runs where the start gives no
+          bracket;
   root    of those, the sweeps of the Wronskian root search (the brentq
           call in numerov._solve_on_grid);
   steps   grid steps of the Numerov recurrence (numerov._recur), summed;
@@ -23,7 +26,7 @@ and for the level its eigenvalue and two CPU times:
   sweep_s  of that, the time inside numerov._shoot, summed over all grids.
 
 cpu_s - sweep_s is the set-up: growing the box and evaluating V_- on each
-grid.  On the h and h/2 grids sweeps = brack + root; the sweeps of the
+grid.  On the h and h/2 grids sweeps = start + brack + root; the sweeps of the
 upper-energy search are neither.  A sweep takes N - 1 steps on an N-point
 grid.
 
@@ -40,13 +43,13 @@ import susywkb as sw
 from susywkb import numerov
 
 
-COLUMNS = ("sweeps", "brack", "root", "steps")
+COLUMNS = ("sweeps", "start", "brack", "root", "steps")
 
 
 class Counts:
     """Wraps numerov._shoot and numerov._recur to count per grid size and
-    to time the sweeps, and the bracket searches and brentq to tell which
-    of them a sweep serves."""
+    to time the sweeps, and the Newton start, the bracket search and brentq
+    to tell which of them a sweep serves."""
 
     def __init__(self):
         self.counts = {c: Counter() for c in COLUMNS}
@@ -55,23 +58,24 @@ class Counts:
         self._phase = None
         shoot, recur = numerov._shoot, numerov._recur
 
-        def counted_shoot(spec, Vg, xg, ics, E, band=None):
+        def counted_shoot(spec, Vg, xg, ics, E, work=None):
             N = self._grid = len(xg)
             self.counts["sweeps"][N] += 1
             if self._phase is not None:
                 self.counts[self._phase][N] += 1
             t0 = time.process_time()
             try:
-                return shoot(spec, Vg, xg, ics, E, band)
+                return shoot(spec, Vg, xg, ics, E, work)
             finally:
                 self.sweep_s += time.process_time() - t0
 
-        def counted_recur(y0, y1, g, band):
-            self.counts["steps"][self._grid] += len(g)
-            return recur(y0, y1, g, band)
+        def counted_recur(y0, y1, ng, work):
+            self.counts["steps"][self._grid] += len(ng)
+            return recur(y0, y1, ng, work)
 
         numerov._shoot, numerov._recur = counted_shoot, counted_recur
-        for name, phase in (("_level_bracket", "brack"), ("brentq", "root")):
+        for name, phase in (("_newton_start", "start"),
+                            ("_level_bracket", "brack"), ("brentq", "root")):
             setattr(numerov, name, self._in_phase(getattr(numerov, name),
                                                   phase))
 
@@ -85,8 +89,8 @@ class Counts:
         return wrapped
 
     def take(self):
-        """Counts since the last call, per grid, {N: (sweeps, brack, root,
-        steps)}, and the CPU seconds of the sweeps."""
+        """Counts since the last call, per grid, {N: (sweeps, start, brack,
+        root, steps)}, and the CPU seconds of the sweeps."""
         out = {N: tuple(self.counts[c][N] for c in COLUMNS)
                for N in sorted(self.counts["sweeps"])}
         for c in self.counts.values():
@@ -115,7 +119,7 @@ def main():
     counts = Counts()
     rows = []
     print(f"{'id':12s} {'n':>2s} {'hint':>4s} {'cpu_s':>6s} {'sweep_s':>7s} "
-          f"{'E':>22s}  per grid -- points: sweeps brack root steps")
+          f"{'E':>22s}  per grid -- points: sweeps start brack root steps")
     for spec, n, hint in cases(args.ids):
         t0 = time.process_time()
         E = sw.numerov_eigenvalue(spec, n, E_hint=hint)
@@ -126,8 +130,8 @@ def main():
                      "grids": {N: dict(zip(COLUMNS, v))
                                for N, v in grids.items()}})
         hinted = "yes" if hint is not None else "no"
-        per_grid = "  ".join(f"{N:6d}: {a:3d} {b:3d} {r:3d} {s:8d}"
-                             for N, (a, b, r, s) in grids.items())
+        per_grid = "  ".join(f"{N:6d}: {a:3d} {st:3d} {b:3d} {r:3d} {s:8d}"
+                             for N, (a, st, b, r, s) in grids.items())
         print(f"{spec.id:12s} {n:2d} {hinted:>4s} {cpu:6.3f} {sweep_s:7.3f} "
               f"{E!r:>22s}  {per_grid}")
     if args.json:

@@ -460,7 +460,12 @@ CATALOG_IDS = EXACT_IDS + NONEXACT_IDS
 
 
 def get_spec(pot_id, params=None, hbar=1.0):
-    """Build the catalog entry with optional parameter overrides."""
+    """Build the catalog entry with optional parameter overrides.
+
+    Raises DomainError for an unknown id or parameter, an hbar that is not
+    positive and finite, parameters that are not finite or lie outside the
+    builder's domain, and finite parameters that overflow the entry's omega
+    coefficients or its closed form at the probe energy."""
     if pot_id not in _BUILDERS:
         raise DomainError(f"unknown potential id {pot_id!r}; "
                           f"known: {', '.join(CATALOG_IDS)}")
@@ -476,7 +481,19 @@ def get_spec(pot_id, params=None, hbar=1.0):
         raise DomainError(f"hbar must be positive and finite, got {hbar}")
     if not all(math.isfinite(v) for v in merged.values()):
         raise DomainError(f"the parameters of {pot_id} must be finite")
-    return builder(merged, float(hbar))
+    spec = builder(merged, float(hbar))
+    # finite parameters can still overflow what the entry derives from
+    # them: its omega coefficients, or its closed form at the probe energy
+    # (A = 1e308 on scarf2, where A^2 - (A - n alpha hbar)^2 overflows)
+    try:
+        probe = probe_energy(spec)
+    except (OverflowError, ZeroDivisionError):
+        probe = math.nan
+    coeffs = np.concatenate([spec.omega_y.num.coeffs, spec.omega_y.den.coeffs])
+    if not (math.isfinite(probe) and np.isfinite(coeffs).all()):
+        raise DomainError(f"the parameters of {pot_id} overflow its "
+                          f"coefficients or levels")
+    return spec
 
 
 def catalog_list(hbar=1.0):

@@ -23,23 +23,32 @@ floats are not the ones a loop of separate IEEE operations gives; at n = 1
 the extrapolated levels of the two differ by at most 2e-15 relative.  The
 two recurrences meet at the matching point m: the left one runs up to m + 1
 and the right one down to m - 1, N - 1 steps in all on an N-point grid,
-which is all the Wronskian and the node count up to m read.  On each grid
-one memo of sweeps, keyed by energy, serves the bracket and the Wronskian
-root search.  One rule, on the node count up to m and the sign of W, tells
-whether an energy lies below the level (see _level_bracket).  The h grid
-brackets the root around the reference energy (E_hint, else the closed
-form) and the h/2 grid around the h-grid eigenvalue, in 2-6 sweeps.
-Without a hint, or when no pair around it holds the level, the grid
-brackets it in the energy window [E_lo, E_hi] instead, in 5-12 sweeps.  The
-root search then takes 2-3 sweeps from a hint pair and 6-9 from the window:
-a level takes 4-9 sweeps a grid with a hint and 12-19 on the h grid
-without.  W is smooth down to about 3e-14 relative of E, and its root lies
+which is all the Wronskian and the node count up to m read.  m is the last
+point where V_- < E, found by one binary search on the grid's suffix
+minimum of V_-; the band, the buffer of the solution and that minimum are
+made once per grid (_new_band).  On each grid
+one memo of sweeps, keyed by energy, serves the start, the bracket and the
+Wronskian root search.  One rule, on the node count up to m and the sign of
+W, tells whether an energy lies below the level (see _level_bracket).  The
+h grid starts at the reference energy (E_hint, else the closed form) and
+the h/2 grid at the h-grid eigenvalue.  From there Newton steps on W, each
+on the slope dW/dE that its own sweep gives (_norm_slope), run until a
+step is below a quarter of brentq's tolerance; one more sweep, half a
+tolerance further, closes a bracket that brentq returns at once
+(_newton_start).  A hinted level takes 3 sweeps a grid, 4 on scarf1,
+whose closed form lies 4.6e-6 from its grid level.  Where the start gives
+no bracket (a sweep without n nodes, a step out of the window, no sign
+change), the grid brackets the level around the reference energy in 2-6
+sweeps, or, without one, in the energy window [E_lo, E_hi] in 5-12 sweeps,
+and the root search takes 2-3 sweeps from a hint pair and 6-9 from the
+window: a level takes 12-19 sweeps on the h grid without a hint.  W is
+smooth down to about 3e-14 relative of E, and its root lies
 within 7.2e-14 of the root of the same recurrence run in 80-bit long
 double.  The search stops at a relative width of W_RTOL = 3e-13: brentq's
 interpolation steps usually land closer, and following W to rtol 8.9e-16
 takes 0-4 more sweeps a grid and moves the levels at n = 1 by at most
 7.5e-14 relative, far below their discretization error.  The absolute width
-1e-14 keeps levels near E = 0 at their floor.
+W_XTOL = 1e-14 keeps levels near E = 0 at their floor.
 
 Endpoint handling
 -----------------
@@ -76,6 +85,7 @@ BOX_BLOCK = 64              # steps of the box growth per V_- evaluation
 OVERFLOW = 1e200
 W_SCALE = 2.0 ** -664       # about 1/OVERFLOW, and exact
 W_RTOL = 3e-13              # relative tolerance of the Wronskian root
+W_XTOL = 1e-14              # and its absolute tolerance
 
 
 @dataclass(frozen=True)
@@ -194,33 +204,46 @@ def _end_ic(spec, ics, which, xg, Vg, E):
 # shooting
 # ---------------------------------------------------------------------------
 
-def _new_band(N):
-    """The band of _recur for either half of a sweep on an N-point grid,
-    whose 2L + 1 columns it holds (L <= N - 3): -1 in every entry, of
-    which _recur overwrites the -a_k = -g_i of each solve."""
-    return np.full((3, 2 * N), -1.0, order="F")
+def _new_band(N, Vg=None):
+    """What the sweeps on an N-point grid share: the band of _recur for
+    either half of a sweep, whose 2L + 1 columns it holds (L <= N - 3), -1
+    in every entry, of which _recur overwrites the -a_k = -g_i of each
+    solve; beside it the buffer of _recur's solution p; and, when Vg is
+    given, the suffix minimum of V_- on the grid, floor[i] = min(Vg[i:]),
+    on which _shoot finds the matching point (else _shoot takes it)."""
+    floor = None if Vg is None else _suffix_min(Vg)
+    return np.full((3, 2 * N), -1.0, order="F"), np.empty(2 * N), floor
 
 
-def _recur(y0, y1, g, band):
-    """Run Numerov in increment form over g = h^2 f / t at steps 1..L, from
-    y_0 and y_1, where y = t*psi: D_i = D_{i-1} + g_i*y_i and
+def _suffix_min(Vg):
+    # fmin skips NaN, which u < 0 never counted as classical
+    return np.fmin.accumulate(Vg[::-1])[::-1].copy()
+
+
+def _recur(y0, y1, ng, work):
+    """Run Numerov in increment form over -g = -h^2 f / t at steps 1..L,
+    from y_0 and y_1, where y = t*psi: D_i = D_{i-1} + g_i*y_i and
     y_{i+1} = y_i + D_i, with D_0 = y_1 - y_0.  The values
     p = [y_0, D_0, y_1, D_1, ..., D_L, y_{L+1}] satisfy
     p[k] = a_k*p[k - 1] + p[k - 2], with a_k = g_i on the row of D_i and 1
     on the rows of y: a unit lower-triangular system with two
     sub-diagonals, solved by forward substitution in one BLAS call on the
-    first 2L + 1 columns of band (_new_band), the grid's one band: only
-    its -g entries depend on E, and they are written here.  Where
-    |p| first passes OVERFLOW, everything up to it is rescaled by
-    1/OVERFLOW and the rest is solved again from the rescaled pair that
-    ends there.  Returns y_0, ..., y_{L+1}."""
-    L = len(g)
+    first 2L + 1 columns of the grid's one band (work, from _new_band):
+    only its -g entries depend on E, and they are written here.  p is
+    solved in the buffer beside the band.  Where |p| first passes
+    OVERFLOW, everything up to it is rescaled by 1/OVERFLOW and the rest
+    is solved again from the rescaled pair that ends there.  Returns
+    y_0, ..., y_{L+1}, a view of that buffer, which the next call
+    overwrites."""
+    band, p = work[:2]
+    L = len(ng)
     # column j holds the coefficients of p[j + 2] in the rows of p[j + 3]
     # and p[j + 4], -a_{j+3} and -1; the unit diagonal is never read
     band = band[:, :2 * L + 1]
-    np.negative(g, out=band[1, :-1:2])
-    p = np.zeros(2 * L + 3)
+    band[1, :-1:2] = ng
+    p = p[:2 * L + 3]
     p[0], p[1], p[2] = y0, y1 - y0, y1
+    p[5:] = 0.0
     s = 1                           # p[s], p[s + 1] start the solve
     while s <= 2 * L:
         rest = p[s + 2:]
@@ -228,8 +251,10 @@ def _recur(y0, y1, g, band):
         if s < 2 * L:
             rest[1] = p[s + 1]
         dtbsv(2, band[:, s:], rest, lower=1, diag=1, overwrite_x=1)
+        if max(rest.max(), -rest.min()) <= OVERFLOW:
+            break
         over = np.abs(rest) > OVERFLOW
-        if not over.any():
+        if not over.any():          # NaN, which no rescale mends
             break
         i = s + 2 + int(over.argmax())
         p[:i + 1] *= 1.0 / OVERFLOW
@@ -238,30 +263,34 @@ def _recur(y0, y1, g, band):
     return p[::2]
 
 
-def _shoot(spec, Vg, xg, ics, E, band=None):
-    """One bidirectional Numerov sweep that meets at the matching point m:
-    the left solution runs up to m + 1 and the right one down to m - 1.
-    band is the grid's band for _recur, made here when None.
-    Returns (node count of the left solution up to m, normalized matching
-    Wronskian, pL[:m + 2], pR[m - 1:], m)."""
+def _shoot(spec, Vg, xg, ics, E, work=None):
+    """One bidirectional Numerov sweep that meets at the matching point m,
+    the last point where V_- < E: the left solution runs up to m + 1 and
+    the right one down to m - 1.  work is the grid's _new_band, made here
+    when None.  Returns (node count of the left solution up to m,
+    normalized matching Wronskian, pL[:m + 2], pR[m - 1:], m)."""
     hbar = spec.hbar
     N = len(xg)
-    if band is None:
-        band = _new_band(N)
+    if work is None:
+        work = _new_band(N, Vg)
+    floor = work[2] if work[2] is not None else _suffix_min(Vg)
     h = float(xg[1] - xg[0])
-    # u = h^2 f / 12 with f = (V_- - E)/hbar^2, t = 1 - u and g = h^2 f / t
-    u = (Vg - E) * (h * h / (12.0 * hbar * hbar))
-    cls = np.flatnonzero(u < 0.0)
-    m = int(cls[-1]) if len(cls) else N // 2
-    m = min(max(m, 2), N - 3)
+    # u = h^2 f / 12 with f = (V_- - E)/hbar^2, t = 1 - u and
+    # -g = -h^2 f / t = -12 u / t
+    u = Vg - E
+    u *= h * h / (12.0 * hbar * hbar)
+    m = int(np.searchsorted(floor, E)) - 1
+    m = min(max(m if m >= 0 else N // 2, 2), N - 3)
     t = 1.0 - u
-    g = 12.0 * u / t
+    ng = u
+    ng *= -12.0
+    ng /= t
     l0, l1 = _end_ic(spec, ics, "left", xg, Vg, E)
     r0, r1 = _end_ic(spec, ics, "right", xg, Vg, E)
-    yL = _recur(t[0] * l0, t[1] * l1, g[1:m + 1], band)
-    yR = _recur(t[N - 1] * r0, t[N - 2] * r1, g[N - 2:m - 1:-1], band)
-    pL = yL / t[:m + 2]
-    pR = (yR / t[N - 1:m - 2:-1])[::-1]
+    # the left solution is read before the right one overwrites the buffer
+    pL = _recur(t[0] * l0, t[1] * l1, ng[1:m + 1], work) / t[:m + 2]
+    pR = (_recur(t[N - 1] * r0, t[N - 2] * r1, ng[N - 2:m - 1:-1], work)
+          / t[N - 1:m - 2:-1])[::-1]
     pl, pr = pL[m - 1:].tolist(), pR[:3].tolist()
     if abs(pl[1] * pr[1]) > OVERFLOW:
         # both halves end near OVERFLOW, and the products below could
@@ -286,7 +315,8 @@ def _level_bracket(sweep, n, E_lo, E_hi, hint):
     E_n.  Of the pairs [hint - d, hint + d], d = 1e-7*(1 + |hint|) * 8^k for
     k < 7 (up to 2.6e-2*(1 + |hint|)), each clipped to [E_lo, E_hi], then
     [E_lo, E_hi] itself, the first that straddles E_n is kept and bisected
-    by the same rule until both ends have n nodes."""
+    by the same rule until both ends have n nodes.  _solve_on_grid calls
+    this where the Newton start (_newton_start) gives no bracket."""
     def below(E):
         nodes, W = sweep(E)
         return nodes < n or (nodes == n and (-1) ** n * W > 0.0)
@@ -311,30 +341,125 @@ def _level_bracket(sweep, n, E_lo, E_hi, hint):
     return a, b
 
 
+def _norm_slope(spec, Vg, xg, ics, E, pL, pR, m):
+    """dW/dE of the sweep at E that returned pL, pR and m, from its own
+    values (Cooley, Math. Comp. 15, 363 (1961)).
+
+    At m, W = sgn*(pL'/pL - pR'/pR) with sgn = sign(pL(m) pR(m)) and
+    central differences for the derivatives.  The recurrence of _recur
+    keeps a discrete Green identity: C_i = y_i z_{i+1} - y_{i+1} z_i, with
+    z = dy/dE, changes by (dg_i/dE) y_i^2 = -(h^2/hbar^2) psi_i^2 a step.
+    Summed from each end up to m, that gives
+    dW/dE = -sgn*(h/hbar^2)*(1 + S_L + S_R)*(1/t_{m-1} + 1/t_{m+1})/(2 t_m),
+    with S_L = sum_{0<i<m} pL_i^2/pL(m)^2 and S_R the same over m < i < N - 1
+    of pR: the matching point is counted once, and the t factors matter
+    only next to a singular wall, where t differs from 1 by up to 1e-3.
+    The start's own dependence on E, C_0, adds to each sum: at a wall the
+    series psi = d^s(1 + ...) has d(ln psi)/dE = -d^2/(hbar^2 (4s + 2)),
+    so C_0 adds psi_0 psi_1 (d_0 + d_1)/((4s + 2) h), the part of the
+    norm between the wall and the grid (up to 3e-6 of the sum, scarf1); a
+    decaying end adds about e^-76 of it, left out.  Each half is scaled by
+    its largest |p| before it is squared, so the sums overflow nowhere; a
+    slope that does overflow comes back infinite, and NaN where p is 0 at
+    m."""
+    hbar = spec.hbar
+    h = float(xg[1] - xg[0])
+    pl, pr = float(pL[m]), float(pR[1])
+    if pl == 0.0 or pr == 0.0:
+        return math.nan
+    total = 1.0
+    # pR[:1:-1] runs from i = N - 1 down to m + 1.  einsum, not np.dot: a
+    # BLAS ddot this long wakes OpenBLAS's threads, which doubled the CPU
+    # time of a level (and np.dot on a reversed view took about 6 ms)
+    for p, pm, end, xs in ((pL[:m], pl, ics["left"], xg[:2]),
+                           (pR[:1:-1], pr, ics["right"], xg[:-3:-1])):
+        top = max(float(p[1:].max()), -float(p[1:].min()))
+        if top > 0.0:
+            q = p[1:] * (1.0 / top)
+            total += (float(np.einsum("i,i->", q, q))
+                      * ((top / pm) * (top / pm)))
+        if end[0] == "series":
+            _, x0, side, s = end[:4]
+            d = sum(side * (x - x0) for x in xs.tolist())
+            total += ((float(p[0]) / pm) * (float(p[1]) / pm)
+                      * d / ((4.0 * s + 2.0) * h))
+    tn, tm, tp = (1.0 - (Vg[m - 1:m + 2] - E)
+                  * (h * h / (12.0 * hbar * hbar))).tolist()
+    total *= (1.0 / tn + 1.0 / tp) / (2.0 * tm)
+    return math.copysign(h / (hbar * hbar) * total, -pl * pr)
+
+
+def _newton_start(shoot, sweep, n, E_lo, E_hi, hint):
+    """A bracket of level n found by Newton steps on W from hint, else
+    None.
+
+    shoot(E) sweeps at E and returns (nodes, W, dW/dE), the slope from the
+    same sweep (_norm_slope); sweep is the memo of _level_bracket.  From
+    the hint, each step moves E by -W/(dW/dE), until a step is below a
+    quarter of tol = W_XTOL + W_RTOL*|E|, the width at which brentq
+    stops.  One more sweep, half a tol past E in that step's direction,
+    then closes the bracket, which brentq returns at once.  A sweep without
+    n nodes, a slope that is not finite or does not fall as (-1)^n W does,
+    an energy outside [E_lo, E_hi], six steps without a small one, or a
+    pair on which the rule of _level_bracket does not flip gives None, and
+    _level_bracket brackets the level as it would without this start."""
+    sign = (-1) ** n
+    E = hint
+    for _ in range(6):
+        if not E_lo <= E <= E_hi:
+            return None
+        nodes, W, slope = shoot(E)
+        if nodes != n or not (math.isfinite(slope) and sign * slope < 0.0):
+            return None
+        step = -W / slope
+        tol = W_XTOL + W_RTOL * abs(E)
+        if abs(step) < 0.25 * tol:
+            break
+        E += step
+    else:
+        return None
+    a, b = sorted((E, E + math.copysign(0.5 * tol, step)))
+    if not E_lo <= a < b <= E_hi:
+        return None
+    (na, Wa), (nb, Wb) = sweep(a), sweep(b)
+    if na == nb == n and sign * Wa > 0.0 >= sign * Wb:
+        return a, b
+    return None
+
+
 def _wronskian(E, sweep):
     return sweep(E)[1]
 
 
 def _solve_on_grid(spec, xg, Vg, ics, n, E_lo, E_hi, hint):
     """Level n on the grid xg, where V_- takes the values Vg: the root of
-    the matching Wronskian in the bracket of _level_bracket, found around
-    hint when there is one."""
-    # energy -> (nodes up to m, W), shared by the bracket and the root
+    the matching Wronskian in a bracket from the Newton start at hint
+    (_newton_start), else from _level_bracket."""
+    # energy -> (nodes up to m, W), shared by the start, the bracket and
+    # the root
     sweeps = {}
-    band = _new_band(len(xg))
+    work = _new_band(len(xg), Vg)
+
+    def shoot(E):
+        nodes, W, pL, pR, m = _shoot(spec, Vg, xg, ics, E, work)
+        sweeps[E] = nodes, W
+        return nodes, W, _norm_slope(spec, Vg, xg, ics, E, pL, pR, m)
 
     def sweep(E):
         s = sweeps.get(E)
         if s is None:
-            s = sweeps[E] = _shoot(spec, Vg, xg, ics, E, band)[:2]
+            s = sweeps[E] = _shoot(spec, Vg, xg, ics, E, work)[:2]
         return s
 
-    a, b = _level_bracket(sweep, n, E_lo, E_hi, hint)
+    bracket = None
+    if hint is not None:
+        bracket = _newton_start(shoot, sweep, n, E_lo, E_hi, hint)
+    a, b = bracket or _level_bracket(sweep, n, E_lo, E_hi, hint)
     # brentq keeps its objective in a reference cycle (scipy's NaN guard
     # refers to itself).  Passing sweep as an argument keeps this grid's
     # arrays out of that cycle, so they are freed on return and not left to
     # the cyclic collector, which let peak RSS creep up level by level.
-    return brentq(_wronskian, a, b, args=(sweep,), xtol=1e-14, rtol=W_RTOL)
+    return brentq(_wronskian, a, b, args=(sweep,), xtol=W_XTOL, rtol=W_RTOL)
 
 
 def _prepare(spec, n, E_hint=None):

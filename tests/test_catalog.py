@@ -198,7 +198,9 @@ def test_parameter_validation():
     for hbar in (0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             sw.get_spec("scarf1", hbar=hbar)
-    for params in ({"A": math.inf}, {"alpha": math.inf}, {"B": math.nan}):
+    # and finite parameters whose closed form overflows are refused too
+    for params in ({"A": math.inf}, {"alpha": math.inf}, {"B": math.nan},
+                   {"A": 1e308}):
         with pytest.raises(DomainError):
             sw.get_spec("scarf2", params=params)
 

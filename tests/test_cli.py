@@ -184,13 +184,15 @@ def test_exit_code_domain_error():
     rc, _, _ = run_cli("--params", "B=0.5", "spectrum", "eckart")
     assert rc == 2
     # every subcommand refuses hbar = 0, NaN or inf, list included, and a
-    # --params value that is not a finite number ends in the error, not a
+    # --params value that is not a finite number, or whose closed form
+    # overflows (scarf2's A^2 at A = 1e308), ends in the error, not a
     # traceback
     for args in (["--hbar", "0", "list"], ["--hbar", "inf", "list"],
                  ["--hbar", "inf", "spectrum", "eckart"],
                  ["--hbar", "nan", "spectrum", "scarf1"],
                  ["--params", "A=abc", "spectrum", "eckart"],
-                 ["--params", "A=inf", "spectrum", "scarf2"]):
+                 ["--params", "A=inf", "spectrum", "scarf2"],
+                 ["--params", "A=1e308", "spectrum", "scarf2"]):
         rc, out, err = run_cli(*args)
         assert (rc, out) == (2, ""), args
         assert err.startswith("error: ") and "Traceback" not in err, args

@@ -11,7 +11,7 @@ import pytest
 
 import susywkb as sw
 from susywkb import ConvergenceError, DomainError, numerov
-from susywkb.numerov import OVERFLOW, grid_solution
+from susywkb.numerov import OVERFLOW, W_RTOL, W_XTOL, grid_solution
 from susywkb.swkb import turning_points
 
 from conftest import drawn_spec, numerov_of, spec_of
@@ -308,12 +308,18 @@ def fallbacks(monkeypatch):
 
 
 def test_sweep_budget_per_grid(sweeps, fallbacks):
-    # Bracketing the Wronskian root at the hint takes 4 sweeps on the h grid
-    # and 5 on h/2: two bracket sweeps, then a root search that stops at
-    # W_RTOL.  One sweep of headroom on each.
+    # The Newton start takes 3 sweeps a grid at eckart: the hint, one step,
+    # and the sweep that closes the bracket, which brentq returns at once.
+    # scarf1's hint lies 4.6e-6 off its grid level, and W's curvature
+    # leaves 1.9e-10 after the first step: 4 sweeps a grid, one of
+    # headroom on h.
     sw.numerov_eigenvalue(spec_of("eckart"), 1, E_hint=189.0)
+    assert sweeps[20001] <= 3
+    assert sweeps[40001] <= 3
+    sweeps.clear()
+    sw.numerov_eigenvalue(spec_of("scarf1"), 1, E_hint=3.0)
     assert sweeps[20001] <= 5
-    assert sweeps[40001] <= 6
+    assert sweeps[40001] <= 4
     assert fallbacks == []
 
 
@@ -356,26 +362,38 @@ def test_h_grid_is_the_even_points_of_the_h_half_grid(pot_id, monkeypatch):
     assert [k for k in sizes if k > 4001] == [40001]
 
 
-# sweeps of the hinted search on the 2001- and 4001-point grids, as the
-# hint and node-count brackets took them before one bracket rule served both
-HINTED_SWEEPS = {"eckart": (9, 9), "scarf1": (25, 27)}
+# sweeps of the hinted search on the 2001- and 4001-point grids at n = 1, 2,
+# as the Newton start takes them (scarf1 took 25 and 27 when the hint and
+# node-count brackets were two searches, eckart 9 and 9).  An entry without
+# a closed form solves the 2001-point grid cold, as the oracle's h grid
+# does, and the 4001-point grid from that level.
+HINTED_SWEEPS = {"eckart": (4, 4), "scarf2": (4, 4), "rosenmorse2": (4, 4),
+                 "genpt": (4, 4), "scarf1": (6, 6), "rosenmorse1": (3, 3),
+                 "nonexact1": (4, 4), "nonexact2": (20, 6),
+                 "nonexact3": (20, 3)}
 
 
-@pytest.mark.parametrize("pot_id", ["eckart", "scarf1"])
+@pytest.mark.parametrize("pot_id", sw.CATALOG_IDS)
 def test_hinted_solve_gives_the_cold_result(pot_id, sweeps, fallbacks):
-    spec, xg, Vg, ics, E_lo, E_hi = _level_grid(pot_id, 2001)
-    fine = np.linspace(xg[0], xg[-1], 4001)
-    hint = spec.spectrum(1)
-    for grid, V, budget in zip((xg, fine), (Vg, spec.v_minus(fine)),
-                               HINTED_SWEEPS[pot_id]):
-        cold = numerov._solve_on_grid(spec, grid, V, ics, 1, E_lo, E_hi,
-                                      None)
-        assert sweeps.pop(len(grid)) <= 20
-        hint = numerov._solve_on_grid(spec, grid, V, ics, 1, E_lo, E_hi,
-                                      hint)
-        assert abs(hint - cold) <= 1e-12 * (1.0 + abs(cold))
-        assert sweeps[len(grid)] <= budget
-    assert fallbacks == [1, 1]          # the two cold searches
+    spec = spec_of(pot_id)
+    for n in (1, 2):
+        if not spec.n_is_bound(n):
+            continue
+        hint = spec.spectrum(n) if spec.spectrum else None
+        E_lo, E_hi, _, x_min, x_max, ics = numerov._prepare(spec, n, hint)
+        fallbacks.clear()
+        for points, budget in zip((2001, 4001), HINTED_SWEEPS[pot_id]):
+            grid = np.linspace(x_min, x_max, points)
+            V = spec.v_minus(grid)
+            cold = numerov._solve_on_grid(spec, grid, V, ics, n, E_lo, E_hi,
+                                          None)
+            assert sweeps.pop(points) <= 20
+            hint = numerov._solve_on_grid(spec, grid, V, ics, n, E_lo, E_hi,
+                                          hint)
+            assert abs(hint - cold) <= 2.0 * W_RTOL * (1.0 + abs(cold))
+            assert sweeps.pop(points) <= budget
+        # the cold searches, and the 2001-point one without a closed form
+        assert fallbacks == [n] * (2 if spec.spectrum else 3)
 
 
 @pytest.mark.parametrize("pot_id", ["eckart", "scarf1"])
@@ -588,6 +606,74 @@ def test_root_search_takes_at_most_three_sweeps(pot_id, root_sweeps):
     sw.numerov_eigenvalue(spec, 1, E_hint=spec.spectrum(1))
     assert set(root_sweeps) == {20001, 40001}
     assert max(root_sweeps.values()) <= 3
+
+
+# the slope of W that the Newton start steps on, at each oracle_levels case
+# on both grids: the norm sums of the sweep, with the matching point counted
+# once, t at m and the wall's part of the norm, match a central difference
+# of W to 4e-10 - 1.4e-7 (counting m in both halves put eckart 1.5e-3 off;
+# without the t factors scarf1, whose m lies next to its wall, was 6e-4 off)
+@pytest.mark.parametrize("points", [20001, 40001])
+@pytest.mark.parametrize("pot_id", sorted(FULL_PRECISION_LEVELS))
+def test_norm_slope_is_the_slope_of_w(pot_id, points):
+    spec = spec_of(pot_id)
+    E_lo, E_hi, hint, x_min, x_max, ics = numerov._prepare(
+        spec, 1, spec.spectrum(1))
+    xg = np.linspace(x_min, x_max, points)
+    Vg = spec.v_minus(xg)
+    E = numerov._solve_on_grid(spec, xg, Vg, ics, 1, E_lo, E_hi, hint)
+    _, _, pL, pR, m = numerov._shoot(spec, Vg, xg, ics, E)
+    slope = numerov._norm_slope(spec, Vg, xg, ics, E, pL, pR, m)
+    dE = 1e-6 * E
+    W_up, W_down = (numerov._shoot(spec, Vg, xg, ics, E + d)[1]
+                    for d in (dE, -dE))
+    assert slope == pytest.approx((W_up - W_down) / (2.0 * dE), rel=1e-6)
+
+
+@pytest.mark.parametrize("pot_id", sw.CATALOG_IDS)
+def test_levels_raise_no_warning(pot_id):
+    # the norm sums square each half of a sweep, which reaches OVERFLOW
+    # (nonexact2's h/2 grid); scaled first, they overflow nowhere
+    spec = spec_of(pot_id)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 2):
+            if not spec.n_is_bound(n):
+                continue
+            sw.numerov_eigenvalue(spec, n)
+            if spec.spectrum is not None:
+                sw.numerov_eigenvalue(spec, n, E_hint=spec.spectrum(n))
+
+
+@pytest.mark.parametrize("pot_id", sorted(FULL_PRECISION_LEVELS))
+def test_hinted_level_lies_in_a_swept_bracket(pot_id, monkeypatch):
+    # the level the Newton start hands brentq lies between two swept
+    # energies, at most one tolerance apart, with n = 1 nodes each and the
+    # rule of _level_bracket, (-1)^n W > 0 below the level, flipping
+    swept = Counter()
+    shoot = numerov._shoot
+    levels = []
+
+    def recorded(spec, Vg, xg, ics, E, work=None):
+        out = shoot(spec, Vg, xg, ics, E, work)
+        swept[len(xg), E] = out[:2]
+        return out
+
+    def solved(*args):
+        levels.append((len(args[1]), solve(*args)))
+        return levels[-1][1]
+
+    solve = numerov._solve_on_grid
+    monkeypatch.setattr(numerov, "_shoot", recorded)
+    monkeypatch.setattr(numerov, "_solve_on_grid", solved)
+    spec = spec_of(pot_id)
+    sw.numerov_eigenvalue(spec, 1, E_hint=spec.spectrum(1))
+    assert [N for N, _ in levels] == [20001, 40001]
+    for N, E in levels:
+        near = sorted((e, k, W) for (n, e), (k, W) in swept.items()
+                      if n == N and abs(e - E) <= W_XTOL + W_RTOL * abs(E))
+        assert any(a <= E <= b and ka == kb == 1 and -Wa > 0.0 >= -Wb
+                   for (a, ka, Wa), (b, kb, Wb) in zip(near, near[1:]))
 
 
 def test_grid_arrays_are_freed_on_return():
