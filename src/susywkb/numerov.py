@@ -36,9 +36,12 @@ on the slope dW/dE that its own sweep gives (_norm_slope), run until a
 step is below a quarter of brentq's tolerance; one more sweep, half a
 tolerance further, closes a bracket that brentq returns at once
 (_newton_start).  A hinted level takes 3 sweeps a grid, 4 on scarf1,
-whose closed form lies 4.6e-6 from its grid level.  Where the start gives
-no bracket (a sweep without n nodes, a step out of the window, no sign
-change), the grid brackets the level around the reference energy in 2-6
+whose closed form lies 4.6e-6 from its grid level.  How few sweeps the
+start takes depends on how close the hint is: from nonexact3's SWKB level,
+23% above its E_1, it takes all six of its steps.  Where the start gives
+no bracket (a sweep without n nodes, a step out of the window, six steps,
+no sign change), the grid brackets the level around the start's last
+energy with n nodes (the reference energy when none had them) in 2-6
 sweeps, or, without one, in the energy window [E_lo, E_hi] in 5-12 sweeps,
 and the root search takes 2-3 sweeps from a hint pair and 6-9 from the
 window: a level takes 12-19 sweeps on the h grid without a hint.  W is
@@ -204,15 +207,15 @@ def _end_ic(spec, ics, which, xg, Vg, E):
 # shooting
 # ---------------------------------------------------------------------------
 
-def _new_band(N, Vg=None):
+def _new_band(N, Vg):
     """What the sweeps on an N-point grid share: the band of _recur for
     either half of a sweep, whose 2L + 1 columns it holds (L <= N - 3), -1
     in every entry, of which _recur overwrites the -a_k = -g_i of each
-    solve; beside it the buffer of _recur's solution p; and, when Vg is
-    given, the suffix minimum of V_- on the grid, floor[i] = min(Vg[i:]),
-    on which _shoot finds the matching point (else _shoot takes it)."""
-    floor = None if Vg is None else _suffix_min(Vg)
-    return np.full((3, 2 * N), -1.0, order="F"), np.empty(2 * N), floor
+    solve; beside it the buffer of _recur's solution p; and the suffix
+    minimum of V_- on the grid, floor[i] = min(Vg[i:]), on which _shoot
+    finds the matching point."""
+    return (np.full((3, 2 * N), -1.0, order="F"), np.empty(2 * N),
+            _suffix_min(Vg))
 
 
 def _suffix_min(Vg):
@@ -273,7 +276,7 @@ def _shoot(spec, Vg, xg, ics, E, work=None):
     N = len(xg)
     if work is None:
         work = _new_band(N, Vg)
-    floor = work[2] if work[2] is not None else _suffix_min(Vg)
+    floor = work[2]
     h = float(xg[1] - xg[0])
     # u = h^2 f / 12 with f = (V_- - E)/hbar^2, t = 1 - u and
     # -g = -h^2 f / t = -12 u / t
@@ -390,8 +393,9 @@ def _norm_slope(spec, Vg, xg, ics, E, pL, pR, m):
 
 
 def _newton_start(shoot, sweep, n, E_lo, E_hi, hint):
-    """A bracket of level n found by Newton steps on W from hint, else
-    None.
+    """Newton steps on W from hint toward level n: (bracket, None) when
+    they close a bracket, else (None, E), E the last energy whose sweep
+    gave n nodes and a usable slope (hint when none did).
 
     shoot(E) sweeps at E and returns (nodes, W, dW/dE), the slope from the
     same sweep (_norm_slope); sweep is the memo of _level_bracket.  From
@@ -401,30 +405,34 @@ def _newton_start(shoot, sweep, n, E_lo, E_hi, hint):
     then closes the bracket, which brentq returns at once.  A sweep without
     n nodes, a slope that is not finite or does not fall as (-1)^n W does,
     an energy outside [E_lo, E_hi], six steps without a small one, or a
-    pair on which the rule of _level_bracket does not flip gives None, and
-    _level_bracket brackets the level as it would without this start."""
+    pair on which the rule of _level_bracket does not flip gives no
+    bracket, and _level_bracket brackets the level around the E returned,
+    as it would around a hint without this start.  A far hint (the SWKB
+    level of nonexact3, 23% off) can take all six steps and still leave E
+    1e-11 from the level, well inside the first hint pair."""
     sign = (-1) ** n
-    E = hint
+    E = best = hint
     for _ in range(6):
         if not E_lo <= E <= E_hi:
-            return None
+            return None, best
         nodes, W, slope = shoot(E)
         if nodes != n or not (math.isfinite(slope) and sign * slope < 0.0):
-            return None
+            return None, best
+        best = E
         step = -W / slope
         tol = W_XTOL + W_RTOL * abs(E)
         if abs(step) < 0.25 * tol:
             break
         E += step
     else:
-        return None
+        return None, best
     a, b = sorted((E, E + math.copysign(0.5 * tol, step)))
     if not E_lo <= a < b <= E_hi:
-        return None
+        return None, best
     (na, Wa), (nb, Wb) = sweep(a), sweep(b)
     if na == nb == n and sign * Wa > 0.0 >= sign * Wb:
-        return a, b
-    return None
+        return (a, b), None
+    return None, best
 
 
 def _wronskian(E, sweep):
@@ -434,7 +442,8 @@ def _wronskian(E, sweep):
 def _solve_on_grid(spec, xg, Vg, ics, n, E_lo, E_hi, hint):
     """Level n on the grid xg, where V_- takes the values Vg: the root of
     the matching Wronskian in a bracket from the Newton start at hint
-    (_newton_start), else from _level_bracket."""
+    (_newton_start), else from _level_bracket around the start's last
+    energy with n nodes."""
     # energy -> (nodes up to m, W), shared by the start, the bracket and
     # the root
     sweeps = {}
@@ -453,7 +462,7 @@ def _solve_on_grid(spec, xg, Vg, ics, n, E_lo, E_hi, hint):
 
     bracket = None
     if hint is not None:
-        bracket = _newton_start(shoot, sweep, n, E_lo, E_hi, hint)
+        bracket, hint = _newton_start(shoot, sweep, n, E_lo, E_hi, hint)
     a, b = bracket or _level_bracket(sweep, n, E_lo, E_hi, hint)
     # brentq keeps its objective in a reference cycle (scipy's NaN guard
     # refers to itself).  Passing sweep as an argument keeps this grid's

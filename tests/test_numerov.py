@@ -228,7 +228,7 @@ def test_one_band_serves_every_sweep_of_a_grid():
     # here, and -1e3 rescales), so each sweep writes a different stretch
     # of the band; what earlier sweeps left must not be read
     spec, xg, Vg, ics, E_lo, E_hi = _level_grid("nonexact2", 20001)
-    band = numerov._new_band(len(xg))
+    band = numerov._new_band(len(xg), Vg)
     for E in (E_hi, -1e3, E_lo, 0.5 * E_hi, 0.2 * E_hi):
         kept = numerov._shoot(spec, Vg, xg, ics, E, band)
         fresh = numerov._shoot(spec, Vg, xg, ics, E)
@@ -320,6 +320,15 @@ def test_sweep_budget_per_grid(sweeps, fallbacks):
     sw.numerov_eigenvalue(spec_of("scarf1"), 1, E_hint=3.0)
     assert sweeps[20001] <= 5
     assert sweeps[40001] <= 4
+    # a far hint: nonexact3's SWKB level lies 23% above E_1, and the start's
+    # six steps leave W at 7.2e-11; the hint pairs around its last step
+    # close the bracket (10 sweeps, 19 without the start, 25 when the
+    # pairs started again from the hint)
+    sweeps.clear()
+    spec = spec_of("nonexact3")
+    sw.numerov_eigenvalue(spec, 1, E_hint=sw.solve_level(spec, 1).energy)
+    assert sweeps[20001] <= 12
+    assert sweeps[40001] <= 3
     assert fallbacks == []
 
 
@@ -405,11 +414,17 @@ def test_wrong_hint_falls_back(pot_id, fallbacks):
     E2_grid = numerov._solve_on_grid(spec, xg, Vg, ics, 2, E_lo,
                                      max(E_hi, E2 + 1.0), None)
     fallbacks.clear()
-    for hint in (E2_grid, E2, 0.9 * E1):
+    for hint in (E2_grid, E2):
         got = numerov._solve_on_grid(spec, xg, Vg, ics, 1, E_lo, E_hi, hint)
         assert got == cold
-    assert fallbacks == [1, 1, 1]
+    assert fallbacks == [1, 1]
+    # 10% below E_1 the hint has E_1's node count: the Newton start's six
+    # steps end 1.1e-9 (eckart) and 5.9e-8 (scarf1) from the level, and
+    # the hint pairs around its last step bracket it without the window
     fallbacks.clear()
+    got = numerov._solve_on_grid(spec, xg, Vg, ics, 1, E_lo, E_hi, 0.9 * E1)
+    assert abs(got - cold) <= 2.0 * W_RTOL * (1.0 + abs(cold))
+    assert fallbacks == []
     E = sw.numerov_eigenvalue(spec, 1, n_points=2001, E_hint=E2)
     assert fallbacks == [1]             # the h grid only
     assert E == pytest.approx(E1, rel=1e-3)     # a 2001-point grid: 7e-4
