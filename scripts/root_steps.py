@@ -5,17 +5,21 @@ For each catalog entry and bound level n = 1..4 this solves the SWKB level
 (solve_level), and for one entry of each contour mapping (eckart: exp,
 scarf1: exp_i) one contour level (quantize_by_contours, n = 1), then the
 same level on the QHJ pole sum alone (quantize_by_poles, on the same spec).
-For each level it prints the calls of cpoly.find_roots and the CPU seconds
-spent inside them, the evaluations of each action in the shared level solve
+For each level it prints the calls of cpoly.find_roots in two columns,
+spec_calls for the polynomials of the spec alone (catalog: omega's den and
+the critical points of its monotone pieces, each solved once per spec) and
+P_calls for P = E den^2 - num^2 at one energy, with the CPU seconds spent
+inside both; then the evaluations of each action in the shared level solve
 (swkb.solve_action), the level's CPU time and its energy: J_evals counts
 the SWKB integrals, pole_evals the evaluations of the QHJ pole sum over m.
-An SWKB level solves the pole sum first, for the energy its search starts
-at, so its row shows both; on an exact entry it then takes 1-4 SWKB
-integrals.  The first row of nonexact1 and of nonexact2 also counts the
-one workspace that the spec's cut census builds for m
-(catalog.PotentialSpec.swkb_cut_count); no later row does.  A contour
-level solves P once, for its one check on the SWKB sheet, and the spec's
-den once; the pole level then solves nothing.
+An SWKB level solves no P: its turning points come from the monotone
+pieces of omega.  A spec's first SWKB row takes the spec's den (for the
+pole sum, whose level the search starts at; nonexact3's den is a constant)
+and one call for the pieces, and later rows take none.  The first row of
+nonexact1 and of nonexact2 also solves the P of the one workspace that the
+spec's cut census builds for m (catalog.PotentialSpec.swkb_cut_count).  A
+contour level solves P once, for its one check on the SWKB sheet, and the
+spec's den once; the pole level then solves nothing.
 
     PYTHONPATH=src python scripts/root_steps.py [--json PATH] [ids ...]
 """
@@ -27,7 +31,7 @@ import time
 from collections import Counter
 
 import susywkb as sw
-from susywkb import contours, cpoly, swkb
+from susywkb import catalog, contours, cpoly, swkb
 
 CONTOUR_LEVELS = (("eckart", 1), ("scarf1", 1))
 
@@ -42,23 +46,26 @@ def rebind(name, old, new):
 
 class Counts:
     """Wraps cpoly.find_roots and swkb.solve_action, wherever they are
-    bound, to count the root finder's calls and CPU seconds and, by the
-    solve's method, the evaluations of the action each level solve is
-    given."""
+    bound, to count the root finder's calls (those made from catalog, on
+    the spec's own polynomials, apart from the rest, on P) and CPU seconds
+    and, by the solve's method, the evaluations of the action each level
+    solve is given."""
 
     def __init__(self):
-        self.calls = 0
+        self.calls = Counter()
         self.evals = Counter()
         self.roots_s = 0.0
         find, solve = cpoly.find_roots, swkb.solve_action
 
-        def counted_find(p):
-            self.calls += 1
-            t0 = time.process_time()
-            try:
-                return find(p)
-            finally:
-                self.roots_s += time.process_time() - t0
+        def counter(kind):
+            def counted_find(p):
+                self.calls[kind] += 1
+                t0 = time.process_time()
+                try:
+                    return find(p)
+                finally:
+                    self.roots_s += time.process_time() - t0
+            return counted_find
 
         def counted_solve(spec, n, action, method, start=None):
             def counted_action(E):
@@ -67,15 +74,16 @@ class Counts:
 
             return solve(spec, n, counted_action, method, start)
 
-        rebind("find_roots", find, counted_find)
+        rebind("find_roots", find, counter("P"))
+        catalog.find_roots = counter("spec")
         rebind("solve_action", solve, counted_solve)
 
     def take(self):
-        """(calls, roots_s, SWKB integrals, pole sums) since the last call
-        of take."""
-        out = (self.calls, self.roots_s, self.evals["swkb_quadrature"],
-               self.evals["poles"])
-        self.calls = 0
+        """(spec calls, P calls, roots_s, SWKB integrals, pole sums) since
+        the last call of take."""
+        out = (self.calls["spec"], self.calls["P"], self.roots_s,
+               self.evals["swkb_quadrature"], self.evals["poles"])
+        self.calls.clear()
         self.evals.clear()
         self.roots_s = 0.0
         return out
@@ -106,18 +114,20 @@ def main():
     counts = Counts()
     rows = []
     print(f"{'id':12s} {'n':>2s} {'route':>7s} {'cpu_s':>6s} {'E':>22s} "
-          f"{'calls':>5s} {'roots_s':>7s} {'J_evals':>7s} "
-          f"{'pole_evals':>10s}")
+          f"{'spec_calls':>10s} {'P_calls':>7s} {'roots_s':>7s} "
+          f"{'J_evals':>7s} {'pole_evals':>10s}")
     for spec, n, route in cases(args.ids):
         t0 = time.process_time()
         E = solvers[route](spec, n).energy
         cpu = time.process_time() - t0
-        calls, roots_s, j_evals, pole_evals = counts.take()
+        spec_calls, p_calls, roots_s, j_evals, pole_evals = counts.take()
         rows.append({"entry": spec.id, "n": n, "route": route, "E": E,
-                     "cpu_s": cpu, "calls": calls, "roots_s": roots_s,
+                     "cpu_s": cpu, "spec_calls": spec_calls,
+                     "P_calls": p_calls, "roots_s": roots_s,
                      "J_evals": j_evals, "pole_evals": pole_evals})
         print(f"{spec.id:12s} {n:2d} {route:>7s} {cpu:6.3f} {E!r:>22s} "
-              f"{calls:5d} {roots_s:7.4f} {j_evals:7d} {pole_evals:10d}")
+              f"{spec_calls:10d} {p_calls:7d} {roots_s:7.4f} {j_evals:7d} "
+              f"{pole_evals:10d}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(rows, fh, indent=1)

@@ -13,6 +13,7 @@ H_- = -hbar^2 d^2/dx^2 + omega^2 - hbar*omega' sits at E_0 = 0).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -31,6 +32,13 @@ MULTIPLE_POLE_TOL = 1e-6   # p is a multiple zero of den where |den'(p)| is
                            # (find_roots splits an m-fold zero by about
                            # eps^(1/m), so |den'| there is about
                            # eps^((m-1)/m), 1.5e-8 at m = 2)
+PIECE_SAMPLES = 64         # Newton starts per monotone piece of omega
+                           # (omega_pieces), one evaluation each when the
+                           # spec builds them: a turning_points call takes
+                           # 12.1, 10.1, 9.1 and 8.6 scalar evaluations
+                           # (mean over the entries at their defaults and
+                           # three draws, n <= 4) at 8, 32, 64 and 128
+EPS = np.finfo(float).eps
 
 
 def plane_key(z):
@@ -38,6 +46,19 @@ def plane_key(z):
     decimals: a conjugate pair whose real parts differ by rounding noise
     (1e-30 against -1e-44) keeps its order."""
     return (round(z.real, 9), round(z.imag, 9))
+
+
+@dataclass(frozen=True)
+class OmegaPiece:
+    """An interval of the domain on which omega is monotone, x ascending:
+    xs are its two ends with the samples strictly between, oms omega there
+    (at the ends its limits, +-inf at a pole) and slopes d omega/dx (nan at
+    the ends)."""
+
+    xs: tuple
+    oms: tuple
+    slopes: tuple
+    rising: bool
 
 
 @dataclass(frozen=True)
@@ -202,6 +223,139 @@ class PotentialSpec:
             return self.cut_count
         from .contours import _Workspace        # contours imports this module
         return _Workspace(self, probe_energy(self)).m
+
+    @cached_property
+    def omega_pieces(self):
+        """omega's monotone pieces (OmegaPiece), built once per spec for the
+        turning points (swkb.turning_points): the domain cut at the real
+        critical points of omega, the roots of
+        num' den - num den' = sum (i - j) num_i den_j y^(i+j-1) (one
+        find_roots; no leading term cancels in rounding) that x_of_y maps
+        inside.  Each piece holds omega at its ends (_end_limit at the
+        domain's ends) and at PIECE_SAMPLES points spaced evenly in
+        atan(k x), k = alpha under the exponential mappings and 1 under the
+        identity, so that they reach out toward an infinite end.  omega is
+        taken to be finite inside the domain: every catalog pole lies at an
+        end or off the real domain."""
+        a, b = self.omega_y.num.coeffs, self.omega_y.den.coeffs
+        q = np.zeros(len(a) + len(b), dtype=complex)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                if i != j:
+                    q[i + j - 1] += (i - j) * ai * bj
+        lo, hi = self.domain
+        crit = set()
+        if np.any(q):
+            for r in find_roots(Polynomial(q)):
+                x = self.x_of_y(r)
+                if x is not None and lo < x < hi:
+                    crit.add(x)
+        ends = [lo, *sorted(crit), hi]
+        pairs = self.omega_pairs(0.0)
+        vals = ([self._end_limit(lo, 1.0)]
+                + [self.omega_scalar(x, pairs)[0] for x in ends[1:-1]]
+                + [self._end_limit(hi, -1.0)])
+        k = 1.0 if self.mapping == "identity" else self.alpha
+        steps = np.arange(1, PIECE_SAMPLES + 1) / (PIECE_SAMPLES + 1)
+        pieces = []
+        for xa, xb, va, vb in zip(ends, ends[1:], vals, vals[1:]):
+            ta, tb = math.atan(k * xa), math.atan(k * xb)
+            xs = [x for x in (np.tan(ta + (tb - ta) * steps) / k).tolist()
+                  if xa < x < xb]
+            evals = [self.omega_scalar(x, pairs) for x in xs]
+            pieces.append(OmegaPiece(
+                xs=(xa, *xs, xb), oms=(va, *(e[0] for e in evals), vb),
+                slopes=(math.nan, *(e[1] for e in evals), math.nan),
+                rising=bool(vb > va)))
+        return tuple(pieces)
+
+    def _end_limit(self, x0, inward):
+        """The limit of omega at the domain end x0, approached from inside
+        (inward = 1 at the lower end, -1 at the upper): +-inf at a pole.
+        In the mapped plane y tends to y0 along the direction d, or to
+        infinity, where w = 1/y tends to 0 and omega is the ratio of the
+        reversed num and den.  With a_j, b_j the Taylor coefficients of num
+        and den there and j, k the first that are not zero,
+        omega ~ (a_j/b_k) (h d)^(j - k) as h -> 0+.  Under exp x0 = -inf is
+        y0 = 0; under exp_i y0 = exp(i alpha x0) and d = inward i y0.  A
+        shifted coefficient counts as zero within its rounding bound,
+        4 n eps (1 + |alpha x0|) sum_i C(i, j) |c_i| |y0|^(i - j): the
+        shift's own rounding and that of y0 (den(exp(i pi/2)) on scarf1's
+        wall is 1.2e-16, against a bound of 9e-15)."""
+        a, b = self.omega_y.num.coeffs, self.omega_y.den.coeffs
+        n = max(len(a), len(b))
+        cs = np.zeros((2, n), dtype=complex)
+        cs[0, :len(a)], cs[1, :len(b)] = a, b
+        if self.mapping == "exp_i":
+            y0 = complex(self.y_of_x(x0))
+            d, arg = inward * 1j * y0, self.alpha * x0
+        elif math.isinf(x0) and (self.mapping == "identity" or x0 > 0):
+            cs, y0 = cs[:, ::-1], 0.0
+            d, arg = math.copysign(1.0, x0), 0.0
+        elif math.isinf(x0):
+            y0, d, arg = 0.0, 1.0, 0.0
+        else:
+            y0 = complex(self.y_of_x(x0))
+            d = inward
+            arg = 0.0 if self.mapping == "identity" else self.alpha * x0
+        shifted, bound = cs.copy(), np.abs(cs)
+        for j in range(n - 1):
+            for i in range(n - 2, j - 1, -1):
+                shifted[:, i] += y0 * shifted[:, i + 1]
+                bound[:, i] += abs(y0) * bound[:, i + 1]
+        zero = np.abs(shifted) <= 4 * n * EPS * (1.0 + abs(arg)) * bound
+        if zero[0].all():
+            return 0.0
+        j, k = (int(np.argmin(z)) for z in zero)
+        if j > k:
+            return 0.0
+        ratio = shifted[0, j] / shifted[1, k] / d ** (k - j)
+        if j == k:
+            return float(ratio.real)
+        return math.copysign(math.inf, ratio.real)
+
+    @cached_property
+    def _omega_coeffs(self):
+        """(num_k, den_k) of omega, highest degree first, one length, as
+        Python floats where every coefficient is real."""
+        rows = self._omega_rows[:, :2]
+        return rows.tolist() if rows.imag.any() else rows.real.tolist()
+
+    def omega_pairs(self, c):
+        """(num_k - c den_k, den_k) for omega_scalar: omega - c is
+        (num - c den)/den, its coefficients differenced before any sum."""
+        return [(n - c * d, d) for n, d in self._omega_coeffs]
+
+    def omega_scalar(self, x, pairs):
+        """omega(x) - c and d omega/dx at the float x, in scalar Python
+        arithmetic over pairs = omega_pairs(c), each polynomial and its
+        derivative in one Horner pass.  Where |y| > 1 the sums run in
+        w = 1/y over the reversed pairs: (num - c den)/den is the same
+        ratio of the reversed polynomials, whose terms stay bounded.  Only
+        the domain is not checked (omega_x checks it)."""
+        if self.mapping == "exp_i":
+            z = cmath.exp(1j * self.alpha * x)
+            dz = 1j * self.alpha * z
+        elif self.mapping == "exp":
+            ax = self.alpha * x
+            z = math.exp(-abs(ax))
+            dz = -self.alpha * z if ax > 0 else self.alpha * z
+            if ax > 0:
+                pairs = reversed(pairs)
+        elif abs(x) > 1.0:
+            z = 1.0 / x
+            dz = -z * z
+            pairs = reversed(pairs)
+        else:
+            z, dz = x, 1.0
+        g = dg = d = dd = 0.0
+        for gk, dk in pairs:
+            dg = dg * z + g
+            g = g * z + gk
+            dd = dd * z + d
+            d = d * z + dk
+        r = g / d
+        return r.real, ((dg - r * dd) / d * dz).real
 
     @cached_property
     def num_squared_y(self):

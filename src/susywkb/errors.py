@@ -14,8 +14,10 @@ class UnboundEnergyError(DomainError):
 
 
 class ConvergenceError(SusyWkbError):
-    """An iterative procedure failed to reach its tolerance."""
+    """An iterative procedure failed to reach its tolerance; bracket is the
+    last interval of a root search that stopped inside one."""
 
-    def __init__(self, msg, residuals=None):
+    def __init__(self, msg, residuals=None, bracket=None):
         super().__init__(msg)
         self.residuals = residuals
+        self.bracket = bracket

@@ -4,6 +4,14 @@ J_SWKB(E) = (1/pi) * integral_{x1}^{x2} sqrt(E - omega^2(x)) dx between the
 two real turning points, and the inversion of the quantization condition
 J_SWKB(E) = n * hbar for eigenvalues.
 
+The turning points are where omega = -sqrt(E) and omega = +sqrt(E)
+(Comtet, Bandrauk & Campbell, Phys. Lett. B 150, 159 (1985)).  They take
+no root of P = E*den^2 - num^2: each spec cuts its domain once into the
+pieces on which omega is monotone (catalog.PotentialSpec.omega_pieces), and
+at each energy a bracketed Newton iteration finds the crossing on each
+piece that crosses -sqrt(E) or +sqrt(E) (_crossing), so a level solves no
+polynomial after the spec's first.
+
 The level search starts at the level of the closed-form QHJ pole sum
 (quantize_by_poles, on spec.qhj over the spec's m), which takes no root of
 P.  On the exact entries that is the SWKB level itself (Leacock & Padgett,
@@ -16,14 +24,16 @@ level is the root of J_SWKB - n*hbar either way.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .catalog import unbound_level
-from .cpoly import Polynomial, find_roots
+from .catalog import EPS, unbound_level
+from .cpoly import Polynomial
 from .errors import ConvergenceError, DomainError, UnboundEnergyError
 from .quadrature import gauss_chebyshev
 
@@ -60,16 +70,21 @@ def _energy_numerator(spec, E):
 
 def turning_points(spec, E, roots=None):
     """The unique pair of real turning points of E - omega^2 in the domain.
-    roots, the roots of _energy_numerator(spec, E) when the caller holds
-    them already, spares solving for them again.
 
-    The ends are the roots as solved, rounded to 12 decimals only to drop
-    duplicates: swkb_integral converges like 1/n on rounded ends.  The
-    midpoint alone decides that the gap is classically allowed.  Every real
-    zero of P = E*den^2 - num^2 in the domain is a turning point, so P has
-    none strictly between x1 and x2; E - omega^2 = P/den^2 has the sign of P
-    where den != 0, and P = -num^2 < 0 where den = 0.  So one sign holds on
-    the whole gap.
+    Without roots they come from the spec's monotone pieces of omega
+    (catalog.PotentialSpec.omega_pieces), with no root of P: each piece on
+    which omega crosses -sqrt(E) or +sqrt(E) holds one turning point,
+    solved by _crossing.  roots, the roots of _energy_numerator(spec, E)
+    when the caller holds them already (contours._Workspace, defect_report),
+    gives the ends as those roots that x_of_y maps into the domain, rounded
+    to 12 decimals only to drop duplicates (swkb_integral converges like
+    1/n on rounded ends): filtering them costs less than the crossings.
+
+    On either path the midpoint alone decides that the gap is classically
+    allowed.  Every real zero of P = E*den^2 - num^2 in the domain is a
+    turning point, so P has none strictly between x1 and x2;
+    E - omega^2 = P/den^2 has the sign of P where den != 0, and
+    P = -num^2 < 0 where den = 0.  So one sign holds on the whole gap.
     """
     if not (E > 0):
         raise UnboundEnergyError(f"E={E} must be positive")
@@ -78,23 +93,99 @@ def turning_points(spec, E, roots=None):
             f"E={E} at or above the binding threshold {spec.threshold} "
             f"of {spec.id}")
     if roots is None:
-        roots = find_roots(_energy_numerator(spec, E))
-    lo, hi = spec.domain
-    xs = {}
-    for r in roots:
-        x = spec.x_of_y(r)
-        if x is not None and lo < x < hi:
-            xs.setdefault(round(x, 12), x)
-    if len(xs) != 2:
+        c, c_lo = _sqrt_split(E)
+        ends = []
+        for v, v_lo in ((-c, -c_lo), (c, c_lo)):
+            pairs = spec.omega_pairs(v)
+            ends += [_crossing(spec, piece, v, v_lo, pairs)
+                     for piece in spec.omega_pieces
+                     if (piece.oms[0] - v) * (piece.oms[-1] - v) < 0.0]
+    else:
+        lo, hi = spec.domain
+        xs = {}
+        for r in roots:
+            x = spec.x_of_y(r)
+            if x is not None and lo < x < hi:
+                xs.setdefault(round(x, 12), x)
+        ends = list(xs.values())
+    if len(ends) != 2:
         raise UnboundEnergyError(
-            f"E={E}: found {len(xs)} real turning points in the domain of "
+            f"E={E}: found {len(ends)} real turning points in the domain of "
             f"{spec.id}, expected exactly 2")
-    x1, x2 = (xs[key] for key in sorted(xs))
-    if not spec.omega_x(0.5 * (x1 + x2)) ** 2 < E:
+    x1, x2 = sorted(ends)
+    mid = 0.5 * (x1 + x2)
+    if not spec.omega_scalar(mid, spec.omega_pairs(0.0))[0] ** 2 < E:
         raise UnboundEnergyError(
             f"E={E}: region between turning points is not classically "
             f"allowed for {spec.id}")
     return TurningPoints(x1, x2)
+
+
+def _sqrt_split(E):
+    """c = fl(sqrt(E)) and c_lo with sqrt(E) = c + c_lo to about eps^2
+    relative: c*c = p + err exactly by Dekker's split, E - p is exact
+    (Sterbenz), and c_lo = (E - c^2)/(2c).  Where omega tends to sqrt(E)
+    slowly the rounding of c alone would move a turning point far more than
+    one of E does (eckart at E = 224.9: 3.7e-14 relative)."""
+    c = math.sqrt(E)
+    t = 134217729.0 * c                     # 2^27 + 1
+    hi = t - (t - c)
+    lo = c - hi
+    p = c * c
+    err = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+    return c, ((E - p) - err) / (2.0 * c)
+
+
+def _crossing(spec, piece, v, v_lo, pairs):
+    """The x of the monotone piece at which omega = v + v_lo, where omega
+    crosses v on it: a bracketed Newton iteration on
+    omega - v - v_lo (catalog.PotentialSpec.omega_scalar over pairs =
+    omega_pairs(v)), started at the sample nearer v between the two that
+    bracket it and bisecting where a step leaves the bracket (in atan(k x)
+    toward an infinite end, k as in omega_pieces).  It stops at a step
+    within 2 eps |x|: from a sample a crossing takes about 4 evaluations
+    (catalog.PIECE_SAMPLES)."""
+    xs, oms = piece.xs, piece.oms
+    i = bisect_right(oms, v if piece.rising else -v,
+                     key=None if piece.rising else operator.neg)
+    a, b = xs[i - 1], xs[i]
+    k = 1.0 if spec.mapping == "identity" else spec.alpha
+    inside = [j for j in (i - 1, i) if 0 < j < len(xs) - 1]
+    if inside:
+        j = min(inside, key=lambda j: abs(oms[j] - v))
+        x, f, df = xs[j], oms[j] - v, piece.slopes[j]
+    else:                               # no sample inside: start halfway
+        x = _halfway(a, b, k)
+        f, df = spec.omega_scalar(x, pairs)
+        f -= v_lo
+    for _ in range(200):                # a cap only
+        xn = x - f / df if df else math.nan
+        if abs(xn - x) <= 2.0 * EPS * abs(x):
+            return xn
+        if not a < xn < b:
+            xn = _halfway(a, b, k)
+            if xn in (a, b):
+                return x
+        x = xn
+        f, df = spec.omega_scalar(x, pairs)
+        f -= v_lo
+        if f == 0.0:
+            return x
+        if (f < 0.0) == piece.rising:
+            a = x
+        else:
+            b = x
+    raise ConvergenceError(
+        f"turning point of {spec.id} at omega = {v!r} did not converge "
+        f"in [{a!r}, {b!r}]", bracket=(a, b))
+
+
+def _halfway(a, b, k):
+    """The midpoint of (a, b) in x, or in atan(k x) where an end is
+    infinite."""
+    if math.isinf(a) or math.isinf(b):
+        return math.tan(0.5 * (math.atan(k * a) + math.atan(k * b))) / k
+    return 0.5 * (a + b)
 
 
 def swkb_integral(spec, E, roots=None):
@@ -183,7 +274,12 @@ def solve_action(spec, n, action, method, start=None):
     # a relative width only: near nonexact2's threshold 1/16, where J is
     # steep, an absolute width of 1e-14 is 1440 ulps of E and leaves
     # residuals above TAU_LEVEL
-    E = brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    try:
+        E = brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    except RuntimeError as err:         # brentq's iteration cap
+        raise ConvergenceError(
+            f"level n={n} of {spec.id} did not converge in the bracket "
+            f"[{lo!r}, {hi!r}]: {err}", bracket=(lo, hi)) from None
     resid = abs(J(E) / hbar - n)
     if resid > TAU_LEVEL:
         raise ConvergenceError(
@@ -207,7 +303,9 @@ def _bracket(spec, g, n, start):
 
     A finite threshold is approached from inside, farthest first: near it
     a turning point runs away or meets a pole, and quadratures may not
-    converge there, so a ConvergenceError ends the approach."""
+    converge there, so a ConvergenceError ends the approach.  A bound level
+    above the last top, thr*(1 - 1e-9), raises ConvergenceError with g
+    there."""
     if start is not None and 0.0 < start < spec.threshold:
         try:
             E0, g0 = start, g(start)
@@ -231,10 +329,16 @@ def _bracket(spec, g, n, start):
     if math.isfinite(spec.threshold):
         for eps in (1e-3, 1e-5, 1e-7, 1e-9):
             hi = spec.threshold * (1.0 - eps)
-            if g(hi) > 0.0:
+            g_hi = g(hi)
+            if g_hi > 0.0:
                 break
         else:
-            raise unbound_level(spec, n)
+            # the level is bound (solve_action checks n_is_bound): it lies
+            # above the last top, where the ladder cannot reach it
+            raise ConvergenceError(
+                f"could not bracket level n={n} of {spec.id} below its "
+                f"threshold: g = {g_hi!r} at the last top E = {hi!r}",
+                residuals=[g_hi])
         lo = 1e-9 * spec.threshold
     else:
         hi = 1.0

@@ -314,3 +314,34 @@ def test_spec_caches_equal_what_they_replace():
 def test_nonexact3_flagged_partial():
     assert sw.get_spec("nonexact3").partial
     assert not sw.get_spec("eckart").partial
+
+
+LIMIT_SPECS = ([sw.get_spec(p) for p in sw.CATALOG_IDS]
+               + [drawn_spec(p, s) for p in sw.CATALOG_IDS for s in (1, 2, 3)]
+               + [textbook_spec(t) for t in TEXTBOOK_IDS])
+
+
+@pytest.mark.parametrize("spec", LIMIT_SPECS,
+                         ids=lambda spec: f"{spec.id}-{spec.hbar:.4f}")
+def test_omega_limits_at_the_domain_ends(spec):
+    # the ends of the monotone pieces hold omega's limits at the domain's
+    # ends: +-inf at a pole (the walls of eckart, genpt, nonexact1,
+    # nonexact2 and the exp_i entries, whose y0 = exp(i alpha x0) is a zero
+    # of den only to rounding), else the finite limit.  Reference: omega_x
+    # at two points approaching the end; a pole where |omega| grows 100x
+    k = 1.0 if spec.mapping == "identity" else spec.alpha
+    lo, hi = spec.domain
+    pieces = spec.omega_pieces
+    for x0, inward, got in ((lo, 1.0, pieces[0].oms[0]),
+                            (hi, -1.0, pieces[-1].oms[-1])):
+        if math.isinf(x0):
+            far = (1e6, 1e8) if spec.mapping == "identity" else (30.0, 40.0)
+            xs = [math.copysign(d, x0) / k for d in far]
+        else:
+            xs = [x0 + inward * h / k for h in (1e-7, 1e-9)]
+        near, nearer = spec.omega_x(np.array(xs))
+        if abs(nearer) > 10.0 * abs(near) + 1.0:
+            assert got == math.copysign(math.inf, nearer), x0
+        else:
+            assert got == pytest.approx(nearer, rel=1e-6, abs=1e-6), x0
+            assert math.isfinite(got)

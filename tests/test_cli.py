@@ -198,6 +198,20 @@ def test_exit_code_domain_error():
         assert err.startswith("error: ") and "Traceback" not in err, args
 
 
+@pytest.mark.parametrize("pot_id",
+                         ["genpt", "rosenmorse2", "scarf1", "rosenmorse1"])
+def test_tiny_alpha_solves_or_reports_the_convergence_error(pot_id):
+    # at alpha = 1e-300 brentq's iteration cap in the pole-sum start was a
+    # RuntimeError that escaped as a traceback; it is now a ConvergenceError
+    # carrying the bracket, the start falls back, and the SWKB quadrature
+    # does not converge: exit 3 with the error line
+    rc, out, err = run_cli("--params", "alpha=1e-300", "spectrum", pot_id,
+                           "--levels", "2")
+    if rc != 0:
+        assert rc == 3, err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_complex_cells_quoted():
     rc, out, _ = run_cli("census", "scarf2", "--energy", "5")
     assert rc == 0

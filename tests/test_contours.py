@@ -156,8 +156,9 @@ def test_quantize_by_contours_evaluates_each_energy_once(monkeypatch):
 
     spec = spec_of("eckart")
     monkeypatch.setattr(contours, "_condition_value", counted)
-    # the workspace hands its branch points to turning_points
-    monkeypatch.setattr(swkb, "find_roots", unexpected)
+    # the workspace hands its branch points to turning_points, which then
+    # solves no crossing on the monotone pieces of omega
+    monkeypatch.setattr(swkb, "_crossing", unexpected)
     monkeypatch.setattr(contours, "find_roots", unexpected)
     sw.quantize_by_poles(spec, 1)
     assert energies == []
@@ -291,9 +292,10 @@ def test_defect_report_solves_the_roots_once(monkeypatch, pot_id, E, n):
         solved.append(P)
         return find(P)
 
-    # the workspace's branch points serve the SWKB integral too
+    # the workspace's branch points serve the SWKB integral too, with no
+    # crossing solved on the monotone pieces of omega
     monkeypatch.setattr(contours, "find_roots", counted)
-    monkeypatch.setattr(swkb, "find_roots", counted)
+    monkeypatch.setattr(swkb, "_crossing", counted)
     assert sw.defect_report(spec, E, n) == want
     assert len(solved) == 1
 
@@ -382,21 +384,23 @@ def test_contour_level_agrees_with_the_swkb_level_to_rounding(
 
 # Known failing input (ROADMAP): with A = 1e-4 and B = 100 the levels of
 # eckart sit within 1e-8 relative of the threshold (B/A - A)^2, about 1e12,
-# and neither route reaches them.  At the bracket's energy threshold *
-# (1 - 1e-5) the SWKB route finds one turning point.  The contour route
-# solves the QHJ pole sum: at n = 1 and 2 the solve ends with residuals
-# 4.4e-8 and 2.6e-7, above TAU_LEVEL, since one ulp of E (1.2e-4) moves
-# the pole sum by about that much there; E_5 lies 2.2e-10 relative below
-# the threshold, above every bracket top (1 - 1e-9), so level 5 is unbound.
+# and neither route reaches them.  The SWKB route finds both turning points
+# (the monotone pieces of omega keep the x1 = 5e-11 that cancellation in P
+# loses), but its quadrature does not resolve x1 next to the wall pole by
+# 2^17 nodes.  The contour route solves the QHJ pole sum: at n = 1 and 2
+# the solve ends with residuals 4.4e-8 and 2.6e-7, above TAU_LEVEL, since
+# one ulp of E (1.2e-4) moves the pole sum by about that much there; E_5
+# lies 2.2e-10 relative below the threshold, above every bracket top
+# (1 - 1e-9), where the ladder cannot bracket it.
 @pytest.mark.parametrize("solve, n", [
     pytest.param(swkb.solve_level, n, id=f"swkb-{n}",
                  marks=pytest.mark.xfail(strict=True,
-                                         raises=UnboundEnergyError))
+                                         raises=ConvergenceError))
     for n in (1, 2, 5)] + [
     pytest.param(contours.quantize_by_contours, n, id=f"contour-{n}",
-                 marks=pytest.mark.xfail(strict=True, raises=raises))
-    for n, raises in ((1, ConvergenceError), (2, ConvergenceError),
-                      (5, UnboundEnergyError))])
+                 marks=pytest.mark.xfail(strict=True,
+                                         raises=ConvergenceError))
+    for n in (1, 2, 5)])
 def test_eckart_levels_next_to_the_threshold(solve, n):
     spec = sw.get_spec("eckart", params={"A": 1e-4, "B": 100})
     E = solve(spec, n).energy
@@ -405,14 +409,18 @@ def test_eckart_levels_next_to_the_threshold(solve, n):
 
 def test_pole_route_next_to_the_eckart_threshold():
     # what the pole route raises on the input above: the level solve's
-    # residual gate at n = 1, 2, the bracket at n = 5
+    # residual gate at n = 1, 2, the threshold ladder at n = 5, whose last
+    # top thr (1 - 1e-9) lies below E_5: a bound level, not an unbound one
     spec = sw.get_spec("eckart", params={"A": 1e-4, "B": 100})
     for n in (1, 2):
         with pytest.raises(ConvergenceError) as err:
             sw.quantize_by_poles(spec, n)
         assert err.value.residuals[0] > swkb.TAU_LEVEL
-    with pytest.raises(UnboundEnergyError):
+    with pytest.raises(ConvergenceError, match="could not bracket level "
+                       "n=5 of eckart below its threshold") as err:
         sw.quantize_by_poles(spec, 5)
+    assert str(spec.threshold * (1.0 - 1e-9)) in str(err.value)
+    assert err.value.residuals[0] == pytest.approx(-2.1032, abs=1e-4)
 
 
 # The paper's comparison, term by term: each SWKB sheet term equals its QHJ
