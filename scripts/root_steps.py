@@ -4,7 +4,8 @@
 For each catalog entry and bound level n = 1..4 this solves the SWKB level
 (solve_level), and for one entry of each contour mapping (eckart: exp,
 scarf1: exp_i) one contour level (quantize_by_contours, n = 1), then the
-same level on the QHJ pole sum alone (quantize_by_poles, on the same spec).
+same level on the QHJ pole sum alone (quantize_by_poles, on the same spec),
+then the defect report at the closed-form level (defect_report).
 For each level it prints the calls of cpoly.find_roots in two columns,
 spec_calls for the polynomials of the spec alone (catalog: omega's den and
 the critical points of its monotone pieces, each solved once per spec) and
@@ -19,7 +20,13 @@ and one call for the pieces, and later rows take none.  The first row of
 nonexact1 and of nonexact2 also solves the P of the one workspace that the
 spec's cut census builds for m (catalog.PotentialSpec.swkb_cut_count).  A
 contour level solves P once, for its one check on the SWKB sheet, and the
-spec's den once; the pole level then solves nothing.
+spec's den once; the pole level then solves nothing.  A defect row solves P
+once, for its workspace, whose classical cut joins its own in-domain branch
+points; its SWKB integral takes its ends from the monotone pieces, as an
+SWKB row does (the spec of the contour rows builds them here, its one spec
+call), so J_SWKB and the cuts are two independent computations.
+So P is solved per route: SWKB 0 after a spec's first row, contour 1,
+defect 1.
 
     PYTHONPATH=src python scripts/root_steps.py [--json PATH] [ids ...]
 """
@@ -100,6 +107,7 @@ def cases(ids):
             spec = sw.get_spec(pot_id)
             yield spec, n, "contour"
             yield spec, n, "poles"
+            yield spec, n, "defect"
 
 
 def main():
@@ -108,9 +116,13 @@ def main():
     ap.add_argument("--json", default=None, metavar="PATH",
                     help="also write the rows as JSON")
     args = ap.parse_args()
-    solvers = {"swkb": sw.solve_level,
-               "contour": contours.quantize_by_contours,
-               "poles": swkb.quantize_by_poles}
+    solvers = {
+        "swkb": lambda spec, n: sw.solve_level(spec, n).energy,
+        "contour": lambda spec, n: contours.quantize_by_contours(
+            spec, n).energy,
+        "poles": lambda spec, n: swkb.quantize_by_poles(spec, n).energy,
+        "defect": lambda spec, n: contours.defect_report(
+            spec, catalog.closed_form_energy(spec, n), n).E_exact}
     counts = Counts()
     rows = []
     print(f"{'id':12s} {'n':>2s} {'route':>7s} {'cpu_s':>6s} {'E':>22s} "
@@ -118,7 +130,7 @@ def main():
           f"{'J_evals':>7s} {'pole_evals':>10s}")
     for spec, n, route in cases(args.ids):
         t0 = time.process_time()
-        E = solvers[route](spec, n).energy
+        E = solvers[route](spec, n)
         cpu = time.process_time() - t0
         spec_calls, p_calls, roots_s, j_evals, pole_evals = counts.take()
         rows.append({"entry": spec.id, "n": n, "route": route, "E": E,

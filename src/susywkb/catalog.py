@@ -211,9 +211,9 @@ class PotentialSpec:
 
     @cached_property
     def cut_count(self):
-        """Branch cuts at probe_energy: half the degree of E den^2 - num^2."""
-        from .swkb import _energy_numerator     # swkb imports this module
-        return _energy_numerator(self, probe_energy(self)).degree // 2
+        """Branch cuts: half the degree of P = E den^2 - num^2 wherever no
+        leading terms cancel."""
+        return max(self.omega_y.num.degree, self.omega_y.den.degree)
 
     @cached_property
     def swkb_cut_count(self):
@@ -618,8 +618,9 @@ def get_spec(pot_id, params=None, hbar=1.0):
 
     Raises DomainError for an unknown id or parameter, an hbar that is not
     positive and finite, parameters that are not finite or lie outside the
-    builder's domain, and finite parameters that overflow the entry's omega
-    coefficients or its closed form at the probe energy."""
+    builder's domain, and finite parameters that overflow the entry's
+    threshold, its omega coefficients or its closed form at the probe
+    energy."""
     if pot_id not in _BUILDERS:
         raise DomainError(f"unknown potential id {pot_id!r}; "
                           f"known: {', '.join(CATALOG_IDS)}")
@@ -635,16 +636,16 @@ def get_spec(pot_id, params=None, hbar=1.0):
         raise DomainError(f"hbar must be positive and finite, got {hbar}")
     if not all(math.isfinite(v) for v in merged.values()):
         raise DomainError(f"the parameters of {pot_id} must be finite")
-    spec = builder(merged, float(hbar))
-    # finite parameters can still overflow what the entry derives from
-    # them: its omega coefficients, or its closed form at the probe energy
-    # (A = 1e308 on scarf2, where A^2 - (A - n alpha hbar)^2 overflows)
+    # finite parameters can still overflow the entry's threshold (eckart at
+    # A = 1e-300), omega or closed form at the probe (scarf2 at A = 1e308)
     try:
-        probe = probe_energy(spec)
+        spec = builder(merged, float(hbar))
+        om = spec.omega_y
+        finite = (math.isfinite(probe_energy(spec))
+                  and np.isfinite([*om.num.coeffs, *om.den.coeffs]).all())
     except (OverflowError, ZeroDivisionError):
-        probe = math.nan
-    coeffs = np.concatenate([spec.omega_y.num.coeffs, spec.omega_y.den.coeffs])
-    if not (math.isfinite(probe) and np.isfinite(coeffs).all()):
+        finite = False
+    if not finite:
         raise DomainError(f"the parameters of {pot_id} overflow its "
                           f"coefficients or levels")
     return spec
@@ -677,7 +678,7 @@ def unbound_level(spec, n):
 def probe_energy(spec, n=1):
     """A bound energy to take a census at: the closed-form E_k of the
     highest bound level k <= max(n, 1), else half a finite threshold,
-    else 1.  The spec's cut census takes it at n = 1 (cut_count)."""
+    else 1.  The spec's m takes it at n = 1 (swkb_cut_count)."""
     if spec.spectrum is not None:
         for k in range(max(n, 1), 0, -1):
             if spec.n_is_bound(k):

@@ -5,13 +5,15 @@ Output is deterministic CSV (default) or JSON: fixed field order, 12
 significant digits, complex values as a single quoted "re+imi" field, no
 timestamps.
 
-Exit codes: 0 success, 1 usage error, 2 domain error, 3 numerical
-non-convergence.
+Exit codes: 0 success, 1 usage error (a file that cannot be read or
+written included), 2 domain error (bad config content included), 3
+numerical non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -77,14 +79,28 @@ def _parse_params(text):
     return out
 
 
-def _load_spec(args):
-    params = {}
-    hbar = 1.0
-    if args.config:
-        with open(args.config) as fh:
+def _load_config(path):
+    """(params, hbar) of a JSON config file {"params": {k: x}, "hbar": x},
+    either key optional: other content is a DomainError."""
+    with open(path, "rb") as fh:
+        try:
             doc = json.load(fh)
-        params.update(doc.get("params", {}))
-        hbar = doc.get("hbar", hbar)
+        except ValueError as exc:       # not JSON, or not UTF-8
+            raise DomainError(f"bad --config file {path}: {exc}") from None
+    if not isinstance(doc, dict) or type(doc.get("params", {})) is not dict:
+        raise DomainError(f"bad --config file {path}: expected an object "
+                          'with an object "params"')
+    params, hbar = doc.get("params", {}), doc.get("hbar", 1.0)
+    for k, v in [*params.items(), ("hbar", hbar)]:
+        # JSON's true is no number here, nor an int beyond float
+        if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+            raise DomainError(f"bad --config value {v!r} for {k}; "
+                              "expected a finite number")
+    return params, hbar
+
+
+def _load_spec(args):
+    params, hbar = _load_config(args.config) if args.config else ({}, 1.0)
     params.update(_parse_params(args.params))
     if args.hbar is not None:
         hbar = args.hbar
@@ -92,12 +108,7 @@ def _load_spec(args):
 
 
 def _bound_levels(spec, requested):
-    out = []
-    n = 0
-    while len(out) < requested and spec.n_is_bound(n):
-        out.append(n)
-        n += 1
-    return out
+    return list(itertools.takewhile(spec.n_is_bound, range(requested)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +203,15 @@ def _cmd_compare(args):
 def _cmd_contours(args):
     spec = _load_spec(args)
     dec = contours.decompose(spec, args.energy)
-    rows = []
-    for pole in sorted(dec.J_gamma, key=catalog.plane_key):
-        rows.append({"term": "pole", "location": complex(pole),
-                     "value": complex(dec.J_gamma[pole]),
-                     "residual": dec.closure_residual})
-    rows.append({"term": "large_circle", "location": "infinity",
-                 "value": complex(dec.J_GammaR),
-                 "residual": dec.closure_residual})
-    rows.append({"term": "classical_cut", "location": "",
-                 "value": complex(dec.J_classical_cut),
-                 "residual": dec.closure_residual})
-    rows.append({"term": "mirror_cut", "location": "",
-                 "value": complex(dec.J_mirror_cut),
-                 "residual": dec.closure_residual})
-    for k, v in enumerate(dec.J_other_cuts):
-        rows.append({"term": f"other_cut_{k}", "location": "",
-                     "value": complex(v),
-                     "residual": dec.closure_residual})
+    terms = [("pole", complex(p), dec.J_gamma[p])
+             for p in sorted(dec.J_gamma, key=catalog.plane_key)]
+    terms += [("large_circle", "infinity", dec.J_GammaR),
+              ("classical_cut", "", dec.J_classical_cut),
+              ("mirror_cut", "", dec.J_mirror_cut)]
+    terms += [(f"other_cut_{k}", "", v)
+              for k, v in enumerate(dec.J_other_cuts)]
+    rows = [{"term": term, "location": loc, "value": complex(v),
+             "residual": dec.closure_residual} for term, loc, v in terms]
     _emit(["term", "location", "value", "residual"], rows, args)
 
 
@@ -337,6 +339,9 @@ def main(argv=None):
     except ConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except OSError as exc:              # --config, --out or a dump path
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     return 0
 
 

@@ -18,17 +18,20 @@ misses its quantized value.  That offset need not vanish: for nonexact2 at
 E_1 the budget reads 0.005636 = 0.010446 - 0.004810.  defect_report measures
 J_OBC both directly and indirectly.
 
-The workspace pairs the branch points into cuts: the classical one between
-the turning points, the rest by minimum-weight matching, as chords or, for
-the trigonometric mapping, as arcs of the unit circle.  One rule names the
-mirror, and so m, for the quantization and defect_report alike.  On the
-plane cut along them sqrt(P) is the closed-form sheet of branch.Sheet, fixed
-by a single anchor just below the classical cut, where sqrt(E - omega^2) is
-taken with positive real part.  The integrand is single-valued off the cuts,
-so each pole term is a residue, J_gamma = i Res, and J_GammaR is i times the
-1/y coefficient of the integrand's Laurent series at infinity: both are
-algebraic, and no circle takes a quadrature.  Each cut term is a
-Gauss-Chebyshev rule on one lip of its cut.  What depends on the spec alone
+P = E*den^2 - num^2 and its roots, the branch points, belong to this module
+alone (_energy_numerator).  The workspace pairs them into cuts: the
+classical one between the two that x_of_y maps into the domain (under the
+energy and pair checks of swkb.turning_points), the rest by minimum-weight
+matching, as chords or, for the trigonometric mapping, as arcs of the unit
+circle.  One rule names the mirror, and so m, for the quantization and
+defect_report alike.  On the plane cut along them sqrt(P) is the
+closed-form sheet of branch.Sheet, fixed by a single anchor just below the
+classical cut, where sqrt(E - omega^2) is taken with positive real part.
+The integrand is single-valued off the cuts, so each pole term is a
+residue, J_gamma = i Res, and J_GammaR is i times the 1/y coefficient of
+the integrand's Laurent series at infinity: both are algebraic, and no
+circle takes a quadrature.  Each cut term is a Gauss-Chebyshev rule on one
+lip of its cut.  What depends on the spec alone
 (the fixed poles and their residue weights, the measure over den at
 infinity, num^2, the symmetry flag, the QHJ pole algebra) is built once
 per spec (catalog.PotentialSpec).
@@ -46,11 +49,11 @@ from numpy.polynomial import polynomial as npoly
 
 from . import branch as br
 from .catalog import plane_key
-from .cpoly import find_roots
+from .cpoly import Polynomial, find_roots
 from .errors import ConvergenceError, DomainError
 from .quadrature import QUAD_TOL
-from .swkb import (TAU_LEVEL, QuantizationResult, _energy_numerator,
-                   quantize_by_poles, swkb_integral, turning_points)
+from .swkb import (TAU_LEVEL, QuantizationResult, _check_energy,
+                   _classical_pair, quantize_by_poles, swkb_integral)
 
 IMAG_TOL = 1e-10
 
@@ -98,18 +101,37 @@ class DefectReport:
 # workspace: everything derived from (spec, E)
 # ---------------------------------------------------------------------------
 
+def _energy_numerator(spec, E):
+    """Polynomial P(y) = E*den^2 - num^2 whose roots are the branch points
+    of sqrt(E - omega^2) in the mapped plane."""
+    d = spec.omega_y.den.coeffs
+    # (E den) den, rounded as Polynomial products round it: E (den den)
+    # rounds otherwise, which moves the roots at the rounding level and can
+    # swap the order in which the eigensolver returns a conjugate pair
+    Ed2 = np.convolve(E * d, d)
+    P = -spec.num_squared_y
+    P[:len(Ed2)] += Ed2
+    return Polynomial(P)
+
+
 class _Workspace:
     def __init__(self, spec, E):
         self.spec = spec
         E = float(E)
+        _check_energy(spec, E)
         den = spec.omega_y.den
         self.P = _energy_numerator(spec, E)
         self.branch_points = tuple(find_roots(self.P))
         self.poles = spec.fixed_poles_y
-        tp = turning_points(spec, E, self.branch_points)
+        # the classical cut joins the branch points that x_of_y maps into
+        # the domain, x ascending: the turning points of the contour route
+        lo, hi = spec.domain
+        xs = [spec.x_of_y(b) for b in self.branch_points]
+        ends = sorted((x, k) for k, x in enumerate(xs)
+                      if x is not None and lo < x < hi)
+        tp = _classical_pair(spec, E, [x for x, _ in ends])
         self.x1, self.x2 = tp.x1, tp.x2
-        self.y1 = complex(spec.y_of_x(tp.x1))
-        self.y2 = complex(spec.y_of_x(tp.x2))
+        self.classical = tuple(k for _, k in ends)
         eps = 1e-3 * (tp.x2 - tp.x1)
         ya = complex(spec.y_of_x(0.5 * (tp.x1 + tp.x2) - 1j * eps))
         om_a = spec.omega_y(ya)
@@ -133,13 +155,9 @@ class _Workspace:
         """The classical cut, then the rest by minimum-weight matching.  The
         mirror is the only other cut where there is one; else, when omega^2
         is even in y, the pair at minus the classical ends; else none."""
-        bps = list(self.branch_points)
-        i1 = int(np.argmin([abs(b - self.y1) for b in bps]))
-        c1 = bps[i1]
-        rest = [b for k, b in enumerate(bps) if k != i1]
-        i2 = int(np.argmin([abs(b - self.y2) for b in rest]))
-        c2 = rest[i2]
-        rest = [b for k, b in enumerate(rest) if k != i2]
+        bps = self.branch_points
+        c1, c2 = (bps[k] for k in self.classical)
+        rest = [b for k, b in enumerate(bps) if k not in self.classical]
         pairs = [(c1, c2)] + _min_weight_matching(rest)
         kinds = ["classical"] + ["other"] * (len(pairs) - 1)
         if len(pairs) == 2:
@@ -151,25 +169,17 @@ class _Workspace:
                        zip(sorted(pair, key=plane_key), target)):
                     kinds[k] = "mirror"
                     break
-        if self.spec.mapping == "exp_i":
-            return self._arcs(pairs, kinds)
-        return tuple(Cut(a, b, kind) for (a, b), kind in zip(pairs, kinds))
-
-    def _arcs(self, pairs, kinds):
-        # The classical arc ends on its branch points c_k: alpha*x_k carries
-        # the rounding of the turning points, so add the angle of c_k from
-        # exp(i alpha x_k).
-        al = self.spec.alpha
-        th1, th2 = (al * x + cmath.phase(c * cmath.exp(-1j * al * x))
-                    for x, c in zip((self.x1, self.x2), pairs[0]))
-        cuts = [Cut(th1, th2, "classical", arc=True)]
-        cl_angles = (th1, th2)
-        for (a, b), kind in zip(pairs[1:], kinds[1:]):
-            ta, tb = float(np.angle(a)), float(np.angle(b))
-            lo, hi = min(ta, tb), max(ta, tb)
-            # choose the arc between the two angles that avoids the
-            # classical endpoints
-            if any(lo < c < hi for c in cl_angles):
+        if self.spec.mapping != "exp_i":
+            return tuple(Cut(a, b, kind)
+                         for (a, b), kind in zip(pairs, kinds))
+        # arcs of the unit circle, by angle: each the arc between its two
+        # angles that avoids the classical ends, whose angles ascend as
+        # their x do
+        ends = np.angle(pairs[0]).tolist()
+        cuts = []
+        for (a, b), kind in zip(pairs, kinds):
+            lo, hi = sorted(np.angle([a, b]).tolist())
+            if any(lo < c < hi for c in ends):
                 lo, hi = hi, lo + 2.0 * math.pi
             cuts.append(Cut(lo, hi, kind, arc=True))
         return tuple(cuts)
@@ -356,7 +366,8 @@ def defect_report(spec, E_exact, n):
     ways.
 
     Directly, J_OBC is the sum of the other-cut integrals.  Indirectly it
-    follows from closure, J_GammaR - sum(J_gamma) = m*J_SWKB + J_OBC, with
+    follows from J_SWKB (swkb_integral, on the SWKB route's own turning
+    points) and closure, J_GammaR - sum(J_gamma) = m*J_SWKB + J_OBC, with
     the m of quantize_by_contours: 2 when the census finds a mirror cut
     (whose value equals the classical one) and 1 otherwise:
 
@@ -378,7 +389,7 @@ def defect_report(spec, E_exact, n):
     ws = _Workspace(spec, E_exact)
     dec = _decompose(ws)
     direct = complex(sum(dec.J_other_cuts)).real
-    J_sw = swkb_integral(spec, E_exact, ws.branch_points)
+    J_sw = swkb_integral(spec, E_exact)
     pole_sum = complex(dec.J_GammaR - sum(dec.J_gamma.values())).real
     pole_offset = pole_sum - ws.m * n * spec.hbar
     indirect = ws.m * (n * spec.hbar - J_sw) + pole_offset

@@ -68,9 +68,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def monic(self):
-        return Polynomial(self.coeffs / self.coeffs[-1])
-
 
 def _as_coeffs(p):
     if isinstance(p, Polynomial):

@@ -10,7 +10,9 @@ no root of P = E*den^2 - num^2: each spec cuts its domain once into the
 pieces on which omega is monotone (catalog.PotentialSpec.omega_pieces), and
 at each energy a bracketed Newton iteration finds the crossing on each
 piece that crosses -sqrt(E) or +sqrt(E) (_crossing), so a level solves no
-polynomial after the spec's first.
+polynomial after the spec's first.  P and its roots belong to the contour
+route (contours), which shares only the energy and pair checks
+(_check_energy, _classical_pair).
 
 The level search starts at the level of the closed-form QHJ pole sum
 (quantize_by_poles, on spec.qhj over the spec's m), which takes no root of
@@ -33,7 +35,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .catalog import EPS, unbound_level
-from .cpoly import Polynomial
 from .errors import ConvergenceError, DomainError, UnboundEnergyError
 from .quadrature import gauss_chebyshev
 
@@ -55,59 +56,43 @@ class QuantizationResult:
     residual: float
 
 
-def _energy_numerator(spec, E):
-    """Polynomial P(y) = E*den^2 - num^2 whose roots are the branch points
-    of sqrt(E - omega^2) in the mapped plane."""
-    d = spec.omega_y.den.coeffs
-    # (E den) den, rounded as Polynomial products round it: E (den den)
-    # rounds otherwise, which moves the roots at the rounding level and can
-    # swap the order in which the eigensolver returns a conjugate pair
-    Ed2 = np.convolve(E * d, d)
-    P = -spec.num_squared_y
-    P[:len(Ed2)] += Ed2
-    return Polynomial(P)
-
-
-def turning_points(spec, E, roots=None):
-    """The unique pair of real turning points of E - omega^2 in the domain.
-
-    Without roots they come from the spec's monotone pieces of omega
+def turning_points(spec, E):
+    """The unique pair of real turning points of E - omega^2 in the domain,
+    from the spec's monotone pieces of omega
     (catalog.PotentialSpec.omega_pieces), with no root of P: each piece on
     which omega crosses -sqrt(E) or +sqrt(E) holds one turning point,
-    solved by _crossing.  roots, the roots of _energy_numerator(spec, E)
-    when the caller holds them already (contours._Workspace, defect_report),
-    gives the ends as those roots that x_of_y maps into the domain, rounded
-    to 12 decimals only to drop duplicates (swkb_integral converges like
-    1/n on rounded ends): filtering them costs less than the crossings.
+    solved by _crossing."""
+    _check_energy(spec, E)
+    c, c_lo = _sqrt_split(E)
+    ends = []
+    for v, v_lo in ((-c, -c_lo), (c, c_lo)):
+        pairs = spec.omega_pairs(v)
+        ends += [_crossing(spec, piece, v, v_lo, pairs)
+                 for piece in spec.omega_pieces
+                 if (piece.oms[0] - v) * (piece.oms[-1] - v) < 0.0]
+    return _classical_pair(spec, E, ends)
 
-    On either path the midpoint alone decides that the gap is classically
-    allowed.  Every real zero of P = E*den^2 - num^2 in the domain is a
-    turning point, so P has none strictly between x1 and x2;
-    E - omega^2 = P/den^2 has the sign of P where den != 0, and
-    P = -num^2 < 0 where den = 0.  So one sign holds on the whole gap.
-    """
+
+def _check_energy(spec, E):
+    """Raise UnboundEnergyError unless 0 < E < threshold."""
     if not (E > 0):
         raise UnboundEnergyError(f"E={E} must be positive")
     if E >= spec.threshold:
         raise UnboundEnergyError(
             f"E={E} at or above the binding threshold {spec.threshold} "
             f"of {spec.id}")
-    if roots is None:
-        c, c_lo = _sqrt_split(E)
-        ends = []
-        for v, v_lo in ((-c, -c_lo), (c, c_lo)):
-            pairs = spec.omega_pairs(v)
-            ends += [_crossing(spec, piece, v, v_lo, pairs)
-                     for piece in spec.omega_pieces
-                     if (piece.oms[0] - v) * (piece.oms[-1] - v) < 0.0]
-    else:
-        lo, hi = spec.domain
-        xs = {}
-        for r in roots:
-            x = spec.x_of_y(r)
-            if x is not None and lo < x < hi:
-                xs.setdefault(round(x, 12), x)
-        ends = list(xs.values())
+
+
+def _classical_pair(spec, E, ends):
+    """TurningPoints of ends, the real turning points in the domain, where
+    there are exactly two and the gap between them is classically allowed.
+
+    The midpoint alone decides that.  Every real zero of
+    P = E*den^2 - num^2 in the domain is a turning point, so P has none
+    strictly between x1 and x2; E - omega^2 = P/den^2 has the sign of P
+    where den != 0, and P = -num^2 < 0 where den = 0.  So one sign holds
+    on the whole gap.
+    """
     if len(ends) != 2:
         raise UnboundEnergyError(
             f"E={E}: found {len(ends)} real turning points in the domain of "
@@ -188,19 +173,18 @@ def _halfway(a, b, k):
     return 0.5 * (a + b)
 
 
-def swkb_integral(spec, E, roots=None):
+def swkb_integral(spec, E):
     """(1/pi) * integral of sqrt(E - omega^2) over the classical region.
 
     With x = x_mid + x_half*cos(a), J = (x_half/n) * sum_j sin(j pi/n) *
     sqrt(E - omega^2(x_j)) in the rule of quadrature.gauss_chebyshev, which
-    converges exponentially between the turning points (roots as in
-    turning_points); the nodes double until two results agree within QUAD_TOL.
-    The rule hands the integrand cos(a) and sin(a), so no node is taken
+    converges exponentially between the turning points; the nodes double
+    until two results agree within QUAD_TOL.  The rule hands the integrand cos(a) and sin(a), so no node is taken
     here, and orders 64 and 128 come from one omega_x call on 127 nodes.
     """
     if E == 0.0:
         return 0.0
-    tp = turning_points(spec, E, roots)
+    tp = turning_points(spec, E)
     xm, xh = 0.5 * (tp.x1 + tp.x2), 0.5 * (tp.x2 - tp.x1)
 
     def term(t, s):

@@ -10,7 +10,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import susywkb as sw
-from susywkb import DomainError, numerov, swkb
+from susywkb import DomainError, catalog, contours, numerov
 
 from conftest import (MULTIPLE_POLE_SPECS, TEXTBOOK_IDS, drawn_spec,
                       textbook_spec)
@@ -287,7 +287,7 @@ def test_spec_caches_equal_what_they_replace():
         # E den^2 - num^2, bit for bit
         for E in (0.5, 3.0, 189.0):
             want = (sw.Polynomial(E) * den * den - num * num).coeffs
-            assert np.array_equal(swkb._energy_numerator(spec, E).coeffs,
+            assert np.array_equal(contours._energy_numerator(spec, E).coeffs,
                                   want)
         # the residue weights: measure(p)/den'(p) by numpy's polyder, on
         # y den and with y measure at the mapping pole
@@ -309,6 +309,24 @@ def test_spec_caches_equal_what_they_replace():
         near = [p for p in fresh.fixed_poles_y
                 if abs(p - pole) <= 1e-3 * (1.0 + abs(pole))]
         assert near and all(fresh.residue_weights[p] is None for p in near)
+
+
+CENSUS_SPECS = ([sw.get_spec(p) for p in sw.CATALOG_IDS]
+                + [drawn_spec(p, s) for p in sw.CATALOG_IDS
+                   for s in range(1, 7)]
+                + [textbook_spec(t) for t in TEXTBOOK_IDS]
+                + [spec for spec, _ in MULTIPLE_POLE_SPECS])
+
+
+def test_cut_count_is_the_larger_degree_of_omega():
+    # the cut count read off omega's degrees is half the degree of
+    # P = E den^2 - num^2 at the probe energy, on all 69 specs
+    assert len(CENSUS_SPECS) == 69
+    for spec in CENSUS_SPECS:
+        num, den = spec.omega_y.num, spec.omega_y.den
+        P = contours._energy_numerator(spec, catalog.probe_energy(spec))
+        assert spec.cut_count == max(num.degree, den.degree), spec.id
+        assert spec.cut_count == P.degree // 2, spec.id
 
 
 def test_nonexact3_flagged_partial():

@@ -185,17 +185,60 @@ def test_exit_code_domain_error():
     assert rc == 2
     # every subcommand refuses hbar = 0, NaN or inf, list included, and a
     # --params value that is not a finite number, or whose closed form
-    # overflows (scarf2's A^2 at A = 1e308), ends in the error, not a
+    # (scarf2's A^2 at A = 1e308) or threshold (eckart's (B/A - A)^2,
+    # rosenmorse2's (A + B/A)^2) overflows, ends in the error, not a
     # traceback
     for args in (["--hbar", "0", "list"], ["--hbar", "inf", "list"],
                  ["--hbar", "inf", "spectrum", "eckart"],
                  ["--hbar", "nan", "spectrum", "scarf1"],
                  ["--params", "A=abc", "spectrum", "eckart"],
                  ["--params", "A=inf", "spectrum", "scarf2"],
-                 ["--params", "A=1e308", "spectrum", "scarf2"]):
+                 ["--params", "A=1e308", "spectrum", "scarf2"],
+                 ["--params", "A=1e-300", "spectrum", "eckart"],
+                 ["--params", "B=1e160", "spectrum", "eckart"],
+                 ["--params", "A=1e160", "spectrum", "rosenmorse2"]):
         rc, out, err = run_cli(*args)
         assert (rc, out) == (2, ""), args
         assert err.startswith("error: ") and "Traceback" not in err, args
+
+
+@pytest.mark.parametrize("config, args, code", [
+    (None, ["--config", "/nonexistent.json"], 1),
+    ("{bad", [], 2), ("[1,2]", [], 2), ('{"params": 3}', [], 2),
+    ('{"hbar": "2"}', [], 2), ('{"params": {"A": "x"}}', [], 2),
+    ('{"params": {"A": null}}', [], 2), ('{"params": {"A": true}}', [], 2),
+    (None, ["--out", "/nonexistent/dir/x.csv"], 1),
+    (None, ["--dump-wavefunction", "/nonexistent/dir/x.csv"], 1),
+])
+def test_bad_files_end_in_the_error_line(tmp_path, config, args, code):
+    # bad config content is a domain error, exit 2, as a bad --params value
+    # is; a path that cannot be read or written is a usage error, exit 1
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        args = ["--config", str(path)]
+    rc, out, err = run_cli(*args, "spectrum", "scarf2", "--method",
+                           "numerov", "--levels", "1")
+    assert (rc, out) == (code, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, code, err", [
+    (["census", "eckart", "--energy", "1e6"], 2, "error: E=1000000.0 at or "
+     "above the binding threshold 225.0 of eckart\n"),
+    (["contours", "scarf2", "--energy", "1e6"], 2, "error: E=1000000.0 at "
+     "or above the binding threshold 9.0 of scarf2\n"),
+    (["contours", "nonexact1", "--energy", "1e6"], 3,
+     "error: cut quadrature did not converge\n"),
+    (["census", "scarf1", "--energy", "0"], 2,
+     "error: E=0.0 must be positive\n"),
+    (["contours", "nonexact2", "--energy", "-1"], 2,
+     "error: E=-1.0 must be positive\n"),
+])
+def test_contour_energies_out_of_range(args, code, err):
+    # the workspace checks the energy before it solves P, with the messages
+    # of swkb.turning_points
+    assert run_cli(*args) == (code, "", err)
 
 
 @pytest.mark.parametrize("pot_id",

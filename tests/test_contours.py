@@ -156,7 +156,7 @@ def test_quantize_by_contours_evaluates_each_energy_once(monkeypatch):
 
     spec = spec_of("eckart")
     monkeypatch.setattr(contours, "_condition_value", counted)
-    # the workspace hands its branch points to turning_points, which then
+    # the workspace takes its classical cut from its own branch points and
     # solves no crossing on the monotone pieces of omega
     monkeypatch.setattr(swkb, "_crossing", unexpected)
     monkeypatch.setattr(contours, "find_roots", unexpected)
@@ -292,10 +292,9 @@ def test_defect_report_solves_the_roots_once(monkeypatch, pot_id, E, n):
         solved.append(P)
         return find(P)
 
-    # the workspace's branch points serve the SWKB integral too, with no
-    # crossing solved on the monotone pieces of omega
+    # one P, for the workspace; the SWKB integral takes its ends from the
+    # monotone pieces of omega, built with the first report
     monkeypatch.setattr(contours, "find_roots", counted)
-    monkeypatch.setattr(swkb, "_crossing", counted)
     assert sw.defect_report(spec, E, n) == want
     assert len(solved) == 1
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import susywkb as sw
 from susywkb import (ConvergenceError, DomainError, Polynomial,
                      RationalFunction, cpoly, find_roots)
-from susywkb.swkb import _energy_numerator
+from susywkb.contours import _energy_numerator
 
 
 def test_trivial_quadratic_roots():
@@ -70,7 +70,8 @@ def test_close_branch_points_stop_at_the_rounding_level(pot_id, E):
     bound = (cpoly.ROOT_TOL * np.abs(P.coeffs).max()
              * np.maximum(1.0, np.abs(roots)) ** P.degree)
     assert np.all(res <= bound)
-    eigenvalues = np.polynomial.polynomial.polyroots(P.monic().coeffs)
+    eigenvalues = np.polynomial.polynomial.polyroots(
+        P.coeffs / P.coeffs[-1])
     assert smallest_gap(roots) == pytest.approx(smallest_gap(eigenvalues),
                                                 rel=1e-3)
 
@@ -111,7 +112,7 @@ def reference_roots(p):
     c = p.coeffs
     dc = c[1:] * np.arange(1, len(c))
     z = []
-    for r in npoly.polyroots(p.monic().coeffs).tolist():
+    for r in npoly.polyroots(c / c[-1]).tolist():
         pv = npoly.polyval(r, c)
         for _ in range(3):
             dv = npoly.polyval(r, dc)

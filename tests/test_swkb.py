@@ -38,9 +38,9 @@ def test_turning_points_coalesce_at_low_energy():
     assert tp.x1 < tp.x2
 
 
-def _ends_or_error(spec, E, roots=None):
+def _ends_or_error(ends, spec, E):
     try:
-        tp = turning_points(spec, E, roots)
+        tp = ends(spec, E)
     except sw.SusyWkbError as exc:
         return type(exc)
     return tp.x1, tp.x2
@@ -74,21 +74,16 @@ AGREEMENT_SPECS = ([sw.get_spec(p) for p in sw.CATALOG_IDS]
 @pytest.mark.parametrize("spec", AGREEMENT_SPECS,
                          ids=lambda spec: f"{spec.id}-{spec.hbar:.4f}")
 def test_turning_points_agree_with_the_roots_of_p(spec):
-    # the monotone pieces of omega against the roots of P at every energy
-    # a level solve may try: the same exception, or ends within 1e-9.  On
-    # the 39 specs 43 of the 2631 energies differ by more, from 1.1e-9 to
-    # 2.8e-6, all far ends at thr (1 - 10^-k), k >= 9, where cancellation
-    # in P costs the roots path its digits: there the 40-digit Newton
-    # correction of the pieces' end is at most 1.3e-16, the roots' at
-    # least 1.1e-9
+    # the monotone pieces of omega against the contour workspace's
+    # classical cut, its in-domain roots of P, at every energy a level
+    # solve may try: the same exception, or ends within 1e-9.  On the 39
+    # specs 43 of the 2631 energies differ by more, from 1.1e-9 to 2.8e-6,
+    # all far ends at thr (1 - 10^-k), k >= 9, where cancellation in P
+    # costs the roots their digits: there the 40-digit Newton correction
+    # of the pieces' end is at most 1.3e-16, the roots' at least 1.1e-9
     for E in level_solve_energies(spec):
-        try:
-            roots = cpoly.find_roots(swkb._energy_numerator(spec, E))
-        except sw.SusyWkbError as exc:
-            want = type(exc)
-        else:
-            want = _ends_or_error(spec, E, roots)
-        got = _ends_or_error(spec, E)
+        want = _ends_or_error(contours._Workspace, spec, E)
+        got = _ends_or_error(turning_points, spec, E)
         if not isinstance(want, tuple):
             assert got is want, E
             continue
