@@ -10,13 +10,11 @@ the 4001-point search for an upper energy where there is no closed form
 and no finite threshold) it prints:
 
   sweeps  calls of numerov._shoot;
-  start   of those, the sweeps of the Newton start from the reference
-          energy (numerov._newton_start), its closing sweep included;
-  brack   of those, the sweeps of the bracket search
-          (numerov._level_bracket), which runs where the start gives no
-          bracket;
-  root    of those, the sweeps of the Wronskian root search (the brentq
-          call in numerov._solve_on_grid);
+  newton  calls of numerov._norm_slope: sweeps with n nodes whose slope
+          the search's Newton step is taken from;
+  window  sweeps at an end of the energy window [E_lo, E_hi], where the
+          search bisects: no hint, or none of its Newton steps closed a
+          bracket inside the window;
   steps   grid steps of the Numerov recurrence (numerov._recur), summed;
           a step is one (y, D) pair of its banded solve.
 
@@ -26,9 +24,8 @@ and for the level its eigenvalue and two CPU times:
   sweep_s  of that, the time inside numerov._shoot, summed over all grids.
 
 cpu_s - sweep_s is the set-up: growing the box and evaluating V_- on each
-grid.  On the h and h/2 grids sweeps = start + brack + root; the sweeps of the
-upper-energy search are neither.  A sweep takes N - 1 steps on an N-point
-grid.
+grid.  The sweeps of the upper-energy search are neither newton nor window
+ones.  A sweep takes N - 1 steps on an N-point grid.
 
     PYTHONPATH=src python scripts/oracle_sweeps.py [--json PATH] [ids ...]
 """
@@ -43,54 +40,53 @@ import susywkb as sw
 from susywkb import numerov
 
 
-COLUMNS = ("sweeps", "start", "brack", "root", "steps")
+COLUMNS = ("sweeps", "newton", "window", "steps")
 
 
 class Counts:
-    """Wraps numerov._shoot and numerov._recur to count per grid size and
-    to time the sweeps, and the Newton start, the bracket search and brentq
-    to tell which of them a sweep serves."""
+    """Wraps numerov._shoot, numerov._norm_slope, numerov._recur and
+    numerov._solve_on_grid to count per grid size, to time the sweeps and
+    to tell which sweeps are at an end of the window."""
 
     def __init__(self):
         self.counts = {c: Counter() for c in COLUMNS}
         self.sweep_s = 0.0
         self._grid = None
-        self._phase = None
-        shoot, recur = numerov._shoot, numerov._recur
+        self._window = ()
+        shoot, slope = numerov._shoot, numerov._norm_slope
+        recur, solve = numerov._recur, numerov._solve_on_grid
 
         def counted_shoot(spec, Vg, xg, ics, E, work=None):
             N = self._grid = len(xg)
             self.counts["sweeps"][N] += 1
-            if self._phase is not None:
-                self.counts[self._phase][N] += 1
+            self.counts["window"][N] += E in self._window
             t0 = time.process_time()
             try:
                 return shoot(spec, Vg, xg, ics, E, work)
             finally:
                 self.sweep_s += time.process_time() - t0
 
+        def counted_slope(spec, Vg, xg, *args):
+            self.counts["newton"][len(xg)] += 1
+            return slope(spec, Vg, xg, *args)
+
         def counted_recur(y0, y1, ng, work):
             self.counts["steps"][self._grid] += len(ng)
             return recur(y0, y1, ng, work)
 
-        numerov._shoot, numerov._recur = counted_shoot, counted_recur
-        for name, phase in (("_newton_start", "start"),
-                            ("_level_bracket", "brack"), ("brentq", "root")):
-            setattr(numerov, name, self._in_phase(getattr(numerov, name),
-                                                  phase))
-
-    def _in_phase(self, fn, phase):
-        def wrapped(*args, **kwargs):
-            outer, self._phase = self._phase, phase
+        def windowed(spec, xg, Vg, ics, n, E_lo, E_hi, hint):
+            self._window = (E_lo, E_hi)
             try:
-                return fn(*args, **kwargs)
+                return solve(spec, xg, Vg, ics, n, E_lo, E_hi, hint)
             finally:
-                self._phase = outer
-        return wrapped
+                self._window = ()
+
+        numerov._shoot, numerov._norm_slope = counted_shoot, counted_slope
+        numerov._recur, numerov._solve_on_grid = counted_recur, windowed
 
     def take(self):
-        """Counts since the last call, per grid, {N: (sweeps, start, brack,
-        root, steps)}, and the CPU seconds of the sweeps."""
+        """Counts since the last call, per grid, {N: (sweeps, newton,
+        window, steps)}, and the CPU seconds of the sweeps."""
         out = {N: tuple(self.counts[c][N] for c in COLUMNS)
                for N in sorted(self.counts["sweeps"])}
         for c in self.counts.values():
@@ -119,7 +115,7 @@ def main():
     counts = Counts()
     rows = []
     print(f"{'id':12s} {'n':>2s} {'hint':>4s} {'cpu_s':>6s} {'sweep_s':>7s} "
-          f"{'E':>22s}  per grid -- points: sweeps start brack root steps")
+          f"{'E':>22s}  per grid -- points: sweeps newton window steps")
     for spec, n, hint in cases(args.ids):
         t0 = time.process_time()
         E = sw.numerov_eigenvalue(spec, n, E_hint=hint)
@@ -130,8 +126,8 @@ def main():
                      "grids": {N: dict(zip(COLUMNS, v))
                                for N, v in grids.items()}})
         hinted = "yes" if hint is not None else "no"
-        per_grid = "  ".join(f"{N:6d}: {a:3d} {st:3d} {b:3d} {r:3d} {s:8d}"
-                             for N, (a, st, b, r, s) in grids.items())
+        per_grid = "  ".join(f"{N:6d}: {a:3d} {nw:3d} {w:3d} {s:8d}"
+                             for N, (a, nw, w, s) in grids.items())
         print(f"{spec.id:12s} {n:2d} {hinted:>4s} {cpu:6.3f} {sweep_s:7.3f} "
               f"{E!r:>22s}  {per_grid}")
     if args.json:

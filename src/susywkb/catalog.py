@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -613,14 +614,25 @@ NONEXACT_IDS = ("nonexact1", "nonexact2", "nonexact3")
 CATALOG_IDS = EXACT_IDS + NONEXACT_IDS
 
 
+def _finite_float(name, v):
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:           # an int beyond float
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise DomainError(f"{name} must be a finite number, got {v!r}")
+
+
 def get_spec(pot_id, params=None, hbar=1.0):
     """Build the catalog entry with optional parameter overrides.
 
-    Raises DomainError for an unknown id or parameter, an hbar that is not
-    positive and finite, parameters that are not finite or lie outside the
-    builder's domain, and finite parameters that overflow the entry's
-    threshold, its omega coefficients or its closed form at the probe
-    energy."""
+    Raises DomainError for an unknown id or parameter, a parameter or hbar
+    that is not a real number finite as a float (a bool is none), an hbar
+    that is not positive, parameters outside the builder's domain, and
+    finite parameters that overflow the entry's threshold, its omega
+    coefficients or its closed form at the probe energy."""
     if pot_id not in _BUILDERS:
         raise DomainError(f"unknown potential id {pot_id!r}; "
                           f"known: {', '.join(CATALOG_IDS)}")
@@ -632,14 +644,15 @@ def get_spec(pot_id, params=None, hbar=1.0):
             raise DomainError(
                 f"unknown parameter(s) {sorted(unknown)} for {pot_id}")
         merged.update(params)
-    if not 0.0 < hbar < math.inf:
-        raise DomainError(f"hbar must be positive and finite, got {hbar}")
-    if not all(math.isfinite(v) for v in merged.values()):
-        raise DomainError(f"the parameters of {pot_id} must be finite")
+    merged = {k: _finite_float(f"parameter {k} of {pot_id}", v)
+              for k, v in merged.items()}
+    hbar = _finite_float("hbar", hbar)
+    if not hbar > 0.0:
+        raise DomainError(f"hbar must be positive, got {hbar}")
     # finite parameters can still overflow the entry's threshold (eckart at
     # A = 1e-300), omega or closed form at the probe (scarf2 at A = 1e308)
     try:
-        spec = builder(merged, float(hbar))
+        spec = builder(merged, hbar)
         om = spec.omega_y
         finite = (math.isfinite(probe_energy(spec))
                   and np.isfinite([*om.num.coeffs, *om.den.coeffs]).all())

@@ -26,32 +26,31 @@ and the right one down to m - 1, N - 1 steps in all on an N-point grid,
 which is all the Wronskian and the node count up to m read.  m is the last
 point where V_- < E, found by one binary search on the grid's suffix
 minimum of V_-; the band, the buffer of the solution and that minimum are
-made once per grid (_new_band).  On each grid
-one memo of sweeps, keyed by energy, serves the start, the bracket and the
-Wronskian root search.  One rule, on the node count up to m and the sign of
-W, tells whether an energy lies below the level (see _level_bracket).  The
-h grid starts at the reference energy (E_hint, else the closed form) and
-the h/2 grid at the h-grid eigenvalue.  From there Newton steps on W, each
-on the slope dW/dE that its own sweep gives (_norm_slope), run until a
-step is below a quarter of brentq's tolerance; one more sweep, half a
-tolerance further, closes a bracket that brentq returns at once
-(_newton_start).  A hinted level takes 3 sweeps a grid, 4 on scarf1,
-whose closed form lies 4.6e-6 from its grid level.  How few sweeps the
-start takes depends on how close the hint is: from nonexact3's SWKB level,
-23% above its E_1, it takes all six of its steps.  Where the start gives
-no bracket (a sweep without n nodes, a step out of the window, six steps,
-no sign change), the grid brackets the level around the start's last
-energy with n nodes (the reference energy when none had them) in 2-6
-sweeps, or, without one, in the energy window [E_lo, E_hi] in 5-12 sweeps,
-and the root search takes 2-3 sweeps from a hint pair and 6-9 from the
-window: a level takes 12-19 sweeps on the h grid without a hint.  W is
-smooth down to about 3e-14 relative of E, and its root lies
-within 7.2e-14 of the root of the same recurrence run in 80-bit long
-double.  The search stops at a relative width of W_RTOL = 3e-13: brentq's
-interpolation steps usually land closer, and following W to rtol 8.9e-16
-takes 0-4 more sweeps a grid and moves the levels at n = 1 by at most
-7.5e-14 relative, far below their discretization error.  The absolute width
-W_XTOL = 1e-14 keeps levels near E = 0 at their floor.
+made once per grid (_new_band).
+
+On each grid one safeguarded Newton loop finds the level
+(_solve_on_grid).  It keeps one bracket, which starts as the energy
+window [E_lo, E_hi], and each sweep moves one end of it by one rule, on
+the node count up to m and the sign of W: whether the energy lies below
+the level.  From a sweep with n nodes the next energy is a Newton step on
+W, on the slope dW/dE that the sweep itself gives (_norm_slope), where
+that lands inside the bracket; a step below a quarter of the tolerance is
+taken as half a tolerance, and that sweep closes the bracket.  Elsewhere
+the bracket is bisected.  The h grid starts at the reference energy
+(E_hint, else the closed form) and the h/2 grid at the h-grid eigenvalue.
+A hinted level takes 3 sweeps a grid, 4 on scarf1, whose closed form lies
+4.6e-6 from its grid level; from nonexact3's SWKB level, 23% above its
+E_1, it takes 8 on the h grid.  Without a hint the h grid takes 8-17
+sweeps, 2 of them at the ends of the window.  A ground state hinted at
+E_0 = 0 takes 3-14: there the tolerance is W_XTOL, below W's noise, so the
+Newton steps wander in the noise until bisection closes the bracket.  W
+is smooth down to about 3e-14 relative of E, and its root lies within
+7.2e-14 of the root of the same recurrence run in 80-bit long double.
+The search stops at a width of W_XTOL + W_RTOL*|E|, W_RTOL = 3e-13:
+following W to rtol 8.9e-16 takes 0-4 more sweeps a grid and moves the
+levels at n = 1 by at most 7.5e-14 relative, far below their
+discretization error.  The absolute width W_XTOL = 1e-14 keeps levels
+near E = 0 at their floor.
 
 Endpoint handling
 -----------------
@@ -75,7 +74,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-from scipy.optimize import brentq
 
 from .catalog import unbound_level
 from .errors import ConvergenceError, DomainError
@@ -307,43 +305,6 @@ def _shoot(spec, Vg, xg, ics, E, work=None):
     return int(nodes), W, pL, pR, m
 
 
-def _level_bracket(sweep, n, E_lo, E_hi, hint):
-    """Bracket of level n whose ends both have n nodes up to the matching
-    point and on which W changes sign.
-
-    E lies below E_n exactly when the left solution has fewer than n nodes
-    up to the matching point m, or n nodes and (-1)^n W > 0.  That count
-    never falls as E rises (Sturm), and with n nodes sign pL(m) = (-1)^n and
-    sign pR(m) = +, so (-1)^n W = pL'/pL - pR'/pR, which falls through 0 at
-    E_n.  Of the pairs [hint - d, hint + d], d = 1e-7*(1 + |hint|) * 8^k for
-    k < 7 (up to 2.6e-2*(1 + |hint|)), each clipped to [E_lo, E_hi], then
-    [E_lo, E_hi] itself, the first that straddles E_n is kept and bisected
-    by the same rule until both ends have n nodes.  _solve_on_grid calls
-    this where the Newton start (_newton_start) gives no bracket."""
-    def below(E):
-        nodes, W = sweep(E)
-        return nodes < n or (nodes == n and (-1) ** n * W > 0.0)
-
-    pairs = []
-    if hint is not None:
-        d = 1e-7 * (1.0 + abs(hint))
-        pairs = [(max(hint - d * 8.0 ** k, E_lo),
-                  min(hint + d * 8.0 ** k, E_hi)) for k in range(7)]
-    for a, b in pairs + [(E_lo, E_hi)]:
-        if below(a) and not below(b):
-            break
-    else:
-        raise ConvergenceError(
-            f"no bracket of level n={n} in [{E_lo}, {E_hi}]")
-    while sweep(a)[0] != n or sweep(b)[0] != n:
-        mid = 0.5 * (a + b)
-        if mid in (a, b):
-            raise ConvergenceError(f"node counts never reach n={n} near "
-                                   f"the level, in [{a}, {b}]")
-        a, b = (mid, b) if below(mid) else (a, mid)
-    return a, b
-
-
 def _norm_slope(spec, Vg, xg, ics, E, pL, pR, m):
     """dW/dE of the sweep at E that returned pL, pR and m, from its own
     values (Cooley, Math. Comp. 15, 363 (1961)).
@@ -392,83 +353,73 @@ def _norm_slope(spec, Vg, xg, ics, E, pL, pR, m):
     return math.copysign(h / (hbar * hbar) * total, -pl * pr)
 
 
-def _newton_start(shoot, sweep, n, E_lo, E_hi, hint):
-    """Newton steps on W from hint toward level n: (bracket, None) when
-    they close a bracket, else (None, E), E the last energy whose sweep
-    gave n nodes and a usable slope (hint when none did).
-
-    shoot(E) sweeps at E and returns (nodes, W, dW/dE), the slope from the
-    same sweep (_norm_slope); sweep is the memo of _level_bracket.  From
-    the hint, each step moves E by -W/(dW/dE), until a step is below a
-    quarter of tol = W_XTOL + W_RTOL*|E|, the width at which brentq
-    stops.  One more sweep, half a tol past E in that step's direction,
-    then closes the bracket, which brentq returns at once.  A sweep without
-    n nodes, a slope that is not finite or does not fall as (-1)^n W does,
-    an energy outside [E_lo, E_hi], six steps without a small one, or a
-    pair on which the rule of _level_bracket does not flip gives no
-    bracket, and _level_bracket brackets the level around the E returned,
-    as it would around a hint without this start.  A far hint (the SWKB
-    level of nonexact3, 23% off) can take all six steps and still leave E
-    1e-11 from the level, well inside the first hint pair."""
-    sign = (-1) ** n
-    E = best = hint
-    for _ in range(6):
-        if not E_lo <= E <= E_hi:
-            return None, best
-        nodes, W, slope = shoot(E)
-        if nodes != n or not (math.isfinite(slope) and sign * slope < 0.0):
-            return None, best
-        best = E
-        step = -W / slope
-        tol = W_XTOL + W_RTOL * abs(E)
-        if abs(step) < 0.25 * tol:
-            break
-        E += step
-    else:
-        return None, best
-    a, b = sorted((E, E + math.copysign(0.5 * tol, step)))
-    if not E_lo <= a < b <= E_hi:
-        return None, best
-    (na, Wa), (nb, Wb) = sweep(a), sweep(b)
-    if na == nb == n and sign * Wa > 0.0 >= sign * Wb:
-        return (a, b), None
-    return None, best
-
-
-def _wronskian(E, sweep):
-    return sweep(E)[1]
-
-
 def _solve_on_grid(spec, xg, Vg, ics, n, E_lo, E_hi, hint):
     """Level n on the grid xg, where V_- takes the values Vg: the root of
-    the matching Wronskian in a bracket from the Newton start at hint
-    (_newton_start), else from _level_bracket around the start's last
-    energy with n nodes."""
-    # energy -> (nodes up to m, W), shared by the start, the bracket and
-    # the root
-    sweeps = {}
+    the matching Wronskian W, by Newton steps kept inside one bracket
+    (rtsafe; Press et al., Numerical Recipes, 2nd ed., sec. 9.4).
+
+    The bracket [a, b] starts as the window [E_lo, E_hi], and each sweep
+    moves one end of it to its energy by one rule: E lies below E_n
+    exactly when the left solution has fewer than n nodes up to the
+    matching point m, or n nodes and (-1)^n W > 0.  That count never
+    falls as E rises (Sturm), and with n nodes sign pL(m) = (-1)^n and
+    sign pR(m) = +, so (-1)^n W = pL'/pL - pR'/pR, which falls through 0 at
+    E_n.  From a sweep with n nodes the next energy is a Newton step
+    -W/(dW/dE), on the slope of that same sweep (_norm_slope), where it
+    lands strictly inside (a, b); a step below a quarter of
+    tol = W_XTOL + W_RTOL*|E| is taken as half a tol, and that sweep
+    closes the bracket.  Where no step lands inside, the bracket is
+    bisected, once each end of the window is swept: a window whose ends
+    do not straddle E_n raises.  The search starts at hint, which is
+    dropped unless its sweep has n nodes, and stops once both ends have n
+    nodes and b - a <= tol, at the end with the smaller |W|, where brentq
+    stops on such a bracket."""
     work = _new_band(len(xg), Vg)
-
-    def shoot(E):
+    sign = (-1) ** n
+    a, b = E_lo, E_hi
+    at_a = at_b = None              # (nodes, W) of the sweeps at a and b
+    if hint is not None and not E_lo < hint < E_hi:
+        hint = None
+    E = hint
+    while True:
+        if E is None:
+            if at_a is None:
+                E = a
+            elif at_b is None:
+                E = b
+            else:
+                E = 0.5 * (a + b)
+                if E in (a, b):
+                    raise ConvergenceError(f"node counts never reach n={n} "
+                                           f"near the level, in [{a}, {b}]")
         nodes, W, pL, pR, m = _shoot(spec, Vg, xg, ics, E, work)
-        sweeps[E] = nodes, W
-        return nodes, W, _norm_slope(spec, Vg, xg, ics, E, pL, pR, m)
-
-    def sweep(E):
-        s = sweeps.get(E)
-        if s is None:
-            s = sweeps[E] = _shoot(spec, Vg, xg, ics, E, work)[:2]
-        return s
-
-    bracket = None
-    if hint is not None:
-        bracket, hint = _newton_start(shoot, sweep, n, E_lo, E_hi, hint)
-    a, b = bracket or _level_bracket(sweep, n, E_lo, E_hi, hint)
-    # brentq keeps its objective in a reference cycle (scipy's NaN guard
-    # refers to itself).  Passing sweep as an argument keeps this grid's
-    # arrays out of that cycle, so they are freed on return and not left to
-    # the cyclic collector, which let peak RSS creep up level by level.
-    return brentq(_wronskian, a, b, args=(sweep,), xtol=W_XTOL, rtol=W_RTOL)
+        if nodes != n and E == hint:
+            # the search runs as it would without the hint
+            del pL, pR
+            E = hint = None
+            continue
+        # an end of the window on the wrong side of E_n is no bracket
+        if nodes < n or (nodes == n and sign * W > 0.0):
+            if at_b is None and E == b:
+                break
+            a, at_a = E, (nodes, W)
+        else:
+            if at_a is None and E == a:
+                break
+            b, at_b = E, (nodes, W)
+        tol = W_XTOL + W_RTOL * abs(E)
+        if at_a and at_b and at_a[0] == at_b[0] == n and b - a <= tol:
+            return a if abs(at_a[1]) < abs(at_b[1]) else b
+        step = math.nan
+        if nodes == n:
+            step = -W / _norm_slope(spec, Vg, xg, ics, E, pL, pR, m)
+            if abs(step) < 0.25 * tol:
+                step = math.copysign(0.5 * tol, step)
+        # freed before the next sweep allocates its own, which can then
+        # reuse their memory
+        del pL, pR
+        E = E + step if a < E + step < b else None
+    raise ConvergenceError(f"no bracket of level n={n} in [{E_lo}, {E_hi}]")
 
 
 def _prepare(spec, n, E_hint=None):

@@ -275,11 +275,11 @@ def solve_action(spec, n, action, method, start=None):
 def _bracket(spec, g, n, start):
     """Bracket for a monotone level equation g(E) = 0, g < 0 below the level.
 
-    A start inside (0, threshold) gives the first candidates, as the hint
-    pairs do in numerov._level_bracket: g at the start, where g = 0 is the
-    bracket (start, start); then one step of d = 1e-10*(1 + start) against
-    the sign of g; then up to six steps to the root of the secant through
-    the last two energies, each overshot by 1% of its length, plus d.  The
+    A start inside (0, threshold) gives the first candidates: g at the
+    start, where g = 0 is the bracket (start, start); then one step of
+    d = 1e-10*(1 + start) against the sign of g; then up to six steps to
+    the root of the secant through the last two energies, each overshot by
+    1% of its length, plus d.  The
     first pair on which g changes sign is the bracket.  Where an energy
     leaves (0, threshold), g does not rise through the last two energies,
     the steps run out, or an evaluation raises, the threshold ladder below

@@ -205,6 +205,34 @@ def test_parameter_validation():
             sw.get_spec("scarf2", params=params)
 
 
+# values a library caller or a JSON document can pass: each is a
+# DomainError, as the CLI reports it, not a TypeError or OverflowError
+# from the checks, and a bool is no number
+@pytest.mark.parametrize("build", [
+    lambda: sw.get_spec("eckart", params={"A": "x"}),
+    lambda: sw.get_spec("eckart", params={"A": None}),
+    lambda: sw.get_spec("eckart", params={"A": 10 ** 400}),
+    lambda: sw.get_spec("eckart", params={"A": True}),
+    lambda: sw.get_spec("eckart", params={"A": 1j}),
+    lambda: sw.get_spec("eckart", hbar="2"),
+    lambda: sw.get_spec("eckart", hbar=True),
+    lambda: sw.get_spec("eckart", hbar=10 ** 400),
+    lambda: sw.spec_from_json('{"id": "eckart", "hbar": null}'),
+    lambda: sw.spec_from_json('{"id": "eckart", "params": {"A": "1"}}'),
+], ids=["str", "None", "big-int", "bool", "complex", "hbar-str",
+        "hbar-bool", "hbar-big-int", "json-hbar-null", "json-str"])
+def test_parameter_values_that_are_no_finite_number(build):
+    with pytest.raises(DomainError, match="must be a finite number"):
+        build()
+
+
+def test_parameter_values_become_floats():
+    spec = sw.get_spec("eckart", params={"A": 1, "B": np.float32(16.0)},
+                       hbar=np.int64(1))
+    assert spec.params == sw.get_spec("eckart").params
+    assert all(type(v) is float for v in [*spec.params.values(), spec.hbar])
+
+
 def test_catalog_omega_keeps_its_poles():
     # num(+-1) = -2A is 2e-10 of max|num| at A = 1e-4, B = 100: both wall
     # poles y = +-1 stay, beside the mapping pole y = 0

@@ -40,7 +40,7 @@ def test_module_runs_as_a_child_process():
 
 # closure_sweep.py exits 1 when a closure residual exceeds 1e-12;
 # defect_scan.py takes both quadratures at nonexact2's oracle level;
-# oracle_sweeps.py wraps the oracle's bracket search by name
+# oracle_sweeps.py wraps the oracle's sweep, slope and search by name
 @pytest.mark.parametrize("script, args", [
     ("root_steps.py", ["eckart", "scarf1"]), ("closure_sweep.py", []),
     ("defect_scan.py", []), ("oracle_sweeps.py", ["nonexact2"]),

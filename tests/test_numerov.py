@@ -286,30 +286,32 @@ def sweeps(monkeypatch):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """The levels whose bracket search reached the energy window [E_lo,
-    E_hi]: no hint, or no hint pair straddled the level."""
+    """The levels whose search swept an end of the energy window [E_lo,
+    E_hi]: no hint, a hint dropped, or Newton steps from the hint that
+    closed no bracket."""
     calls = []
-    search = numerov._level_bracket
+    swept = []
+    solve, shoot = numerov._solve_on_grid, numerov._shoot
 
-    def counted(sweep, n, E_lo, E_hi, hint):
-        asked = set()
+    def counted_shoot(spec, Vg, xg, ics, E, work=None):
+        swept.append(E)
+        return shoot(spec, Vg, xg, ics, E, work)
 
-        def seen(E):
-            asked.add(E)
-            return sweep(E)
-
-        bracket = search(seen, n, E_lo, E_hi, hint)
-        if E_lo in asked:
+    def counted_solve(spec, xg, Vg, ics, n, E_lo, E_hi, hint):
+        swept.clear()
+        E = solve(spec, xg, Vg, ics, n, E_lo, E_hi, hint)
+        if E_lo in swept or E_hi in swept:
             calls.append(n)
-        return bracket
+        return E
 
-    monkeypatch.setattr(numerov, "_level_bracket", counted)
+    monkeypatch.setattr(numerov, "_shoot", counted_shoot)
+    monkeypatch.setattr(numerov, "_solve_on_grid", counted_solve)
     return calls
 
 
 def test_sweep_budget_per_grid(sweeps, fallbacks):
-    # The Newton start takes 3 sweeps a grid at eckart: the hint, one step,
-    # and the sweep that closes the bracket, which brentq returns at once.
+    # A hinted level takes 3 sweeps a grid at eckart: the hint, one Newton
+    # step, and the half-tolerance step whose sweep closes the bracket.
     # scarf1's hint lies 4.6e-6 off its grid level, and W's curvature
     # leaves 1.9e-10 after the first step: 4 sweeps a grid, one of
     # headroom on h.
@@ -320,16 +322,34 @@ def test_sweep_budget_per_grid(sweeps, fallbacks):
     sw.numerov_eigenvalue(spec_of("scarf1"), 1, E_hint=3.0)
     assert sweeps[20001] <= 5
     assert sweeps[40001] <= 4
-    # a far hint: nonexact3's SWKB level lies 23% above E_1, and the start's
-    # six steps leave W at 7.2e-11; the hint pairs around its last step
-    # close the bracket (10 sweeps, 19 without the start, 25 when the
-    # pairs started again from the hint)
+    # a far hint: nonexact3's SWKB level lies 23% above E_1, and five
+    # Newton steps from it leave W at 7.2e-11; a sixth and the
+    # half-tolerance step close the bracket (8 sweeps; 10 when a separate
+    # start handed its last step to hint pairs, 19 without the start)
     sweeps.clear()
     spec = spec_of("nonexact3")
     sw.numerov_eigenvalue(spec, 1, E_hint=sw.solve_level(spec, 1).energy)
-    assert sweeps[20001] <= 12
+    assert sweeps[20001] <= 9
     assert sweeps[40001] <= 3
     assert fallbacks == []
+
+
+def test_hinted_ground_states_close_in_few_sweeps(sweeps):
+    # Near E_0 = 0 the tolerance is about W_XTOL = 1e-14, below W's noise
+    # (up to 2e-12 at eckart): Newton steps wander in the noise until one
+    # lands outside the bracket, and bisection closes it.  eckart takes 11
+    # and 14 sweeps, 82 in all; a six-step Newton start that spent every
+    # step in the noise, with brentq after it, took 23 and 20, 163 in all.
+    total = 0
+    for pot_id in sw.CATALOG_IDS:
+        spec = spec_of(pot_id)
+        if spec.spectrum is None:
+            continue
+        sweeps.clear()
+        sw.numerov_eigenvalue(spec, 0, E_hint=0.0)
+        assert max(sweeps.values()) <= 15, pot_id
+        total += sum(sweeps.values())
+    assert total <= 110
 
 
 def test_hinted_level_never_runs_the_continuation(sweeps, monkeypatch):
@@ -372,7 +392,7 @@ def test_h_grid_is_the_even_points_of_the_h_half_grid(pot_id, monkeypatch):
 
 
 # sweeps of the hinted search on the 2001- and 4001-point grids at n = 1, 2,
-# as the Newton start takes them (scarf1 took 25 and 27 when the hint and
+# as the Newton steps take them (scarf1 took 25 and 27 when the hint and
 # node-count brackets were two searches, eckart 9 and 9).  An entry without
 # a closed form solves the 2001-point grid cold, as the oracle's h grid
 # does, and the 4001-point grid from that level.
@@ -410,7 +430,9 @@ def test_wrong_hint_falls_back(pot_id, fallbacks):
     spec, xg, Vg, ics, E_lo, E_hi = _level_grid(pot_id, 2001)
     cold = numerov._solve_on_grid(spec, xg, Vg, ics, 1, E_lo, E_hi, None)
     E1, E2 = spec.spectrum(1), spec.spectrum(2)
-    # the grid's own E_2 makes W change sign at the first, narrowest pair
+    # hints at the grid's own E_2, where W changes sign, and at the closed
+    # form: eckart's sweep there has 2 nodes, and scarf1's lie above the
+    # window; either way the hint is dropped and the search runs cold
     E2_grid = numerov._solve_on_grid(spec, xg, Vg, ics, 2, E_lo,
                                      max(E_hi, E2 + 1.0), None)
     fallbacks.clear()
@@ -418,9 +440,9 @@ def test_wrong_hint_falls_back(pot_id, fallbacks):
         got = numerov._solve_on_grid(spec, xg, Vg, ics, 1, E_lo, E_hi, hint)
         assert got == cold
     assert fallbacks == [1, 1]
-    # 10% below E_1 the hint has E_1's node count: the Newton start's six
-    # steps end 1.1e-9 (eckart) and 5.9e-8 (scarf1) from the level, and
-    # the hint pairs around its last step bracket it without the window
+    # 10% below E_1 the hint has E_1's node count: five Newton steps end
+    # 1.2e-9 (eckart) and 5.9e-8 (scarf1) from the level, and two more
+    # sweeps close the bracket without the window
     fallbacks.clear()
     got = numerov._solve_on_grid(spec, xg, Vg, ics, 1, E_lo, E_hi, 0.9 * E1)
     assert abs(got - cold) <= 2.0 * W_RTOL * (1.0 + abs(cold))
@@ -461,9 +483,9 @@ def test_bracket_rule_flips_once_at_the_grid_level(pot_id, n):
 # On 2001 points these grid levels lie outside their windows: drawn eckart
 # seed 1 has E_3 0.065 below the threshold, and the grid puts it above the
 # top of the window; seed 3 has its grid E_0 near -0.28, below the bottom.
-# Hinted at the closed form, seed 1's wider hint pairs would reach past the
-# window's top 271.0700 to the grid level 271.0863; they are clipped to the
-# window, so there is no bracket either.
+# Hinted at the closed form, seed 1's first Newton step heads for the grid
+# level 271.0863, past the window's top 271.0700, and the sweep there finds
+# that top below the level too, so there is no bracket either.
 @pytest.mark.parametrize("seed, n, hinted", [
     pytest.param(1, 3, False, id="1-3"), pytest.param(3, 0, False, id="3-0"),
     pytest.param(1, 3, True, id="1-3-hinted"),
@@ -477,6 +499,21 @@ def test_window_without_the_level_raises_convergence_error(seed, n, hinted):
     with pytest.raises(ConvergenceError, match="no bracket"):
         numerov._solve_on_grid(spec, xg, spec.v_minus(xg), ics, n, E_lo,
                                E_hi, hint)
+
+
+# nonexact3 has neither a closed form nor a threshold: without a hint the
+# window's top doubles from 10 until a 4001-point sweep there has more than
+# n nodes (_prepare).  E_4 = 10.53 and E_5 = 14.82 lie above the first top,
+# so the search runs on the doubled window [-1, 20].  The solve hinted at
+# the SWKB level, on its own box, agrees to 3.2e-12 and 4.4e-13.
+@pytest.mark.parametrize("n", [4, 5])
+def test_cold_level_above_the_first_window(n):
+    spec = spec_of("nonexact3")
+    assert numerov._prepare(spec, n)[:2] == (-1.0, 20.0)
+    hinted = sw.numerov_eigenvalue(spec, n,
+                                   E_hint=sw.solve_level(spec, n).energy)
+    assert sw.numerov_eigenvalue(spec, n) == pytest.approx(hinted, rel=1e-10,
+                                                           abs=0.0)
 
 
 def test_nonexact2_without_a_hint():
@@ -589,41 +626,19 @@ def test_wronskian_is_smooth_next_to_the_root(pot_id):
     assert np.abs(W - line).max() <= 1e-2 * np.abs(steps).mean()
 
 
-@pytest.fixture
-def root_sweeps(monkeypatch):
-    """Sweeps of the Wronskian root search, the brentq call of
-    numerov._solve_on_grid, keyed by grid size."""
-    counts = Counter()
-    searching = False
-    shoot, brentq = numerov._shoot, numerov.brentq
-
-    def counted_shoot(spec, Vg, xg, ics, E, band=None):
-        counts[len(xg)] += searching
-        return shoot(spec, Vg, xg, ics, E, band)
-
-    def counted_brentq(*args, **kwargs):
-        nonlocal searching
-        searching = True
-        try:
-            return brentq(*args, **kwargs)
-        finally:
-            searching = False
-
-    monkeypatch.setattr(numerov, "_shoot", counted_shoot)
-    monkeypatch.setattr(numerov, "brentq", counted_brentq)
-    return counts
-
-
 @pytest.mark.parametrize("pot_id", sorted(FULL_PRECISION_LEVELS))
-def test_root_search_takes_at_most_three_sweeps(pot_id, root_sweeps):
-    # the three-term form took 2-14, following W's rounding noise
+def test_root_search_takes_at_most_three_sweeps(pot_id, sweeps):
+    # the three-term form took 2-14 in the root search alone, following
+    # W's rounding noise; now the whole search from the closed form takes
+    # 3 sweeps a grid, 4 on scarf1, whose closed form lies 4.6e-6 from its
+    # grid level
     spec = spec_of(pot_id)
     sw.numerov_eigenvalue(spec, 1, E_hint=spec.spectrum(1))
-    assert set(root_sweeps) == {20001, 40001}
-    assert max(root_sweeps.values()) <= 3
+    assert set(sweeps) == {20001, 40001}
+    assert max(sweeps.values()) <= (4 if pot_id == "scarf1" else 3)
 
 
-# the slope of W that the Newton start steps on, at each oracle_levels case
+# the slope of W that the Newton steps take, at each oracle_levels case
 # on both grids: the norm sums of the sweep, with the matching point counted
 # once, t at m and the wall's part of the norm, match a central difference
 # of W to 4e-10 - 1.4e-7 (counting m in both halves put eckart 1.5e-3 off;
@@ -662,9 +677,9 @@ def test_levels_raise_no_warning(pot_id):
 
 @pytest.mark.parametrize("pot_id", sorted(FULL_PRECISION_LEVELS))
 def test_hinted_level_lies_in_a_swept_bracket(pot_id, monkeypatch):
-    # the level the Newton start hands brentq lies between two swept
-    # energies, at most one tolerance apart, with n = 1 nodes each and the
-    # rule of _level_bracket, (-1)^n W > 0 below the level, flipping
+    # the level is one of two swept energies at most one tolerance apart,
+    # with n = 1 nodes each and the bracket rule of _solve_on_grid,
+    # (-1)^n W > 0 below the level, flipping between them
     swept = Counter()
     shoot = numerov._shoot
     levels = []
