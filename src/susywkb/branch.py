@@ -21,8 +21,11 @@ jumps in sign across each.  C is fixed once by one anchor value.
 On a cut the own factor is taken on one lip in closed form: it is
 sqrt(1 - t^2) times a smooth function of a parameter t in [-1, 1], so one
 Gauss-Chebyshev rule of the second kind, quadrature.gauss_chebyshev, serves
-chords and arcs and evaluates only the other cuts' factors (the real-axis
-SWKB integral takes the same rule).  No circle takes a quadrature:
+chords and arcs and evaluates only the other cuts' factors.  All cuts of a
+sheet take that rule together, one row each (cut_integrals), so a pass
+makes one factor call per cut and one measure/den call; the real-axis SWKB
+integral is the rule's one-row case.  The anchor and the fixed poles take
+one factor call per cut as well (anchored).  No circle takes a quadrature:
 at infinity the sheet is a power series in 1/y (Sheet.at_infinity), and
 the pole terms are residues on it (see contours).
 """
@@ -54,31 +57,33 @@ def _factor(cut, y):
     return u * np.sqrt(1.0 - (h / u) ** 2)
 
 
+def anchored(cuts, anchor_point, anchor_value, points):
+    """The Sheet on ``cuts`` whose value at ``anchor_point`` is
+    ``anchor_value``, and its values at ``points``: one _factor call per cut
+    over the anchor and the points together."""
+    cuts = tuple(cuts)
+    ys = np.array([anchor_point, *points], dtype=complex)
+    F = [_factor(cut, ys) for cut in cuts]
+    C = complex(anchor_value) / complex(np.prod([f[0] for f in F]))
+    w = np.full(len(points), C, dtype=complex)
+    for f in F:
+        w = w * f[1:]
+    return Sheet(cuts, C), w
+
+
 @dataclass(frozen=True)
 class Sheet:
     """w(y) = C * prod_k F_k(y), one factor per cut: the branch of sqrt(P) on
-    the plane cut along ``cuts`` whose value at ``anchor_point`` is
-    ``anchor_value``."""
+    the plane cut along ``cuts``, C fixed by one anchor value (anchored)."""
 
     cuts: tuple
     C: complex
 
-    @classmethod
-    def anchored(cls, cuts, anchor_point, anchor_value):
-        cuts = tuple(cuts)
-        F = np.prod([_factor(cut, anchor_point) for cut in cuts])
-        return cls(cuts, complex(anchor_value) / complex(F))
-
-    def others(self, k, y):
-        """C times the factors of every cut but cut k."""
-        out = np.full(np.shape(y), self.C, dtype=complex)
-        for j, cut in enumerate(self.cuts):
-            if j != k:
-                out = out * _factor(cut, y)
-        return out
-
     def __call__(self, y):
-        return self.others(None, y)
+        out = np.full(np.shape(y), self.C, dtype=complex)
+        for cut in self.cuts:
+            out = out * _factor(cut, y)
+        return out
 
     def at_infinity(self, order):
         """The coefficients of z^0 .. z^order in w(y)/y^K as a power series
@@ -125,12 +130,13 @@ class SqrtIntegrand:
 # cut integrals (vanishing-clearance limit of a counterclockwise loop)
 # ---------------------------------------------------------------------------
 
-def cut_integral(integrand: SqrtIntegrand, k):
-    """(1/pi) * integral of f along cut k, p1 -> p2, on the lip to the right
-    of that direction: just below the classical cut on the real axis, just
-    outside the unit circle for an arc.
+def cut_integrals(integrand: SqrtIntegrand):
+    """(1/pi) * integral of f along each cut, p1 -> p2, on the lip to the
+    right of that direction: just below the classical cut on the real axis,
+    just outside the unit circle for an arc.  One value per cut, in the
+    sheet's order.
 
-    Equals the counterclockwise loop around the cut in the limit of
+    Each equals the counterclockwise loop around its cut in the limit of
     vanishing clearance.  Each cut maps onto t in [-1, 1] so that its own
     factor on that lip times dy/dt is sqrt(1 - t^2) r(t), r smooth:
 
@@ -141,23 +147,39 @@ def cut_integral(integrand: SqrtIntegrand, k):
 
     sqrt(1 - t^2) is the Gauss-Chebyshev weight of the second kind: n - 1
     nodes cos(j pi/n) with weights (pi/n) sin^2(j pi/n), refined by
-    quadrature.gauss_chebyshev, which hands the term t and sin(j pi/n).
+    quadrature.gauss_chebyshev with one row per cut.  A pass lays the open
+    cuts' nodes out as rows of one array; each cut's factor is taken once,
+    over the rows of the other cuts (never on its own nodes, where it
+    vanishes), and measure/den once over all rows.
     """
     sheet = integrand.sheet
-    cut = sheet.cuts[k]
-    mid, half = 0.5 * (cut.p1 + cut.p2), 0.5 * (cut.p2 - cut.p1)
+    cuts = sheet.cuts
+    # a workspace's cuts are all chords, or all arcs (the exp_i mapping)
+    on_arc = any(cut.arc for cut in cuts)
+    dtype = float if on_arc else complex
+    mid = np.array([0.5 * (cut.p1 + cut.p2) for cut in cuts],
+                   dtype=dtype)[:, None]
+    half = np.array([0.5 * (cut.p2 - cut.p1) for cut in cuts],
+                    dtype=dtype)[:, None]
+    tau = np.tan(0.5 * half) if on_arc else None
 
-    def term(t, s):
-        if cut.arc:
-            tau = np.tan(0.5 * half)
-            th = mid + 2.0 * np.arctan(tau * t)
+    def term(t, s, rows):
+        if on_arc:
+            m, tk = mid[rows], tau[rows]
+            th = m + 2.0 * np.arctan(tk * t)
             ys = np.exp(1j * th)
-            r = (-4j * tau * tau * ys * np.exp(0.5j * (th + mid))
-                 / (1.0 + (tau * t) ** 2) ** 1.5)
+            r = (-4j * tk * tk * ys * np.exp(0.5j * (th + m))
+                 / (1.0 + (tk * t) ** 2) ** 1.5)
         else:
-            ys = mid + half * t
-            r = -1j * half * half
-        g = sheet.others(k, ys) * integrand.weight(ys)
-        return s ** 2 * r * g
+            ys = mid[rows] + half[rows] * t
+            r = -1j * half[rows] * half[rows]
+        g = np.full(ys.shape, sheet.C, dtype=complex)
+        for j, cut in enumerate(cuts):
+            other = rows != j
+            if other.all():
+                g = g * _factor(cut, ys)
+            elif other.any():
+                g[other] = g[other] * _factor(cut, ys[other])
+        return s ** 2 * r * (g * integrand.weight(ys))
 
-    return gauss_chebyshev(term, "cut quadrature")
+    return gauss_chebyshev(term, len(cuts), "cut quadrature")

@@ -13,9 +13,11 @@ numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import math
+import os
 import sys
 
 from . import catalog, contours, numerov, swkb
@@ -61,6 +63,26 @@ def _emit(columns, rows, args):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path):
+    """Raise the OSError that opening path for writing would raise, before
+    any work, and without creating or truncating it: an existing target
+    must open for writing, else its directory must exist and be
+    writable."""
+    try:
+        os.close(os.open(path, os.O_WRONLY))
+        return
+    except FileNotFoundError:
+        pass
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _parse_params(text):
@@ -327,6 +349,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         _DISPATCH[args.command](args)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")

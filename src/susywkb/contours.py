@@ -22,16 +22,19 @@ P = E*den^2 - num^2 and its roots, the branch points, belong to this module
 alone (_energy_numerator).  The workspace pairs them into cuts: the
 classical one between the two that x_of_y maps into the domain (under the
 energy and pair checks of swkb.turning_points), the rest by minimum-weight
-matching, as chords or, for the trigonometric mapping, as arcs of the unit
-circle.  One rule names the mirror, and so m, for the quantization and
+matching over a table of every pairing, built once per point count
+(_matchings), as chords or, for the trigonometric mapping, as arcs of the
+unit circle.  One rule names the mirror, and so m, for the quantization and
 defect_report alike.  On the plane cut along them sqrt(P) is the
 closed-form sheet of branch.Sheet, fixed by a single anchor just below the
-classical cut, where sqrt(E - omega^2) is taken with positive real part.
+classical cut, where sqrt(E - omega^2) is taken with positive real part;
+the same factor calls give the sheet at every fixed pole.
 The integrand is single-valued off the cuts, so each pole term is a
 residue, J_gamma = i Res, and J_GammaR is i times the 1/y coefficient of
 the integrand's Laurent series at infinity: both are algebraic, and no
-circle takes a quadrature.  Each cut term is a Gauss-Chebyshev rule on one
-lip of its cut.  What depends on the spec alone
+circle takes a quadrature.  The cut terms are one Gauss-Chebyshev rule
+with a row per cut, each on one lip of its cut (branch.cut_integrals).
+What depends on the spec alone
 (the fixed poles and their residue weights, the measure over den at
 infinity, num^2, the symmetry flag, the QHJ pole algebra) is built once
 per spec (catalog.PotentialSpec).
@@ -144,8 +147,12 @@ class _Workspace:
         self.cuts = self._pair_cuts()
         # m: the cuts that carry J_SWKB, the classical one and a mirror
         self.m = 1 + sum(cut.kind == "mirror" for cut in self.cuts)
-        self.sheet = br.Sheet.anchored(
-            self.cuts, ya, s * complex(npoly.polyval(ya, den.coeffs)))
+        # the anchor fixes C; the sheet's values at the fixed poles come
+        # from the same factor calls
+        self.sheet, w = br.anchored(
+            self.cuts, ya, s * complex(npoly.polyval(ya, den.coeffs)),
+            self.poles)
+        self.w_poles = dict(zip(self.poles, w))
         self.integrand = br.SqrtIntegrand(sheet=self.sheet, den=den,
                                           measure=spec.measure)
 
@@ -187,14 +194,15 @@ class _Workspace:
     # -- contour values ----------------------------------------------------
 
     def pole_value(self, pole):
-        """J_gamma = i * Res f at one fixed pole p of the spec: i w(p) times
-        the pole's residue weight (catalog.PotentialSpec.residue_weights)."""
+        """J_gamma = i * Res f at one fixed pole p of the spec: i w(p), taken
+        with the anchor, times the pole's residue weight
+        (catalog.PotentialSpec.residue_weights)."""
         weight = self.spec.residue_weights[pole]
         if weight is None:
             raise DomainError(
                 f"the pole y = {complex(pole):.6g} of {self.spec.id} is a "
                 "multiple pole of the integrand")
-        return 1j * complex(self.sheet(pole)) * weight
+        return 1j * complex(self.w_poles[pole]) * weight
 
     def infinity_value(self):
         """J_GammaR, the counterclockwise circle |y| = R outside every cut
@@ -210,37 +218,72 @@ class _Workspace:
             return 0j
         return 1j * complex(np.dot(self.sheet.at_infinity(m), U[m::-1]))
 
-    def cut_value(self, k):
-        """The integral along cut k, on the lip to the right of p1 -> p2."""
-        return br.cut_integral(self.integrand, k)
+    def cut_values(self):
+        """The integral along each cut, on the lip to the right of
+        p1 -> p2, in the order of self.cuts: one rule for all of them."""
+        return br.cut_integrals(self.integrand)
+
+
+MATCHING_MAX = 14     # points: (MATCHING_MAX - 1)!! = 135135 matchings
+
+
+@lru_cache(maxsize=None)
+def _matchings(n):
+    """Every perfect matching of 0 .. n-1, one row each, as the flat
+    indices i*n + j of its pairs (uint8): the pair of the lowest point
+    first, its partner j ascending, the rest likewise.  (n - 1)!! rows of
+    n/2: at MATCHING_MAX, 135135 rows in 0.95 MB."""
+    if n == 0:
+        return np.zeros((1, 0), dtype=np.uint8)
+    sub = _matchings(n - 2)
+    i, j = np.divmod(sub, max(n - 2, 1))
+    blocks = []
+    for partner in range(1, n):
+        # the sub-matchings on the other points, renumbered in order
+        rest = np.array([k for k in range(1, n) if k != partner],
+                        dtype=np.uint8)
+        head = np.full((len(sub), 1), partner, dtype=np.uint8)
+        blocks.append(np.hstack([head, rest[i] * n + rest[j]]))
+    table = np.vstack(blocks)
+    table.setflags(write=False)
+    return table
 
 
 def _min_weight_matching(pts):
-    """Exact minimum-weight perfect matching of an even point set."""
+    """Exact minimum-weight perfect matching of an even point set of at
+    most MATCHING_MAX points, as (p, q) pairs.
+
+    The matchings come from a table built once per size (_matchings).  The
+    weight of a row is the sum of its distances nested from the right, the
+    pair of the lowest point outermost, and the answer is the row that a
+    recursion over the lowest point's partner picks: the least weight,
+    ties to the smaller partner, then the least weight of the rest, and so
+    on.  The order of the ties matters where one long distance absorbs in
+    rounding the difference between two matchings of the rest.  Its pairs
+    are listed innermost first."""
     n = len(pts)
-    if n == 0:
-        return []
     if n % 2:
         raise DomainError("odd number of branch points cannot pair into cuts")
-    d = [[abs(pts[i] - pts[j]) for j in range(n)] for i in range(n)]
-
-    @lru_cache(maxsize=None)
-    def best(mask):
-        if mask == 0:
-            return 0.0, ()
-        i = (mask & -mask).bit_length() - 1
-        out = (math.inf, ())
-        for j in range(i + 1, n):
-            if mask & (1 << j):
-                sub_v, sub_p = best(mask & ~(1 << i) & ~(1 << j))
-                v = d[i][j] + sub_v
-                if v < out[0]:
-                    out = (v, sub_p + ((i, j),))
-        return out
-
-    _, pair_idx = best((1 << n) - 1)
-    best.cache_clear()
-    return [(pts[i], pts[j]) for i, j in pair_idx]
+    if n <= 2:
+        return [tuple(pts)] if n else []
+    if n > MATCHING_MAX:
+        raise DomainError(f"{n} branch points to pair into cuts exceed the "
+                          f"{MATCHING_MAX} of the matching table")
+    z = np.asarray(pts, dtype=complex)
+    diff = z[:, None] - z[None, :]
+    table = _matchings(n)
+    dist = np.hypot(diff.real, diff.imag).ravel()[table]
+    for k in range(n // 2 - 2, -1, -1):
+        dist[:, k] += dist[:, k + 1]
+    rows = np.arange(len(table))
+    for k in range(n // 2):
+        sums = dist[rows, k]
+        rows = rows[sums == sums.min()]
+        # rows run in ascending partners, so the first has the least
+        rows = rows[table[rows, k] == table[rows[0], k]]
+        if len(rows) == 1:
+            break
+    return [(pts[ij // n], pts[ij % n]) for ij in table[rows[0], ::-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +329,7 @@ def _decompose(ws):
     J_GammaR = ws.infinity_value()
     J_classical = J_mirror = 0.0 + 0j
     others = []
-    for k, cut in enumerate(ws.cuts):
-        val = ws.cut_value(k)
+    for cut, val in zip(ws.cuts, ws.cut_values()):
         if cut.kind == "classical":
             J_classical = val
         elif cut.kind == "mirror":

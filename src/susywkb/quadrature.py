@@ -1,11 +1,14 @@
-"""Refinement by doubling, and the one quadrature rule of the package.
+"""The one quadrature rule of the package, for several integrands at once.
 
-The real-axis SWKB integral (swkb.swkb_integral) and the integral along a
-cut (branch.cut_integral) are both integrals of sqrt(1 - t^2) times a
-smooth function of t in [-1, 1], so both take the nested Gauss-Chebyshev
-rule of the second kind in t = cos(a), gauss_chebyshev.  A rule hands its
-integrand the node arrays t and sin(a); its first two orders, 64 and 128,
-take one call on the fixed, read-only nodes of order 128."""
+The real-axis SWKB integral (swkb.swkb_integral) and the integrals along
+the cuts of a workspace (branch.cut_integrals) are all integrals of
+sqrt(1 - t^2) times a smooth function of t in [-1, 1], so all take the
+nested Gauss-Chebyshev rule of the second kind in t = cos(a),
+gauss_chebyshev.  Its term hands back one row per integrand: the SWKB
+integral is the one-row case, a workspace's cuts take one row each, and
+every pass evaluates only the rows still open.  A rule hands its term the
+node arrays t and sin(a); its first two orders, 64 and 128, take one call
+on the fixed, read-only nodes of order 128."""
 
 from __future__ import annotations
 
@@ -16,22 +19,6 @@ from .errors import ConvergenceError
 ORDER_START = 64      # first node count of every refined rule
 MAX_NODES = 1 << 17
 QUAD_TOL = 1e-11      # successive-refinement agreement for every quadrature
-
-
-def refine_until(fn, n0, nmax, tol, what):
-    """fn(n) at the first n of n0, 2*n0, ... <= nmax where it agrees with
-    fn(n/2) within tol; raises ConvergenceError with the last difference."""
-    prev = diff = None
-    n = n0
-    while n <= nmax:
-        val = fn(n)
-        if prev is not None:
-            diff = abs(val - prev)
-            if diff < tol:
-                return val
-        prev = val
-        n *= 2
-    raise ConvergenceError(f"{what} did not converge", residuals=[diff])
 
 
 def _nodes(n, step):
@@ -48,21 +35,34 @@ def _nodes(n, step):
 _FIRST_NODES = _nodes(2 * ORDER_START, 1)
 
 
-def gauss_chebyshev(term, what):
-    """(1/n) * sum_{j=1}^{n-1} term(cos(j pi/n), sin(j pi/n)) for term on
-    arrays, refined from ORDER_START up to MAX_NODES nodes within QUAD_TOL.
-    The nodes of order n/2 are those of order n at even j.  So the first
-    pass is one term call on the fixed nodes of order 2*ORDER_START, which
-    gives the sums of orders ORDER_START (even j) and 2*ORDER_START; past
-    that the sum of order n is half the old sum plus the new odd-j terms
-    over n."""
-    first, top = term(*_FIRST_NODES), 2 * ORDER_START
-    half = np.sum(first[1::2]) / ORDER_START
-    sums = {ORDER_START: half, top: 0.5 * half + np.sum(first[::2]) / top}
+def gauss_chebyshev(term, count, what):
+    """(1/n) * sum_{j=1}^{n-1} term(cos(j pi/n), sin(j pi/n), rows) for
+    ``count`` integrands at once, each refined from ORDER_START up to
+    MAX_NODES nodes until two successive orders agree within QUAD_TOL.
 
-    def at(n):
-        if n not in sums:
-            sums[n] = 0.5 * at(n // 2) + np.sum(term(*_nodes(n, 2))) / n
-        return sums[n]
-
-    return refine_until(at, ORDER_START, MAX_NODES, QUAD_TOL, what)
+    term(t, s, rows) takes the node arrays and an index array of the
+    integrands still open, and returns one row of terms per index.  The
+    nodes of order n/2 are those of order n at even j.  So the first pass
+    is one term call on the fixed nodes of order 2*ORDER_START, which gives
+    the sums of orders ORDER_START (even j) and 2*ORDER_START; past that the
+    sum of order n is half the old sum plus the new odd-j terms over n.  A
+    row keeps the sum of the first order at which it agrees with the order
+    before, and later passes evaluate only the rows still open, so every
+    node of an open row is evaluated once.  Returns the count values;
+    raises ConvergenceError with the largest difference among the rows
+    still open at MAX_NODES."""
+    rows = np.arange(count)
+    first, n = term(*_FIRST_NODES, rows), 2 * ORDER_START
+    prev = first[:, 1::2].sum(axis=1) / ORDER_START
+    out = cur = 0.5 * prev + first[:, ::2].sum(axis=1) / n
+    while True:
+        diff = np.abs(cur - prev)
+        if diff.max() < QUAD_TOL:          # False on a NaN, as it should be
+            return out
+        still = ~(diff < QUAD_TOL)
+        if 2 * n > MAX_NODES:
+            raise ConvergenceError(f"{what} did not converge",
+                                   residuals=[diff[still].max()])
+        rows, prev, n = rows[still], cur[still], 2 * n
+        cur = 0.5 * prev + term(*_nodes(n, 2), rows).sum(axis=1) / n
+        out[rows] = cur

@@ -179,19 +179,21 @@ def swkb_integral(spec, E):
     With x = x_mid + x_half*cos(a), J = (x_half/n) * sum_j sin(j pi/n) *
     sqrt(E - omega^2(x_j)) in the rule of quadrature.gauss_chebyshev, which
     converges exponentially between the turning points; the nodes double
-    until two results agree within QUAD_TOL.  The rule hands the integrand cos(a) and sin(a), so no node is taken
-    here, and orders 64 and 128 come from one omega_x call on 127 nodes.
+    until two results agree within QUAD_TOL.  It is the rule's one-row
+    case.  The rule hands the integrand cos(a) and sin(a), so no node is
+    taken here, and orders 64 and 128 come from one omega_x call on 127
+    nodes.
     """
     if E == 0.0:
         return 0.0
     tp = turning_points(spec, E)
     xm, xh = 0.5 * (tp.x1 + tp.x2), 0.5 * (tp.x2 - tp.x1)
 
-    def term(t, s):
+    def term(t, s, rows):
         om2 = spec.omega_x(xm + xh * t) ** 2
-        return xh * s * np.sqrt(np.maximum(E - om2, 0.0))
+        return (xh * s * np.sqrt(np.maximum(E - om2, 0.0)))[None]
 
-    return float(gauss_chebyshev(term, "SWKB quadrature"))
+    return float(gauss_chebyshev(term, 1, "SWKB quadrature")[0])
 
 
 def solve_level(spec, n):

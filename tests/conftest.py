@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import susywkb as sw
-from susywkb import RationalFunction, quadrature
+from susywkb import RationalFunction, branch, quadrature, swkb
 from susywkb.catalog import probe_energy
 
 
@@ -57,25 +57,54 @@ def textbook_spec(name):
 
 @pytest.fixture
 def quadratures(monkeypatch):
-    """Every Gauss-Chebyshev quadrature the test runs, as (what, fn, value,
-    nodes): fn(n) is the rule's sum at n nodes, and nodes the count at which
-    it converged to value."""
+    """Every Gauss-Chebyshev quadrature the test runs, one record per
+    integrand (row), as (what, fn, value, evaluated, nodes): fn(n) is the
+    row's sum at n nodes, by the rule's own halving, value the row's
+    result, evaluated the number of nodes the term was handed for the row,
+    and nodes the order at which the row converged.  A rule that raises
+    leaves no record."""
     seen = []
-    refine_until = quadrature.refine_until
+    rule = quadrature.gauss_chebyshev
 
-    def recording(fn, n0, nmax, tol, what):
-        counts = []
+    def recording(term, count, what):
+        evaluated = np.zeros(count, dtype=int)
+        nodes = np.zeros(count, dtype=int)
 
-        def counted(n):
-            counts.append(n)
-            return fn(n)
+        def counted(t, s, rows):
+            evaluated[rows] += len(t)
+            # 127 nodes are the first pass, of order 128; n/2 new nodes
+            # make order n
+            nodes[rows] = 1 << len(t).bit_length()
+            return term(t, s, rows)
 
-        val = refine_until(counted, n0, nmax, tol, what)
-        seen.append((what, fn, val, counts[-1]))
-        return val
+        vals = rule(counted, count, what)
+        for k in range(count):
+            seen.append((what, row_sums(term, k), vals[k],
+                         int(evaluated[k]), int(nodes[k])))
+        return vals
 
-    monkeypatch.setattr(quadrature, "refine_until", recording)
+    for module in (swkb, branch):
+        monkeypatch.setattr(module, "gauss_chebyshev", recording)
     return seen
+
+
+def row_sums(term, k):
+    """fn(n), the sum of row k of a rule's term at n nodes, halved from
+    order ORDER_START as quadrature.gauss_chebyshev halves it."""
+    rows, start, sums = np.array([k]), quadrature.ORDER_START, {}
+
+    def fn(n):
+        if n not in sums and n <= 2 * start:
+            first = term(*quadrature._FIRST_NODES, rows)[0]
+            sums[start] = np.sum(first[1::2]) / start
+            sums[2 * start] = (0.5 * sums[start]
+                               + np.sum(first[::2]) / (2 * start))
+        elif n not in sums:
+            new = term(*quadrature._nodes(n, 2), rows)[0]
+            sums[n] = 0.5 * fn(n // 2) + np.sum(new) / n
+        return sums[n]
+
+    return fn
 
 
 @lru_cache(maxsize=None)

@@ -5,13 +5,14 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import susywkb as sw
-from susywkb import Polynomial, contours, swkb
-from susywkb.branch import Sheet, SqrtIntegrand, cut_integral
+from susywkb import (ConvergenceError, Polynomial, branch, contours,
+                     quadrature, swkb)
+from susywkb.branch import SqrtIntegrand, cut_integrals
 from susywkb.catalog import probe_energy
 from susywkb.contours import Cut
 from susywkb.quadrature import QUAD_TOL
 
-from conftest import drawn_spec, reference_circle, reference_radius
+from conftest import drawn_spec, reference_circle, reference_radius, row_sums
 
 
 def brute_continue(Pc, w0, path, nsub=20000):
@@ -39,7 +40,7 @@ def anchored(cuts, anchor):
     Pc = npoly.polyfromroots([np.exp(1j * p) if c.arc else p
                               for c in cuts for p in (c.p1, c.p2)])
     w = np.sqrt(npoly.polyval(anchor, Pc))
-    return Sheet.anchored(cuts, anchor, w), Pc
+    return branch.anchored(cuts, anchor, w, ())[0], Pc
 
 
 # Two disjoint chords, and two disjoint arcs of the unit circle.
@@ -148,8 +149,18 @@ def test_sheet_agrees_with_fine_step_continuation():
             assert ws.sheet(loop[k]) == pytest.approx(want, rel=1e-9)
 
 
+def test_anchored_values_are_the_sheets():
+    # the values at the points come from the factor calls that fix C
+    points = [0.1 + 2.0j, -3.0 - 0.5j, 0.0j, 1.7 + 0.0j]
+    for cuts in (TWO_CHORDS, TWO_ARCS):
+        sheet, _ = anchored(cuts, 3.0 + 0j)
+        again, w = branch.anchored(cuts, 3.0 + 0j, sheet(3.0 + 0j), points)
+        assert again.C == pytest.approx(sheet.C, rel=1e-15)
+        assert np.allclose(w, sheet(np.array(points)), rtol=1e-14, atol=0)
+
+
 def test_constant_radicand_is_unchanged():
-    sheet = Sheet.anchored((), 0j, 2.0)
+    sheet, _ = branch.anchored((), 0j, 2.0, ())
     for y in (0.0, 1.0 + 1j, -3.0):
         assert sheet(y) == 2.0
 
@@ -200,7 +211,7 @@ def test_continuation_is_path_independent_off_the_cuts():
 
 def unit_integrand(den):
     # w = 1 everywhere, unit measure
-    return SqrtIntegrand(sheet=Sheet.anchored((), 1.0, 1.0),
+    return SqrtIntegrand(sheet=branch.anchored((), 1.0, 1.0, ())[0],
                          den=Polynomial(den),
                          measure=lambda y: np.ones_like(y))
 
@@ -218,11 +229,11 @@ def test_contour_integral_no_singularity_is_zero():
 def test_cut_integral_matches_real_axis_quadrature():
     # w = sqrt(1 - z^2) just below the cut [-1, 1]; with den = 1 and unit
     # measure, (1/pi) * integral of sqrt(1 - x^2) over [-1, 1] = 1/2.
-    sheet = Sheet.anchored(chords((-1.0, 1.0)), 0.0 - 0.01j,
-                           np.sqrt(1.0 - (0.0 - 0.01j) ** 2))
+    sheet, _ = branch.anchored(chords((-1.0, 1.0)), 0.0 - 0.01j,
+                               np.sqrt(1.0 - (0.0 - 0.01j) ** 2), ())
     integrand = SqrtIntegrand(sheet=sheet, den=Polynomial([1.0]),
                               measure=lambda y: np.ones_like(y))
-    assert cut_integral(integrand, 0) == pytest.approx(0.5, abs=1e-12)
+    assert cut_integrals(integrand)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("cuts", [TWO_CHORDS, TWO_ARCS])
@@ -232,7 +243,7 @@ def test_cut_rules_close_against_the_large_circle(cuts):
     sheet, _ = anchored(cuts, 3.0 + 0j)
     integrand = SqrtIntegrand(sheet=sheet, den=Polynomial([1.0]),
                               measure=lambda y: np.ones_like(y))
-    total = sum(cut_integral(integrand, k) for k in range(len(cuts)))
+    total = sum(cut_integrals(integrand))
     assert reference_circle(integrand, 10.0) == pytest.approx(total, abs=1e-12)
 
 
@@ -247,8 +258,7 @@ def test_cut_quadratures_converge_by_128_nodes(quadratures):
     runs = []
     for ws in _probe_workspaces():
         quadratures.clear()
-        for k in range(len(ws.cuts)):
-            ws.cut_value(k)
+        ws.cut_values()
         assert [q[0] for q in quadratures] == (
             ["cut quadrature"] * len(ws.cuts))
         runs += quadratures
@@ -257,9 +267,9 @@ def test_cut_quadratures_converge_by_128_nodes(quadratures):
         swkb.swkb_integral(spec, E)
         assert [q[0] for q in quadratures] == ["SWKB quadrature"]
         runs += quadratures
-    for what, fn, val, nodes in runs:
+    for what, fn, val, evaluated, nodes in runs:
         J = fn(4096)
-        assert nodes == 128
+        assert (evaluated, nodes) == (127, 128)
         assert val == fn(128)
         assert abs(val - fn(64)) < QUAD_TOL
         assert abs(val - J) <= 1e-13 * (1.0 + abs(J))
@@ -304,22 +314,72 @@ def test_infinity_term_matches_the_reference_circle():
     assert count == 75
 
 
-def test_cut_rule_evaluates_each_node_once(monkeypatch):
+def test_cut_rule_evaluates_each_node_once(quadratures, monkeypatch):
     # The nodes cos(j pi/n) of one order hold those of the order before, so
-    # a cut that converges at n nodes evaluates its integrand at n - 1
-    # points: nonexact1's short cuts at E = 400 converge at 32768.
+    # a cut that converges at n nodes is evaluated at n - 1 points, and a
+    # converged cut not again: nonexact1's four short cuts at E = 400
+    # converge at 32768 nodes, its two long ones at 256.
     ws = contours._Workspace(sw.get_spec("nonexact1"), 400.0)
-    evaluated = []
-    others = Sheet.others
+    weighed = []
+    weight = SqrtIntegrand.weight
 
-    def counted(self, k, y):
-        evaluated.append(np.size(y))
-        return others(self, k, y)
+    def counted(self, y):
+        weighed.append(np.shape(y))
+        return weight(self, y)
 
-    monkeypatch.setattr(Sheet, "others", counted)
-    short = [k for k, cut in enumerate(ws.cuts) if cut.kind == "other"]
-    assert len(short) == 4
-    for k in short:
-        evaluated.clear()
-        ws.cut_value(k)
-        assert sum(evaluated) == 32767
+    monkeypatch.setattr(SqrtIntegrand, "weight", counted)
+    ws.cut_values()
+    short = [cut.kind == "other" for cut in ws.cuts]
+    assert sum(short) == 4
+    assert [q[3:] for q in quadratures] == [
+        (32767, 32768) if s else (255, 256) for s in short]
+    # one measure/den call a pass, on the rows still open
+    assert weighed == [(6, 127), (6, 128)] + [(4, n // 2) for n in (
+        512, 1024, 2048, 4096, 8192, 16384, 32768)]
+
+
+def test_unconverged_cut_rule_reports_the_largest_open_difference(
+        monkeypatch):
+    # With the rule stopped at 256 nodes, nonexact1's short cuts at E = 400
+    # are still open; the error carries the largest of their differences
+    # between orders 128 and 256.
+    ws = contours._Workspace(sw.get_spec("nonexact1"), 400.0)
+    terms = []
+    rule = branch.gauss_chebyshev
+
+    def capturing(term, count, what):
+        terms.append(term)
+        return rule(term, count, what)
+
+    monkeypatch.setattr(branch, "gauss_chebyshev", capturing)
+    monkeypatch.setattr(quadrature, "MAX_NODES", 256)
+    with pytest.raises(ConvergenceError,
+                       match="cut quadrature did not converge") as info:
+        ws.cut_values()
+    fns = [row_sums(terms[0], k) for k in range(len(ws.cuts))]
+    diffs = [[abs(fn(n) - fn(n // 2)) for n in (128, 256)] for fn in fns]
+    still_open = [min(d) >= QUAD_TOL for d in diffs]
+    assert still_open == [cut.kind == "other" for cut in ws.cuts]
+    largest = max(d[1] for d, o in zip(diffs, still_open) if o)
+    assert info.value.residuals == [pytest.approx(largest, rel=1e-12)]
+
+
+@pytest.mark.parametrize("pot_id", ["nonexact1", "nonexact2", "eckart",
+                                    "scarf1"])
+def test_decompose_takes_two_factor_calls_per_cut(pot_id, monkeypatch):
+    # One call per cut at the anchor and the fixed poles together, and one
+    # per cut in each pass of the cut rule, whose cuts converge at 128
+    # nodes here: one pass.
+    spec = sw.get_spec(pot_id)
+    E = probe_energy(spec, 1)
+    K = len(contours.census(spec, E).branch_cuts)
+    calls = []
+    factor = branch._factor
+
+    def counted(cut, y):
+        calls.append(np.shape(y))
+        return factor(cut, y)
+
+    monkeypatch.setattr(branch, "_factor", counted)
+    contours.decompose(spec, E)
+    assert len(calls) <= 2 * K

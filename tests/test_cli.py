@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import susywkb
-from susywkb import catalog, swkb
+from susywkb import catalog, numerov, swkb
 from susywkb.cli import main
 
 # the child process imports the same susywkb as this one, installed or not
@@ -221,6 +221,35 @@ def test_bad_files_end_in_the_error_line(tmp_path, config, args, code):
                            "numerov", "--levels", "1")
     assert (rc, out) == (code, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, err", [
+    ("/nonexistent/dir/x.csv", "[Errno 2] No such file or directory"),
+    ("/", "[Errno 21] Is a directory")])
+def test_unwritable_out_fails_before_the_work(monkeypatch, path, err):
+    # the --out path is checked before dispatch, with the error line that
+    # opening it would give, so the oracle level is never solved
+    def never(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(numerov, "numerov_eigenvalue", never)
+    assert run_cli("--out", path, "spectrum", "scarf2", "--method",
+                   "numerov", "--levels", "1") == (
+        1, "", f"error: {err}: {path!r}\n")
+
+
+def test_out_keeps_its_bytes_when_the_run_fails(tmp_path):
+    # checking --out neither creates nor truncates it
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"kept\n")
+    rc, _, err = run_cli("--out", str(out), "--params", "A=1e308",
+                         "spectrum", "scarf2")
+    assert rc == 2 and err.startswith("error: ")
+    assert out.read_bytes() == b"kept\n"
+    missing = tmp_path / "new.csv"
+    assert run_cli("--out", str(missing), "--params", "A=1e308", "spectrum",
+                   "scarf2")[0] == 2
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("args, code, err", [

@@ -1,8 +1,11 @@
 """Contour engine: census, residues, closure, quantization, defect."""
 
 import cmath
+import itertools
 import math
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 import susywkb as sw
@@ -15,6 +18,81 @@ from conftest import (MULTIPLE_POLE_SPECS, TEXTBOOK_IDS, decompose_of,
 
 
 SQ2 = math.sqrt(2.0)
+
+
+def dp_matching(pts):
+    """Reference minimum-weight perfect matching: the exact bitmask
+    recursion over the lowest unmatched point's partner, ties to the first
+    partner, pairs listed innermost first."""
+    n = len(pts)
+    if n == 0:
+        return []
+    d = [[abs(pts[i] - pts[j]) for j in range(n)] for i in range(n)]
+
+    @lru_cache(maxsize=None)
+    def best(mask):
+        if mask == 0:
+            return 0.0, ()
+        i = (mask & -mask).bit_length() - 1
+        out = (math.inf, ())
+        for j in range(i + 1, n):
+            if mask & (1 << j):
+                sub_v, sub_p = best(mask & ~(1 << i) & ~(1 << j))
+                v = d[i][j] + sub_v
+                if v < out[0]:
+                    out = (v, sub_p + ((i, j),))
+        return out
+
+    return [(pts[i], pts[j]) for i, j in best((1 << n) - 1)[1]]
+
+
+def matching_sets():
+    """Seeded point sets of 0-12 points: random ones, conjugate-symmetric
+    ones, whose mirrored pairs tie exactly, small lattices, with many
+    exact ties among distances, and one point at 0 with the rest about
+    1e16 away, where that pair's distance absorbs the differences between
+    the matchings of the rest in rounding."""
+    rng = np.random.default_rng(39)
+    for n in range(0, 13, 2):
+        for _ in range(3):
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            yield [complex(v) for v in z]
+            h = rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2)
+            z = np.concatenate([h, h.conj()])
+            yield [complex(v) for v in rng.permutation(z)]
+            yield [complex(a, b) for a, b in rng.integers(-2, 3, (n, 2))]
+            if n:
+                far = 1e16 + [1, 1j] @ rng.uniform(0, 8, (2, n - 1))
+                yield [0j] + [complex(v) for v in far]
+
+
+def test_matching_agrees_with_the_bitmask_recursion():
+    count = 0
+    for pts in matching_sets():
+        assert contours._min_weight_matching(pts) == dp_matching(pts)
+        count += 1
+    assert count == 81
+
+
+def test_matching_weight_is_the_least():
+    for pts in matching_sets():
+        if len(pts) > 8:
+            continue
+        got = math.fsum(abs(p - q)
+                        for p, q in contours._min_weight_matching(pts))
+        least = min(math.fsum(abs(pts[a] - pts[b])
+                              for a, b in zip(perm[::2], perm[1::2]))
+                    for perm in itertools.permutations(range(len(pts))))
+        assert got == pytest.approx(least, rel=1e-14, abs=1e-300)
+
+
+def test_matching_of_an_odd_or_oversized_set_raises():
+    with pytest.raises(DomainError, match="^odd number of branch points "
+                       "cannot pair into cuts$"):
+        contours._min_weight_matching([0j, 1 + 0j, 2j])
+    n = contours.MATCHING_MAX + 2
+    with pytest.raises(DomainError, match=f"^{n} branch points"):
+        contours._min_weight_matching([complex(k) for k in range(n)])
 
 
 def test_eckart_census():

@@ -12,8 +12,8 @@ from scipy.optimize import brentq
 
 import susywkb as sw
 from susywkb import (ConvergenceError, RationalFunction, UnboundEnergyError,
-                     catalog, contours, cpoly, swkb)
-from susywkb.quadrature import gauss_chebyshev, refine_until
+                     catalog, contours, cpoly, quadrature, swkb)
+from susywkb.quadrature import gauss_chebyshev
 from susywkb.swkb import solve_level, swkb_integral, turning_points
 
 from conftest import TEXTBOOK_IDS, drawn_spec, textbook_spec
@@ -355,11 +355,33 @@ def test_nonexact2_level_below_the_threshold(n, quadratures):
     assert abs(J / math.pi / spec.hbar - n) <= 1e-10
 
 
-def test_refine_until_reports_the_last_difference():
+def test_rule_reports_the_largest_open_difference(monkeypatch):
+    # A constant term b sums to b (1 - 1/n) at order n, so successive
+    # orders differ by b/n: at 128 nodes the row b = 1e-12 agrees, and at
+    # MAX_NODES = 256 the rows b = 1 and 3 are still open, 3/256 apart.
+    monkeypatch.setattr(quadrature, "MAX_NODES", 256)
+    b = np.array([1e-12, 1.0, 3.0])
+    asked = []
+
+    def term(t, s, rows):
+        asked.append(rows.tolist())
+        return b[rows, None] * np.ones_like(t)
+
     with pytest.raises(ConvergenceError, match="halving did not converge") \
             as info:
-        refine_until(lambda n: 1.0 / n, 1, 8, 1e-3, "halving")
-    assert info.value.residuals == [0.125]
+        gauss_chebyshev(term, 3, "halving")
+    assert info.value.residuals == [3.0 / 256]
+    assert asked == [[0, 1, 2], [1, 2]]
+
+
+def test_a_nan_row_does_not_converge(monkeypatch):
+    # a NaN difference is never below QUAD_TOL: the row stays open and the
+    # rule raises, whatever the other rows do
+    monkeypatch.setattr(quadrature, "MAX_NODES", 256)
+    b = np.array([1.0, np.nan])
+    with pytest.raises(ConvergenceError, match="nan rule did not converge"):
+        gauss_chebyshev(lambda t, s, rows: b[rows, None] * (s * s), 2,
+                        "nan rule")
 
 
 def test_first_two_orders_take_one_call_on_fixed_nodes():
@@ -367,11 +389,11 @@ def test_first_two_orders_take_one_call_on_fixed_nodes():
     for a, converged in ((3.0, 128), (1.001, 1024)):
         calls = []
 
-        def term(t, s):
+        def term(t, s, rows):
             calls.append(len(t))
-            return s * s / (a - t)
+            return (s * s / (a - t))[None]
 
-        val = gauss_chebyshev(term, "test rule")
+        val, = gauss_chebyshev(term, 1, "test rule")
         # one call on the 127 nodes of order 128 gives orders 64 and 128;
         # each later order n adds its n/2 odd nodes
         assert calls == [127] + [n // 2 for n in (256, 512, 1024)
@@ -380,12 +402,13 @@ def test_first_two_orders_take_one_call_on_fixed_nodes():
 
 
 def test_first_pass_nodes_are_read_only():
-    def scribbling(t, s):
+    def scribbling(t, s, rows):
         t += 1.0
-        return s * s
+        return (s * s)[None]
 
     with pytest.raises(ValueError, match="read-only"):
-        gauss_chebyshev(scribbling, "test rule")
+        gauss_chebyshev(scribbling, 1, "test rule")
     # (1/pi) int sqrt(1 - t^2)(1 + t) dt over [-1, 1]
-    assert gauss_chebyshev(lambda t, s: s * s * (1.0 + t),
-                           "test rule") == pytest.approx(0.5, abs=1e-15)
+    val, = gauss_chebyshev(lambda t, s, rows: (s * s * (1.0 + t))[None], 1,
+                           "test rule")
+    assert val == pytest.approx(0.5, abs=1e-15)
